@@ -4,7 +4,7 @@ Given an intransitive, non-semiregular local group L with orbit
 representatives r_1..r_k (r_1 the anchor, whose stabiliser S is nontrivial)
 and an integer n >= 2, the star consists of
 
-* the product group  A = L x S^n,  stored as explicit (head, tail) tuples,
+* the product group  A = L x S^n,  whose elements are integer indices,
 * for each edge i the subgroup  C_i = { a in A : head(a) fixes r_i },
 * an order-2 twist automorphism phi_i of C_i:
     - edge 1: full reversal of the n+1 coordinates (head, tail_1..tail_n),
@@ -13,19 +13,29 @@ and an integer n >= 2, the star consists of
     - edges 3..k: the identity,
 * the extension of C_i by a flip of order 2 acting as phi_i.
 
-Elements of A are stored in a fixed enumeration (lexicographic by head then
-tail, both in sorted-element order), which makes every transversal and every
-certificate deterministic.  Right cosets of C_i in A are classified by the
-image of r_i under the head, left cosets by the image under the inverse
-head; both facts are used for transversals throughout.
+The element with head L[h] and tail S[t_1], ..., S[t_n] (L and S listed in
+sorted-element order, s = |S|) has the mixed-radix index
+``h * s^n + (t_1 ... t_n in base s)``.  This is the lexicographic
+enumeration by head then tail, so index 0 is the identity and every
+transversal and certificate is deterministic.  Products, inverses and twists
+are computed from the Cayley tables of L and S (|L|^2 and |S|^2 entries):
+multiplying every element by one fixed element is a row of |A| indices,
+built on demand by mixed-radix expansion, and no table with |A|^2 entries is
+stored.  ``StarElement`` is the decoded view of an index (a head
+Permutation and a tuple of tail Permutations), used by ``phi``,
+``star_multiply`` and ``slot_action``.
+
+Right cosets of C_i in A are classified by the image of r_i under the head,
+left cosets by the image under the inverse head; both facts are used for
+transversals throughout.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
-from . import classify, perm
+from . import classify
 from .errors import CapacityError, InputError, TheoryViolationError, ValidationError
 from .perm import Permutation, PermutationGroup
 
@@ -114,21 +124,107 @@ class EdgeData:
     right_coset_points: tuple[int, ...]        # image of r_i labelling each right coset
     left_transversal: tuple[int, ...]          # element index per left coset
     left_coset_points: tuple[int, ...]
+    twist_images: tuple[int, ...]              # phi_i(x) for x in C_i, -1 off C_i
 
 
 class AmalgamStar:
-    """The fully enumerated star: A, the C_i with their twists, transversals."""
+    """The star on index-encoded elements: A, the C_i with their twists,
+    transversals, and the factor tables that multiply indices."""
 
-    def __init__(self, analysis: classify.LocalGroupAnalysis, n: int,
-                 elements: tuple[StarElement, ...], edges: tuple[EdgeData, ...]):
+    def __init__(self, analysis: classify.LocalGroupAnalysis, n: int):
         self.analysis = analysis
         self.n = n
-        self.elements = elements
-        self.index = {e: i for i, e in enumerate(elements)}
-        self.edges = edges
-        self.order = len(elements)
-        self.identity = elements[0]
-        assert self.identity.is_identity()
+        heads = analysis.source.elements()
+        tails = analysis.anchor_stabiliser.elements()
+        assert heads[0].is_identity() and tails[0].is_identity()
+        self._heads = heads
+        self._tails = tails
+        self._head_index = {g: h for h, g in enumerate(heads)}
+        self._tail_index = {g: t for t, g in enumerate(tails)}
+        self.tail_base = len(tails)
+        self.tail_size = len(tails) ** n
+        self.order = len(heads) * self.tail_size
+        self._head_mul = tuple(tuple(self._head_index[a * b] for b in heads)
+                               for a in heads)
+        self._tail_mul = tuple(tuple(self._tail_index[a * b] for b in tails)
+                               for a in tails)
+        self._head_inv = tuple(self._head_index[a.inverse()] for a in heads)
+        self._tail_inv = tuple(self._tail_index[a.inverse()] for a in tails)
+        self.inverse = tuple(self._expand(self._head_inv, (self._tail_inv,) * n))
+        self.generator_indices = self._generator_indices()
+        self.edges = tuple(self._edge_data(i, rep) for i, rep
+                           in enumerate(analysis.orbit_reps, start=1))
+
+    # -- the index encoding ------------------------------------------------
+
+    def digits(self, x: int) -> tuple[int, list[int]]:
+        """(head index, [tail indices t_1..t_n]) of element index x."""
+        tail = []
+        for _ in range(self.n):
+            x, t = divmod(x, self.tail_base)
+            tail.append(t)
+        tail.reverse()
+        return x, tail
+
+    def encode(self, head: int, tail) -> int:
+        x = head
+        for t in tail:
+            x = x * self.tail_base + t
+        return x
+
+    def mul(self, x: int, y: int) -> int:
+        hx, tx = self.digits(x)
+        hy, ty = self.digits(y)
+        return self.encode(self._head_mul[hx][hy],
+                           [self._tail_mul[a][b] for a, b in zip(tx, ty)])
+
+    def _expand(self, head_map, tail_maps) -> list[int]:
+        """The index of (head_map[h], tail_maps[0][t_1], ...) for every
+        element (h, t_1, ...) of A, in index order: one mixed-radix digit at
+        a time, so it costs O(|A|)."""
+        weight = self.tail_size
+        row = [h * weight for h in head_map]
+        for tm in tail_maps:
+            weight //= self.tail_base
+            weighted = [t * weight for t in tm]
+            row = [v + u for v in row for u in weighted]
+        return row
+
+    def right_row(self, y: int) -> list[int]:
+        """``row[x] = x * y`` for every element index x."""
+        hy, ty = self.digits(y)
+        return self._expand([r[hy] for r in self._head_mul],
+                            [[r[b] for r in self._tail_mul] for b in ty])
+
+    def left_row(self, x: int) -> list[int]:
+        """``row[y] = x * y`` for every element index y."""
+        hx, tx = self.digits(x)
+        return self._expand(self._head_mul[hx],
+                            [self._tail_mul[a] for a in tx])
+
+    def element(self, x: int) -> StarElement:
+        """The decoded view of element index x."""
+        h, tail = self.digits(x)
+        return StarElement(self._heads[h], tuple(self._tails[t] for t in tail))
+
+    def index_of(self, elem: StarElement) -> int | None:
+        """Element index of a decoded element, or None when it is not in A."""
+        h = self._head_index.get(elem.head)
+        tail = [self._tail_index.get(t) for t in elem.tail]
+        if h is None or len(tail) != self.n or None in tail:
+            return None
+        return self.encode(h, tail)
+
+    @functools.cached_property
+    def elements(self) -> tuple[StarElement, ...]:
+        """All elements, decoded, in index order."""
+        return tuple(self.element(x) for x in range(self.order))
+
+    @property
+    def identity(self) -> StarElement:
+        return self.element(0)
+
+    # -- the star ------------------------------------------------------------
 
     @property
     def local_group(self) -> PermutationGroup:
@@ -147,32 +243,76 @@ class AmalgamStar:
             raise InputError(f"edge index {i} out of range 1..{len(self.edges)}")
         return self.edges[i - 1]
 
-    def in_edge_subgroup(self, i: int, elem: StarElement) -> bool:
-        rep = self.edge(i).orbit_rep
-        return elem.head.apply(rep) == rep
+    def in_edge_subgroup(self, i: int, x: int) -> bool:
+        return self.right_coset_point(i, x) == self.edge(i).orbit_rep
 
-    def right_coset_point(self, i: int, elem: StarElement) -> int:
-        """Key of the right coset C_i * elem: the image of r_i under the head."""
-        return elem.head.apply(self.edge(i).orbit_rep)
+    def right_coset_point(self, i: int, x: int) -> int:
+        """Key of the right coset C_i * x: the image of r_i under the head."""
+        return self._heads[x // self.tail_size].apply(self.edge(i).orbit_rep)
 
-    def left_coset_point(self, i: int, elem: StarElement) -> int:
-        """Key of the left coset elem * C_i: the image of r_i under the inverse head."""
-        return elem.head.inverse().apply(self.edge(i).orbit_rep)
+    def left_coset_point(self, i: int, x: int) -> int:
+        """Key of the left coset x * C_i: the image of r_i under the inverse head."""
+        head_inv = self._heads[self._head_inv[x // self.tail_size]]
+        return head_inv.apply(self.edge(i).orbit_rep)
 
-    def generators(self) -> tuple[StarElement, ...]:
+    def _generator_indices(self) -> tuple[int, ...]:
         """Generators of A: the local group's generators lifted to the head,
         plus each stabiliser generator in each tail slot."""
-        L = self.local_group
-        stab = self.analysis.anchor_stabiliser
-        ident_head = L.identity()
-        ident_tail = tuple(ident_head for _ in range(self.n))
-        gens = [StarElement(g, ident_tail) for g in L.generators]
+        gens = [self._head_index[g] * self.tail_size
+                for g in self.local_group.generators]
         for slot in range(self.n):
-            for s in stab.generators:
-                tail = list(ident_tail)
-                tail[slot] = s
-                gens.append(StarElement(ident_head, tuple(tail)))
+            weight = self.tail_base ** (self.n - 1 - slot)
+            for s in self.analysis.anchor_stabiliser.generators:
+                gens.append(self._tail_index[s] * weight)
         return tuple(gens)
+
+    def generators(self) -> tuple[StarElement, ...]:
+        return tuple(self.element(x) for x in self.generator_indices)
+
+    def _twist_index(self, kind: str, x: int) -> int:
+        h, tail = self.digits(x)
+        if kind == FULL_REVERSAL:
+            # (h, t_1..t_n) -> (t_n, t_{n-1}..t_1, h); h lies in S on C_1
+            return self.encode(self._head_index[self._tails[tail[-1]]],
+                               tail[-2::-1] + [self._tail_index[self._heads[h]]])
+        if kind == TAIL_REVERSAL:
+            return self.encode(h, tail[::-1])
+        return x
+
+    def _edge_data(self, i: int, rep: int) -> EdgeData:
+        ts = self.tail_size
+        heads = self._heads
+        members = tuple(x for h, g in enumerate(heads) if g.apply(rep) == rep
+                        for x in range(h * ts, (h + 1) * ts))
+        # cosets are keyed by the head alone and ordered by their minimal
+        # element index, which is the first head's index times s^n
+        right_seen: dict[int, int] = {}
+        left_seen: dict[int, int] = {}
+        for h, g in enumerate(heads):
+            right_seen.setdefault(g.apply(rep), h * ts)
+            left_seen.setdefault(heads[self._head_inv[h]].apply(rep), h * ts)
+        orbit_len = len(self.local_group.orbit(rep))
+        if len(right_seen) != orbit_len or len(left_seen) != orbit_len:
+            raise ValidationError("coset count", f"edge {i}")
+        if self.order // len(members) != orbit_len:
+            raise ValidationError("index identity |A:C_i| = |L:L_i|", f"edge {i}")
+        twist = EdgeTwist(i, self.n)
+        twist_images = [-1] * self.order
+        for c in members:
+            twist_images[c] = self._twist_index(twist.kind, c)
+        return EdgeData(
+            index=i,
+            orbit_rep=rep,
+            twist=twist,
+            subgroup_indices=members,
+            subgroup_order=len(members),
+            coset_index=orbit_len,
+            right_transversal=tuple(right_seen.values()),
+            right_coset_points=tuple(right_seen),
+            left_transversal=tuple(left_seen.values()),
+            left_coset_points=tuple(left_seen),
+            twist_images=tuple(twist_images),
+        )
 
     def __repr__(self):
         return (f"AmalgamStar(|A|={self.order}, n={self.n}, k={self.k}, "
@@ -181,69 +321,31 @@ class AmalgamStar:
 
 def build_star(analysis: classify.LocalGroupAnalysis, n: int,
                carrier_cap: int = DEFAULT_CARRIER_CAP) -> AmalgamStar:
-    """Enumerate A = L x S^n and the edge data for each orbit representative."""
+    """Encode A = L x S^n and the edge data for each orbit representative."""
     if analysis.verdict != classify.NOT_RESTRICTIVE:
         raise InputError("construction requires intransitive non-semiregular L "
                          f"(verdict is {analysis.verdict})")
     if n < 2:
         raise InputError(f"n must be at least 2, got {n}")
-    L = analysis.source
-    stab = analysis.anchor_stabiliser
-    total = L.order() * stab.order() ** n
+    total = analysis.source.order() * analysis.anchor_stabiliser.order() ** n
     if total > carrier_cap:
         raise CapacityError("carrier cap", carrier_cap, total)
+    return AmalgamStar(analysis, n)
 
-    head_elements = L.elements()
-    tail_elements = stab.elements()
-    elements = tuple(StarElement(head, tails)
-                     for head in head_elements
-                     for tails in itertools.product(tail_elements, repeat=n))
-    assert len(elements) == total
-    index = {e: i for i, e in enumerate(elements)}
 
-    edges = []
-    for i, rep in enumerate(analysis.orbit_reps, start=1):
-        members = tuple(idx for idx, e in enumerate(elements)
-                        if e.head.apply(rep) == rep)
-        right_seen: dict[int, int] = {}
-        left_seen: dict[int, int] = {}
-        for idx, e in enumerate(elements):
-            rp = e.head.apply(rep)
-            if rp not in right_seen:
-                right_seen[rp] = idx
-            lp = e.head.inverse().apply(rep)
-            if lp not in left_seen:
-                left_seen[lp] = idx
-        orbit_len = len(L.orbit(rep))
-        if len(right_seen) != orbit_len or len(left_seen) != orbit_len:
-            raise ValidationError("coset count", f"edge {i}")
-        # cosets ordered by the minimal element index of the coset
-        right_items = sorted(right_seen.items(), key=lambda kv: kv[1])
-        left_items = sorted(left_seen.items(), key=lambda kv: kv[1])
-        edges.append(EdgeData(
-            index=i,
-            orbit_rep=rep,
-            twist=EdgeTwist(i, n),
-            subgroup_indices=members,
-            subgroup_order=len(members),
-            coset_index=orbit_len,
-            right_transversal=tuple(idx for _, idx in right_items),
-            right_coset_points=tuple(p for p, _ in right_items),
-            left_transversal=tuple(idx for _, idx in left_items),
-            left_coset_points=tuple(p for p, _ in left_items),
-        ))
-        if total // len(members) != orbit_len:
-            raise ValidationError("index identity |A:C_i| = |L:L_i|", f"edge {i}")
-    return AmalgamStar(analysis, n, elements, tuple(edges))
+def _index_in_a(star: AmalgamStar, elem) -> int:
+    x = star.index_of(elem) if isinstance(elem, StarElement) else None
+    if x is None:
+        raise InputError("element does not belong to A")
+    return x
 
 
 def phi(star: AmalgamStar, i: int, elem: StarElement) -> StarElement:
     """Apply the edge twist phi_i; the element must lie in C_i."""
-    if elem not in star.index:
-        raise InputError("element does not belong to A")
-    if not star.in_edge_subgroup(i, elem):
+    x = _index_in_a(star, elem)
+    if not star.in_edge_subgroup(i, x):
         raise InputError(f"element is not in the edge subgroup C_{i}")
-    return star.edge(i).twist.apply(elem)
+    return star.element(star.edge(i).twist_images[x])
 
 
 def star_multiply(star: AmalgamStar, side, u, v):
@@ -252,9 +354,7 @@ def star_multiply(star: AmalgamStar, side, u, v):
     if side == "A":
         if not (isinstance(u, StarElement) and isinstance(v, StarElement)):
             raise InputError("A-side multiplication needs StarElements")
-        if u not in star.index or v not in star.index:
-            raise InputError("element does not belong to A")
-        return u * v
+        return star.element(star.mul(_index_in_a(star, u), _index_in_a(star, v)))
     if isinstance(side, str) and side.startswith("B"):
         i = int(side[1:])
     else:
@@ -263,13 +363,17 @@ def star_multiply(star: AmalgamStar, side, u, v):
         raise InputError("B-side multiplication needs EdgeElements")
     if u.edge != i or v.edge != i:
         raise InputError("edge index mismatch")
+    bases = []
     for w in (u, v):
-        if w.base not in star.index or not star.in_edge_subgroup(i, w.base):
+        x = star.index_of(w.base)
+        if x is None or not star.in_edge_subgroup(i, x):
             raise InputError(f"base element is not in C_{i}")
         if w.flip not in (0, 1):
             raise InputError("flip bit must be 0 or 1")
-    right = phi(star, i, v.base) if u.flip else v.base
-    return EdgeElement(i, u.base * right, u.flip ^ v.flip)
+        bases.append(x)
+    right = star.edge(i).twist_images[bases[1]] if u.flip else bases[1]
+    return EdgeElement(i, star.element(star.mul(bases[0], right)),
+                       u.flip ^ v.flip)
 
 
 @dataclass(frozen=True)
@@ -284,29 +388,33 @@ def validate_star(star: AmalgamStar) -> StarValidation:
     """Verify the structural facts the downstream construction relies on.
 
     Checks, raising ValidationError naming the first failure:
-      (a) each twist squares to the identity on all of C_i,
-      (b) each twist is multiplicative on C_i,
+      (a) each twist maps C_i into itself and squares to the identity there,
+      (b) each twist is multiplicative on C_i (every pair),
       (c) the index identities |B_i:C_i| = 2 and |A:C_i| = |L:L_i|,
       (d) the intersection of all C_i has core {head = identity} in A,
           of size |S|^n (brute-force over conjugates),
       (e) the two reversal twists generate a transitive permutation group on
           the n+1 coordinate positions (this is what later forces cores of
           the completed group to be trivial).
+    All checks run on element indices.
     """
     checks = []
-    elements = star.elements
     for edge in star.edges:
-        members = [elements[idx] for idx in edge.subgroup_indices]
-        tw = edge.twist
+        members = edge.subgroup_indices
+        tw = edge.twist_images
         for c in members:
-            if tw.apply(tw.apply(c)) != c:
+            image = tw[c]
+            if image < 0 or tw[image] != c:
                 raise ValidationError("twist involution", f"edge {edge.index}")
         checks.append(f"phi_{edge.index}^2 = identity on C_{edge.index}")
-        for c in members:
-            for d in members:
-                if tw.apply(c * d) != tw.apply(c) * tw.apply(d):
-                    raise ValidationError("twist multiplicative",
-                                          f"edge {edge.index}")
+        twisted = [tw[c] for c in members]
+        for d in members:
+            times_d = star.right_row(d)              # c -> c * d
+            times_phi_d = star.right_row(tw[d])      # c -> c * phi(d)
+            if (list(map(tw.__getitem__, map(times_d.__getitem__, members)))
+                    != list(map(times_phi_d.__getitem__, twisted))):
+                raise ValidationError("twist multiplicative",
+                                      f"edge {edge.index}")
         checks.append(f"phi_{edge.index} multiplicative")
         expected_index = len(star.local_group.orbit(edge.orbit_rep))
         if star.order // edge.subgroup_order != expected_index:
@@ -316,13 +424,15 @@ def validate_star(star: AmalgamStar) -> StarValidation:
         checks.append(f"|A:C_{edge.index}| = {expected_index}, |B:C| = 2")
 
     # (d) brute-force core of the intersection of the edge subgroups
-    inter = [e for e in elements
-             if all(star.in_edge_subgroup(i, e) for i in range(1, star.k + 1))]
-    inter_set = set(inter)
-    core = [d for d in inter
-            if all((a * d) * a.inverse() in inter_set for a in elements)]
-    expected_core = {e for e in elements if e.head.is_identity()}
-    if set(core) != expected_core:
+    in_inter = [all(star.in_edge_subgroup(i, x) for i in range(1, star.k + 1))
+                for x in range(star.order)]
+    core = [x for x in range(star.order) if in_inter[x]]
+    for a in range(star.order):
+        times_a = star.left_row(a)                           # d -> a * d
+        times_a_inv = star.right_row(star.inverse[a])        # y -> y * a^-1
+        core = [d for d in core if in_inter[times_a_inv[times_a[d]]]]
+    expected_core = list(range(star.tail_size))    # head index 0 is the identity
+    if core != expected_core:
         raise ValidationError("core of edge-subgroup intersection",
                               f"got {len(core)} elements, "
                               f"expected {len(expected_core)}")
@@ -367,25 +477,21 @@ class LocalModel:
 
 def local_model(star: AmalgamStar) -> LocalModel:
     """Build and certify the radius-1 model of the base vertex."""
-    slots = []
-    labels = []
-    for edge in star.edges:
-        for rep_idx in edge.right_transversal:
-            rep = star.elements[rep_idx]
-            slots.append((edge.index, rep_idx))
-            labels.append(rep.head.apply(edge.orbit_rep))
+    slots = [(edge.index, rep_idx) for edge in star.edges
+             for rep_idx in edge.right_transversal]
+    labels = [star.right_coset_point(i, rep_idx) for i, rep_idx in slots]
     degree = star.local_group.degree
     if sorted(labels) != list(range(1, degree + 1)):
         raise TheoryViolationError(
             "the coset labelling is not a bijection onto the domain; "
             "this indicates a bug, not an input condition")
 
-    kernel = [a for a in star.elements
-              if all(star.right_coset_point(i, star.elements[rep_idx] * a)
-                     == star.right_coset_point(i, star.elements[rep_idx])
-                     for i, rep_idx in slots)]
-    expected = {e for e in star.elements if e.head.is_identity()}
-    if set(kernel) != expected:
+    kernel = list(range(star.order))
+    for (i, rep_idx), label in zip(slots, labels):
+        rep_times = star.left_row(rep_idx)       # a -> rep * a
+        kernel = [a for a in kernel
+                  if star.right_coset_point(i, rep_times[a]) == label]
+    if kernel != list(range(star.tail_size)):   # head index 0 is the identity
         raise TheoryViolationError("slot-action kernel differs from 1 x S^n")
     return LocalModel(tuple(slots), tuple(labels), len(kernel))
 
@@ -393,11 +499,12 @@ def local_model(star: AmalgamStar) -> LocalModel:
 def slot_action(star: AmalgamStar, model: LocalModel,
                 elem: StarElement) -> Permutation:
     """The permutation of the model's slots induced by right multiplication."""
+    x = _index_in_a(star, elem)
     point_to_slot = {}
     for j, (i, rep_idx) in enumerate(model.slots):
         point_to_slot[(i, model.labels[j])] = j
     images = [0] * model.size
     for j, (i, rep_idx) in enumerate(model.slots):
-        moved = star.right_coset_point(i, star.elements[rep_idx] * elem)
+        moved = star.right_coset_point(i, star.mul(rep_idx, x))
         images[j] = point_to_slot[(i, moved)] + 1
     return Permutation(images)

@@ -21,8 +21,8 @@ negative, 2 input error, 3 search exhaustion.
 
 Caps may be overridden through the single environment variable
 ``GRAPHRESTRICT_CAPS`` (comma-separated ``name=value`` entries with names
-``vertices``, ``carrier``, ``copies``, ``attempts``); command-line flags
-take precedence.
+``vertices``, ``carrier``, ``copies``, ``attempts``, each at least 1);
+command-line flags take precedence.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .perm import PermutationGroup
 
 CERTIFICATE_SCHEMA = "graphrestrict.certificate/1"
 CAPS_ENV_VAR = "GRAPHRESTRICT_CAPS"
+CAP_NAMES = ("vertices", "carrier", "copies", "attempts")
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -88,6 +89,8 @@ def load_group(path: str) -> PermutationGroup:
 
 
 def _caps_from_env() -> dict:
+    """The caps named in GRAPHRESTRICT_CAPS; an unknown name or a value
+    below 1 is an input error."""
     caps = {}
     raw = os.environ.get(CAPS_ENV_VAR, "")
     for item in raw.split(","):
@@ -95,10 +98,17 @@ def _caps_from_env() -> dict:
         if not item:
             continue
         name, _, value = item.partition("=")
+        name = name.strip()
+        if name not in CAP_NAMES:
+            raise InputError(f"unknown {CAPS_ENV_VAR} cap {name!r}; expected "
+                             f"one of {', '.join(CAP_NAMES)}")
         try:
-            caps[name.strip()] = int(value)
+            caps[name] = int(value)
         except ValueError:
             raise InputError(f"bad {CAPS_ENV_VAR} entry {item!r}") from None
+        if caps[name] < 1:
+            raise InputError(f"{CAPS_ENV_VAR} cap {name} must be at least 1, "
+                             f"got {caps[name]}")
     return caps
 
 

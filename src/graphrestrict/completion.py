@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .amalgam import DEFAULT_CARRIER_CAP, AmalgamStar, StarElement
 from .errors import (CapacityError, CompletionSearchError, InputError,
@@ -62,15 +63,16 @@ class Carrier:
         if star.order <= _FULL_RHO_TABLE_LIMIT:
             for ia in range(star.order):
                 self._rho_cache[ia] = self._rho_images(ia)
-        self.generator_elements = star.generators()
-        self.rho_generators = tuple(self.rho(g) for g in self.generator_elements)
-        for g, image in zip(self.generator_elements, self.rho_generators):
-            if not g.is_identity() and image.fixed_points():
-                raise ValidationError("regular action fixed-point-free", repr(g))
-        chain = StabiliserChain(self.degree, self.rho_generators)
-        if chain.order() != star.order:
-            raise ValidationError("rho(A) order",
-                                  f"{chain.order()} != {star.order}")
+        self.generator_indices = star.generator_indices
+        self.rho_generators = tuple(self.rho_index(g)
+                                    for g in self.generator_indices)
+        for g, image in zip(self.generator_indices, self.rho_generators):
+            if g != 0 and image.fixed_points():
+                raise ValidationError("regular action fixed-point-free",
+                                      repr(star.element(g)))
+        reached = rho_closure(self, self.generator_indices)
+        if reached != star.order:
+            raise ValidationError("rho(A) order", f"{reached} != {star.order}")
 
     def point(self, element_index: int, copy: int) -> int:
         return (copy - 1) * self.size + element_index + 1
@@ -81,14 +83,11 @@ class Carrier:
         return ia, j
 
     def _rho_images(self, element_index: int) -> tuple[int, ...]:
-        x = self.star.elements[element_index]
-        idx = self.star.index
-        images = [0] * self.degree
-        for ia, a in enumerate(self.star.elements):
-            target = idx[a * x]
-            for j in range(self.t):
-                images[j * self.size + ia] = j * self.size + target + 1
-        return tuple(images)
+        """Copy j of row ``a -> a * x``, shifted to 1-based carrier points."""
+        row = self.star.right_row(element_index)
+        return tuple([offset + target
+                      for offset in range(1, self.degree + 1, self.size)
+                      for target in row])
 
     def rho_index(self, element_index: int) -> Permutation:
         images = self._rho_cache.get(element_index)
@@ -98,7 +97,11 @@ class Carrier:
         return Permutation._raw(images)
 
     def rho(self, element: StarElement) -> Permutation:
-        return self.rho_index(self.star.index[element])
+        """rho of a decoded element of A."""
+        ia = self.star.index_of(element)
+        if ia is None:
+            raise InputError("element does not belong to A")
+        return self.rho_index(ia)
 
     def membership_index(self, perm: Permutation) -> int | None:
         """Element index x with perm == rho(x), or None."""
@@ -121,6 +124,42 @@ class Carrier:
         first = perm.images[:self.size]
         ia = min(range(self.size), key=first.__getitem__)
         return self.rho_index(ia) * perm
+
+
+def rho_closure(carrier: Carrier, generators) -> int:
+    """Order of the subgroup of rho(A) generated by rho of the given element
+    indices, proved on the index table.
+
+    rho(0) is the identity, the rho(x) are pairwise distinct (their
+    basepoint images are), and rho(x) * rho(g) = rho(x * g) holds for every
+    x and every given g; so the rho(x) with x reachable from the identity
+    under right multiplication by the g are exactly the elements of the
+    generated group.  Raises ValidationError when one of the facts fails.
+    """
+    star = carrier.star
+    size = carrier.size
+    if not carrier.rho_index(0).is_identity():
+        raise ValidationError("rho(identity) is the identity")
+    if len({carrier.rho_index(x).images[0] for x in range(size)}) != size:
+        raise ValidationError("rho injective on basepoint images")
+    rows = [star.right_row(g) for g in generators]
+    # 1-based images, padded so that position q holds the image of point q
+    padded = [(0,) + carrier.rho_index(g).images for g in generators]
+    for x in range(size):
+        then = itemgetter(*carrier.rho_index(x).images)  # rho(x) * (.)
+        for g, row, g_images in zip(generators, rows, padded):
+            if then(g_images) != carrier.rho_index(row[x]).images:
+                raise ValidationError("rho homomorphism",
+                                      f"rho({x}) * rho({g}) != rho({row[x]})")
+    reached = [0]
+    seen = {0}
+    for x in reached:
+        for row in rows:
+            y = row[x]
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+    return len(reached)
 
 
 @dataclass(frozen=True)
@@ -236,23 +275,20 @@ def build_involution(carrier: Carrier, i: int, plan: EdgePlan) -> Permutation:
         if plan.partner[p] != o:
             raise InputError("orbit pairing is not an involution")
 
-    idx = star.index
-    elements = star.elements
     images = [0] * carrier.degree
-    members = [elements[x] for x in edge.subgroup_indices]
-    twisted = [star.edge(i).twist.apply(c) for c in members]
+    members = edge.subgroup_indices
+    twisted = [edge.twist_images[c] for c in members]
+    rep_times = {r: star.left_row(r) for r in set(plan.reps)}   # c -> rep * c
     for o, p in enumerate(plan.partner):
-        rep = elements[plan.reps[o]]
-        rep_coset = star.left_coset_point(i, rep)
-        if rep_coset != edge.left_coset_points[o % m]:
+        rep = plan.reps[o]
+        if star.left_coset_point(i, rep) != edge.left_coset_points[o % m]:
             raise InputError(f"representative of orbit {o} lies in the wrong coset")
-        copy_src = o // m + 1
-        partner_rep = elements[plan.reps[p]]
-        copy_dst = p // m + 1
+        src_row = rep_times[rep]
+        dst_row = rep_times[plan.reps[p]]
+        src_base = carrier.point(0, o // m + 1) - 1
+        dst_base = carrier.point(0, p // m + 1)
         for c, tc in zip(members, twisted):
-            src = carrier.point(idx[rep * c], copy_src)
-            dst = carrier.point(idx[partner_rep * tc], copy_dst)
-            images[src - 1] = dst
+            images[src_base + src_row[c]] = dst_base + dst_row[tc]
     beta = Permutation(images)
     if not (beta * beta).is_identity():
         raise ValidationError("edge involution squares to identity", f"edge {i}")
@@ -269,9 +305,8 @@ def _check_contract(candidate: CompletionCandidate) -> None:
             raise ValidationError("beta involution", f"edge {i}")
         edge = star.edge(i)
         for ci in edge.subgroup_indices:
-            c = star.elements[ci]
             lhs = beta * carrier.rho_index(ci) * beta
-            rhs = carrier.rho(edge.twist.apply(c))
+            rhs = carrier.rho_index(edge.twist_images[ci])
             if lhs != rhs:
                 raise ValidationError("conjugation contract", f"edge {i}")
 
@@ -318,18 +353,6 @@ def _core_of_rho(candidate: CompletionCandidate) -> set[int]:
     return survivors
 
 
-def _neighbour_elements(candidate: CompletionCandidate) -> list[tuple[int, int, Permutation]]:
-    """(edge, transversal element index, beta_i * rho(a)) per neighbour slot,
-    ordered by (edge, transversal order)."""
-    carrier = candidate.carrier
-    star = carrier.star
-    out = []
-    for i, beta in enumerate(candidate.betas, start=1):
-        for a_idx in star.edge(i).right_transversal:
-            out.append((i, a_idx, beta * carrier.rho_index(a_idx)))
-    return out
-
-
 def _v4(candidate: CompletionCandidate) -> bool:
     """All base-vertex neighbour cosets pairwise distinct: for slots
     (i, a) != (j, a'), the element beta_i * rho(a a'^-1) * beta_j must lie
@@ -342,11 +365,10 @@ def _v4(candidate: CompletionCandidate) -> bool:
             slots.append((i, a_idx, beta))
     for s in range(len(slots)):
         i, a_idx, beta_i = slots[s]
-        a = star.elements[a_idx]
         for u in range(s + 1, len(slots)):
             j, b_idx, beta_j = slots[u]
-            b = star.elements[b_idx]
-            w = beta_i * carrier.rho(a * b.inverse()) * beta_j
+            a_b_inv = star.mul(a_idx, star.inverse[b_idx])
+            w = beta_i * carrier.rho_index(a_b_inv) * beta_j
             if carrier.in_rho(w):
                 return False
     return True
@@ -480,8 +502,8 @@ def _edge_plans(star: AmalgamStar, i: int, t: int, cfg: SearchConfig,
     rng = random.Random(cfg.seed * 1_000_003 + t * 1009 + i)
     coset_members: list[list[int]] = [[] for _ in range(m)]
     point_to_coset = {p: c for c, p in enumerate(edge.left_coset_points)}
-    for idx, e in enumerate(star.elements):
-        coset_members[point_to_coset[star.left_coset_point(i, e)]].append(idx)
+    for idx in range(star.order):
+        coset_members[point_to_coset[star.left_coset_point(i, idx)]].append(idx)
     for round_no in range(1, cfg.random_rounds + 1):
         if not partners:
             break

@@ -124,9 +124,9 @@ def enumerate_cosets(candidate: CompletionCandidate, cap: int = DEFAULT_VERTEX_C
     reps = [start]
     index = {start.images: 0}
     transitions: list[list[int]] = [[] for _ in generators]
-    frontier = [0]
-    while frontier:
-        v = frontier.pop(0)
+    # breadth-first in index order: vertex v fills entry v of every row
+    v = 0
+    while v < len(reps):
         for gi, g in enumerate(generators):
             target = carrier.canonical_coset_rep(reps[v] * g)
             ti = index.get(target.images)
@@ -136,19 +136,8 @@ def enumerate_cosets(candidate: CompletionCandidate, cap: int = DEFAULT_VERTEX_C
                     return None
                 reps.append(target)
                 index[target.images] = ti
-                frontier.append(ti)
-            while len(transitions[gi]) <= v:
-                transitions[gi].append(-1)
-            transitions[gi][v] = ti
-    # transitions may be ragged if a generator row was filled late; square up
-    table = []
-    for gi, g in enumerate(generators):
-        row = transitions[gi]
-        row.extend(-1 for _ in range(len(reps) - len(row)))
-        for v in range(len(reps)):
-            if row[v] == -1:
-                row[v] = index[carrier.canonical_coset_rep(reps[v] * g).images]
-        table.append(tuple(row))
+            transitions[gi].append(ti)
+        v += 1
 
     rng = random.Random(key_check_seed)
     n = len(reps)
@@ -164,7 +153,8 @@ def enumerate_cosets(candidate: CompletionCandidate, cap: int = DEFAULT_VERTEX_C
         if same_key != in_rho:
             raise ValidationError("canonical coset key",
                                   "key equality disagrees with membership")
-    return CosetTable(tuple(reps), index, tuple(table))
+    return CosetTable(tuple(reps), index,
+                      tuple(tuple(row) for row in transitions))
 
 
 @dataclass(frozen=True)
@@ -334,7 +324,7 @@ def local_action(pair, local_group: PermutationGroup) -> LocalActionWitness:
             images.append(j + 1)
         return Permutation(images)
 
-    gens = [induced(star.index[g]) for g in carrier.generator_elements]
+    gens = [induced(g) for g in carrier.generator_indices]
 
     model = amalgam.local_model(star)
     labels = model.labels
@@ -449,7 +439,12 @@ def verify_locally_L(graph: FiniteGraph, generators,
                 f"stabiliser order {stab_order} exceeds valency {valency} "
                 "although the local group is semiregular")
 
-    assert group.order() == stab_order * orbit_size
+    order = group.order()
+    if order != stab_order * orbit_size:
+        raise TheoryViolationError(
+            f"orbit-stabiliser identity failed for the claimed group: "
+            f"|G| = {order}, but the chain based at vertex 0 gives "
+            f"{stab_order} * {orbit_size}")
     return PairCertificate(transitive, stab_order, valency, locally_l,
                            witness, bound_ok, detail)
 
@@ -607,36 +602,42 @@ def export_graph(graph, fmt: str):
 
 
 def _parse_graph6(data: bytes) -> FiniteGraph:
+    """Strict graph6: the vertex count, then exactly ceil(n(n-1)/2 / 6) data
+    bytes whose padding bits are zero."""
     if data.startswith(b">>graph6<<"):
         data = data[10:]
     data = data.strip()
     if not data:
         raise ParseError("empty graph6 data")
-    pos = 0
-    if data[0] == 126:
-        if len(data) > 1 and data[1] == 126:
-            n = 0
-            for b in data[2:8]:
-                n = (n << 6) | (b - 63)
-            pos = 8
-        else:
-            n = 0
-            for b in data[1:4]:
-                n = (n << 6) | (b - 63)
-            pos = 4
-    else:
-        n = data[0] - 63
-        pos = 1
-    bits = []
-    for b in data[pos:]:
+    for b in data:
         if not 63 <= b <= 126:
             raise ParseError(f"invalid graph6 byte {b}")
-        bits.extend((b - 63) >> s & 1 for s in (5, 4, 3, 2, 1, 0))
+    if data[0] != 126:
+        start, width = 0, 1
+    elif data[1:2] == b"~":
+        start, width = 2, 6
+    else:
+        start, width = 1, 3
+    size_bytes = data[start:start + width]
+    if len(size_bytes) != width:
+        raise ParseError("truncated graph6 vertex count")
+    n = 0
+    for b in size_bytes:
+        n = (n << 6) | (b - 63)
+    bit_count = n * (n - 1) // 2
+    body = data[start + width:]
+    expected = -(-bit_count // 6)
+    if len(body) != expected:
+        raise ParseError(f"graph6 data for {n} vertices needs {expected} data "
+                         f"bytes, got {len(body)}")
+    bits = [(b - 63) >> s & 1 for b in body for s in (5, 4, 3, 2, 1, 0)]
+    if any(bits[bit_count:]):
+        raise ParseError("graph6 padding bits are not zero")
     edges = []
     i = 0
     for col in range(1, n):
         for row in range(col):
-            if i < len(bits) and bits[i]:
+            if bits[i]:
                 edges.append((row, col))
             i += 1
     return FiniteGraph.from_edges(n, edges)

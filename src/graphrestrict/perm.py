@@ -442,14 +442,6 @@ def orbits(group: PermutationGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(parts)
 
 
-def build_chain(group: PermutationGroup) -> StabiliserChain:
-    return group.chain()
-
-
-def order(group: PermutationGroup) -> int:
-    return group.order()
-
-
 def contains(group: PermutationGroup, perm: Permutation) -> bool:
     return group.contains(perm)
 

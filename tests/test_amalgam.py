@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import pytest
 
 from graphrestrict import amalgam
@@ -5,7 +8,7 @@ from graphrestrict.amalgam import (EdgeElement, StarElement, build_star,
                                    local_model, phi, slot_action,
                                    star_multiply, validate_star)
 from graphrestrict.classify import analyze_local_group
-from graphrestrict.errors import CapacityError, InputError
+from graphrestrict.errors import CapacityError, InputError, ValidationError
 from graphrestrict.perm import Permutation, parse_permutation
 
 from conftest import group
@@ -210,3 +213,82 @@ class TestLocalModel:
             act = slot_action(star1, model, elem)
             for j, label in enumerate(model.labels, start=1):
                 assert model.labels[act.apply(j) - 1] == elem.head.apply(label)
+
+
+# L0 at n=2..4, L1 at n=2, and a k=3 star with an identity twist on edge 3
+ORACLE_STARS = {"L0-n2": ((3, "(1 2)"), 2), "L0-n3": ((3, "(1 2)"), 3),
+                "L0-n4": ((3, "(1 2)"), 4), "L1-n2": ((5, "(1 2 3)(4 5)"), 2),
+                "k3-n2": ((4, "(1 2)"), 2)}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_STARS))
+def oracle_star(request):
+    spec, n = ORACLE_STARS[request.param]
+    return build_star(analyze_local_group(group(*spec)), n)
+
+
+class TestIndexEncoding:
+    """The index encoding against the decoded StarElement algebra."""
+
+    def test_enumeration_order(self, oracle_star):
+        star = oracle_star
+        heads = star.local_group.elements()
+        tails = star.analysis.anchor_stabiliser.elements()
+        expected = tuple(StarElement(h, t) for h in heads
+                         for t in itertools.product(tails, repeat=star.n))
+        assert star.elements == expected
+        assert all(star.index_of(e) == x for x, e in enumerate(expected))
+
+    def test_products_every_pair(self, oracle_star):
+        star = oracle_star
+        elems = star.elements
+        for y in range(star.order):
+            right = star.right_row(y)
+            left = star.left_row(y)
+            for x in range(star.order):
+                assert elems[right[x]] == elems[x] * elems[y]
+                assert elems[left[x]] == elems[y] * elems[x]
+                assert star.mul(x, y) == right[x]
+
+    def test_inverses(self, oracle_star):
+        star = oracle_star
+        for x, e in enumerate(star.elements):
+            assert star.elements[star.inverse[x]] == e.inverse()
+
+    def test_twist_maps(self, oracle_star):
+        star = oracle_star
+        for edge in star.edges:
+            members = set(edge.subgroup_indices)
+            for x, e in enumerate(star.elements):
+                if x in members:
+                    assert edge.twist_images[x] == \
+                        star.index_of(edge.twist.apply(e))
+                else:
+                    assert edge.twist_images[x] == -1
+
+    def test_generators(self, oracle_star):
+        star = oracle_star
+        assert all(star.elements[x] == g for x, g in
+                   zip(star.generator_indices, star.generators()))
+
+    def test_non_member_has_no_index(self, star0):
+        outside = StarElement(parse_permutation("(1 2 3)", 3),
+                              (ident(star0), ident(star0)))
+        assert star0.index_of(outside) is None
+        short = StarElement(ident(star0), (ident(star0),))
+        assert star0.index_of(short) is None
+
+    def test_corrupted_twist_fails_multiplicativity(self):
+        star = build_star(analyze_local_group(group(4, "(1 2)")), 2)
+        edge = star.edge(3)
+        assert edge.twist.is_identity
+        # swapping two non-identity images keeps the map an involution on
+        # C_3 but breaks multiplicativity
+        x, y = edge.subgroup_indices[1], edge.subgroup_indices[2]
+        images = list(edge.twist_images)
+        images[x], images[y] = y, x
+        star.edges = star.edges[:2] + (
+            dataclasses.replace(edge, twist_images=tuple(images)),)
+        with pytest.raises(ValidationError) as err:
+            validate_star(star)
+        assert err.value.check == "twist multiplicative"

@@ -209,8 +209,16 @@ class TestReportCommand:
                      "--n-to", "3"]) == 2
 
     def test_caps_env_variable(self, files, capsys, monkeypatch):
-        monkeypatch.setenv(cli.CAPS_ENV_VAR, "copies=0")
+        monkeypatch.setenv(cli.CAPS_ENV_VAR, "copies=1")
         assert main(["report", files["L0"], "--n-from", "2",
                      "--n-to", "2"]) == 3
         out = capsys.readouterr().out
         assert "FAILED" in out
+
+    @pytest.mark.parametrize("caps", ["vertice=10", "copies=0", "copies=-1",
+                                      "carrier=0", "attempts=x"])
+    def test_bad_caps_exit_2(self, files, capsys, monkeypatch, caps):
+        monkeypatch.setenv(cli.CAPS_ENV_VAR, caps)
+        assert main(["report", files["L0"], "--n-from", "2",
+                     "--n-to", "2"]) == 2
+        assert cli.CAPS_ENV_VAR in capsys.readouterr().err

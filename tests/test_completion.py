@@ -6,10 +6,10 @@ from graphrestrict.classify import analyze_local_group
 from graphrestrict.completion import (CompletionCandidate, EdgePlan,
                                       SearchConfig, build_involution,
                                       find_completion, regular_carrier,
-                                      verify_completion)
+                                      rho_closure, verify_completion)
 from graphrestrict.errors import (CapacityError, CompletionSearchError,
-                                  InputError)
-from graphrestrict.perm import Permutation
+                                  InputError, ValidationError)
+from graphrestrict.perm import Permutation, StabiliserChain
 
 from conftest import group
 
@@ -36,7 +36,7 @@ class TestCarrier:
     def test_l0_t1(self, star0):
         carrier = regular_carrier(star0, 1)
         assert carrier.degree == 8
-        head_gen = carrier.generator_elements[0]
+        head_gen = star0.generators()[0]
         rho = carrier.rho(head_gen)
         cycles = rho.cycles()
         assert len(cycles) == 4 and all(len(c) == 2 for c in cycles)
@@ -68,6 +68,33 @@ class TestCarrier:
         with pytest.raises(CapacityError):
             regular_carrier(star0, 2, carrier_cap=10)
 
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_closure_matches_chain(self, star0, star1, t):
+        # the table-level closure check against Schreier-Sims, on the whole
+        # generating set and on every prefix and single generator
+        for star in (star0, star1):
+            carrier = regular_carrier(star, t)
+            gens = carrier.generator_indices
+            subsets = [gens[:j] for j in range(len(gens) + 1)]
+            subsets += [(g,) for g in gens]
+            for subset in subsets:
+                chain = StabiliserChain(carrier.degree,
+                                        [carrier.rho_index(g) for g in subset])
+                assert rho_closure(carrier, subset) == chain.order()
+            assert rho_closure(carrier, gens) == star.order
+
+    def test_closure_detects_broken_homomorphism(self, star0):
+        # swap two images of rho(3) away from the basepoint: the images stay
+        # a permutation with distinct basepoint images, so only the
+        # homomorphism check can notice
+        carrier = regular_carrier(star0, 1)
+        images = list(carrier._rho_cache[3])
+        images[1], images[2] = images[2], images[1]
+        carrier._rho_cache[3] = tuple(images)
+        with pytest.raises(ValidationError) as err:
+            rho_closure(carrier, carrier.generator_indices)
+        assert err.value.check == "rho homomorphism"
+
 
 class TestBuildInvolution:
     def test_fixed_orbit_is_twist(self, star0):
@@ -76,7 +103,7 @@ class TestBuildInvolution:
         twist = star0.edge(1).twist
         for ia, a in enumerate(star0.elements):
             img = beta.apply(carrier.point(ia, 1))
-            assert img == carrier.point(star0.index[twist.apply(a)], 1)
+            assert img == carrier.point(star0.index_of(twist.apply(a)), 1)
 
     def test_conjugation_contract(self, star0):
         carrier = regular_carrier(star0, 1)
@@ -98,8 +125,8 @@ class TestBuildInvolution:
         twist = edge.twist
         for ci in edge.subgroup_indices:
             c = star0.elements[ci]
-            src = carrier.point(star0.index[rep0 * c], 1)
-            dst = carrier.point(star0.index[rep1 * twist.apply(c)], 1)
+            src = carrier.point(star0.index_of(rep0 * c), 1)
+            dst = carrier.point(star0.index_of(rep1 * twist.apply(c)), 1)
             assert beta.apply(src) == dst
 
     def test_copy_swap_for_whole_group_edge(self):

@@ -8,7 +8,7 @@ from graphrestrict.cosetgraph import (BaseLocalCertificate, FiniteGraph,
                                       local_action, parse_graph,
                                       verify_locally_L)
 from graphrestrict.errors import (InputError, NotEnumeratedError,
-                                  ParseError)
+                                  ParseError, TheoryViolationError)
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
 from conftest import group
@@ -291,3 +291,53 @@ class TestExports:
     def test_parse_errors(self):
         with pytest.raises(ParseError):
             parse_graph("")
+
+    def test_graph6_truncated_rejected(self):
+        # "Dhc" is the 5-cycle; dropping its last data byte must not parse
+        # as a path
+        assert sorted(parse_graph(b"Dhc").edges()) == [
+            (0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+        with pytest.raises(ParseError):
+            parse_graph(b"Dh")
+
+    def test_graph6_trailing_bytes_rejected(self):
+        with pytest.raises(ParseError):
+            parse_graph(b"Dhc~~")
+
+    def test_graph6_padding_bits_rejected(self):
+        # "Dhd" sets a padding bit after the 10 edge bits of "Dhc"
+        with pytest.raises(ParseError):
+            parse_graph(b"Dhd")
+
+    def test_graph6_truncated_size_rejected(self):
+        with pytest.raises(ParseError):
+            parse_graph(b"~?")
+
+    def test_graph6_matches_networkx(self, result0):
+        nx = pytest.importorskip("networkx")
+        graphs = [result0.pair.graph, hexagon(),
+                  FiniteGraph.from_edges(63, [(i, i + 1) for i in range(62)]),
+                  FiniteGraph.from_edges(1, []),
+                  FiniteGraph.from_edges(7, [(0, 6), (2, 5), (3, 4)])]
+        for g in graphs:
+            data = export_graph(g, "graph6")
+            theirs = nx.from_graph6_bytes(data)
+            assert theirs.number_of_nodes() == g.vertex_count
+            assert sorted(tuple(sorted(e)) for e in theirs.edges()) == \
+                sorted(g.edges())
+            assert parse_graph(nx.to_graph6_bytes(theirs, header=False)) == g
+
+
+class TestVerifierChecks:
+    def test_orbit_stabiliser_mismatch_is_a_theory_violation(self, monkeypatch):
+        # the final |G| = |G_0| * |orbit| check must survive python -O: force
+        # the group order of the 6-vertex action to disagree with the chain
+        real_order = PermutationGroup.order
+
+        def skewed_order(self):
+            return real_order(self) + (self.degree == 6)
+
+        monkeypatch.setattr(PermutationGroup, "order", skewed_order)
+        rot = parse_permutation("(1 2 3 4 5 6)", 6)
+        with pytest.raises(TheoryViolationError, match="orbit-stabiliser"):
+            verify_locally_L(hexagon(), (rot,), PermutationGroup(2))
