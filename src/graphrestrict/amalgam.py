@@ -136,7 +136,9 @@ class AmalgamStar:
         self.n = n
         heads = analysis.source.elements()
         tails = analysis.anchor_stabiliser.elements()
-        assert heads[0].is_identity() and tails[0].is_identity()
+        if not (heads[0].is_identity() and tails[0].is_identity()):
+            raise TheoryViolationError(
+                "element enumeration does not start at the identity")
         self._heads = heads
         self._tails = tails
         self._head_index = {g: h for h, g in enumerate(heads)}

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import perm
-from .errors import CapacityError
+from .errors import TheoryViolationError
 from .perm import PermutationGroup
 
 RESTRICTIVE_SEMIREGULAR = "RESTRICTIVE_SEMIREGULAR"
@@ -74,10 +74,14 @@ def analyze_local_group(group: PermutationGroup,
 
     stabilisers = tuple(perm.point_stabiliser(group, p) for p in reps)
     preds = perm.predicates(group)
-    try:
-        semiprimitive = perm.is_semiprimitive(group, semiprimitive_cap)
-    except CapacityError:
+    if n > semiprimitive_cap:
         semiprimitive = None
+    elif preds.is_transitive:
+        semiprimitive = perm.is_semiprimitive(group, semiprimitive_cap)
+    else:
+        # the group is a normal intransitive subgroup of itself, so it is
+        # semiprimitive exactly when it is semiregular
+        semiprimitive = preds.is_semiregular
     flags = AnalysisFlags(preds.is_transitive, preds.is_semiregular, semiprimitive)
 
     if preds.is_transitive:
@@ -97,8 +101,9 @@ def analyze_local_group(group: PermutationGroup,
         flags=flags,
         verdict=verdict,
     )
-    if verdict == NOT_RESTRICTIVE:
-        assert analysis.k >= 2 and analysis.stabiliser_orders[0] > 1
+    if verdict == NOT_RESTRICTIVE and (k < 2 or analysis.stabiliser_orders[0] == 1):
+        raise TheoryViolationError("NOT_RESTRICTIVE without two orbits and a "
+                                   "nontrivial anchor stabiliser")
     return analysis
 
 

@@ -19,6 +19,10 @@ reversals act transitively by coordinate position), so a computed V3
 failure under those hypotheses is reported as a theory violation, never as
 a search miss.
 
+The conjugation contract, V1 and V3 read one integer map per involution,
+the index of ``beta_i^-1 rho(x) beta_i`` (or -1 outside rho(A)) for each
+element index x; V2, V4 and the order of G work on the carrier.
+
 There is no guarantee that a completion exists at small ``t`` for every
 input, so ``find_completion`` runs a deterministic escalation ladder
 (default pairing, a cross-copy pairing, enumerated pairings, seeded random
@@ -90,10 +94,10 @@ class Carrier:
                       for target in row])
 
     def rho_index(self, element_index: int) -> Permutation:
+        """rho(x); rows are stored only up to ``_FULL_RHO_TABLE_LIMIT``."""
         images = self._rho_cache.get(element_index)
         if images is None:
             images = self._rho_images(element_index)
-            self._rho_cache[element_index] = images
         return Permutation._raw(images)
 
     def rho(self, element: StarElement) -> Permutation:
@@ -295,61 +299,44 @@ def build_involution(carrier: Carrier, i: int, plan: EdgePlan) -> Permutation:
     return beta
 
 
-def _check_contract(candidate: CompletionCandidate) -> None:
-    """Assert the candidate invariants: each beta is an involution and
-    conjugation by it realises the edge twist on rho(C_i), pointwise."""
-    carrier = candidate.carrier
-    star = carrier.star
-    for i, beta in enumerate(candidate.betas, start=1):
-        if not (beta * beta).is_identity():
-            raise ValidationError("beta involution", f"edge {i}")
-        edge = star.edge(i)
-        for ci in edge.subgroup_indices:
-            lhs = beta * carrier.rho_index(ci) * beta
-            rhs = carrier.rho_index(edge.twist_images[ci])
-            if lhs != rhs:
-                raise ValidationError("conjugation contract", f"edge {i}")
+def _conjugates(carrier: Carrier, beta: Permutation):
+    """The conjugation map of beta: for each element index x in order, the
+    index of beta^-1 * rho(x) * beta, or -1 when that conjugate lies
+    outside rho(A).  A generator, so that a caller may stop early."""
+    beta_inv = beta.inverse()
+    for x in range(carrier.size):
+        y = carrier.membership_index(beta_inv * carrier.rho_index(x) * beta)
+        yield -1 if y is None else y
 
 
-def _edge_v1(carrier: Carrier, i: int, beta: Permutation) -> bool:
-    """rho(A) meets its beta-conjugate exactly in rho(C_i)."""
-    star = carrier.star
+def _edge_v1(star: AmalgamStar, i: int, conjugates) -> bool:
+    """rho(A) meets its beta_i-conjugate exactly in rho(C_i): the
+    conjugation map of beta_i is defined exactly on C_i."""
     members = set(star.edge(i).subgroup_indices)
-    for ia in range(star.order):
-        conj = beta * carrier.rho_index(ia) * beta
-        inside = carrier.in_rho(conj)
-        if inside != (ia in members):
-            return False
-    return True
+    return all((y >= 0) == (x in members) for x, y in enumerate(conjugates))
 
 
 def _edge_v2(carrier: Carrier, beta: Permutation) -> bool:
     return (beta * beta).is_identity() and not carrier.in_rho(beta)
 
 
-def _core_of_rho(candidate: CompletionCandidate) -> set[int]:
-    """Element indices x with every G-conjugate of rho(x) inside rho(A):
-    exactly the core of rho(A) in G, found by pruning to the largest
-    conjugation-closed subset."""
-    carrier = candidate.carrier
-    conjugators = []
-    for g in candidate.group_generators():
-        conjugators.append(g)
-        inv = g.inverse()
-        if inv != g:
-            conjugators.append(inv)
-    survivors = set(range(carrier.size))
+def _core_indices(star: AmalgamStar, beta_maps) -> set[int]:
+    """The core of rho(A) in G as element indices: the largest subset that
+    conjugation by A's generators (through the star's tables) and by each
+    beta_i (through its map) sends into itself.  The maps are injective, so
+    such a finite set is also closed under the inverse generators."""
+    maps = list(beta_maps)
+    for g in star.generator_indices:
+        by_inverse = star.left_row(star.inverse[g])       # y -> g^-1 * y
+        maps.append([by_inverse[xg] for xg in star.right_row(g)])
+    survivors = set(range(star.order))
     changed = True
     while changed:
         changed = False
-        for ia in tuple(survivors):
-            x = carrier.rho_index(ia)
-            for u in conjugators:
-                target = carrier.membership_index(u.inverse() * x * u)
-                if target is None or target not in survivors:
-                    survivors.discard(ia)
-                    changed = True
-                    break
+        for x in tuple(survivors):
+            if any(m[x] not in survivors for m in maps):
+                survivors.discard(x)
+                changed = True
     return survivors
 
 
@@ -377,17 +364,25 @@ def _v4(candidate: CompletionCandidate) -> bool:
 def verify_completion(candidate: CompletionCandidate) -> CompletionReport:
     """Compute V1-V4 and the exact order of the completed group.
 
-    Also asserts the consequences the construction theory forces: V3 must
-    hold whenever V1 holds on every edge, and under V1 each edge must
-    contribute exactly |A:C_i| distinct neighbour cosets.
+    Each beta is first checked to be an involution whose conjugation map
+    realises the edge twist on C_i; V1 and V3 then read those maps.  Also
+    asserts the consequence the construction theory forces: V3 must hold
+    whenever V1 holds on every edge.
     """
-    _check_contract(candidate)
     carrier = candidate.carrier
     star = carrier.star
-    v1 = tuple(_edge_v1(carrier, i, beta)
-               for i, beta in enumerate(candidate.betas, start=1))
+    beta_maps = []
+    for i, beta in enumerate(candidate.betas, start=1):
+        if not (beta * beta).is_identity():
+            raise ValidationError("beta involution", f"edge {i}")
+        conj = tuple(_conjugates(carrier, beta))
+        edge = star.edge(i)
+        if any(conj[c] != edge.twist_images[c] for c in edge.subgroup_indices):
+            raise ValidationError("conjugation contract", f"edge {i}")
+        beta_maps.append(conj)
+    v1 = tuple(_edge_v1(star, i, conj) for i, conj in enumerate(beta_maps, start=1))
     v2 = tuple(_edge_v2(carrier, beta) for beta in candidate.betas)
-    v3 = _core_of_rho(candidate) == {0}
+    v3 = _core_indices(star, beta_maps) == {0}
     # When V1 holds on every edge the core lies inside the head-trivial
     # subgroup (validated at star build), and invariance under the two
     # reversal involutions then forces it to be trivial: the reversals act
@@ -398,16 +393,6 @@ def verify_completion(candidate: CompletionCandidate) -> CompletionReport:
         raise TheoryViolationError(
             "core of rho(A) nontrivial although V1 holds on every edge")
     v4 = _v4(candidate)
-
-    if all(v1):
-        for i, beta in enumerate(candidate.betas, start=1):
-            edge = star.edge(i)
-            keys = {carrier.canonical_coset_rep(beta * carrier.rho_index(a)).images
-                    for a in edge.right_transversal}
-            if len(keys) != edge.coset_index:
-                raise TheoryViolationError(
-                    f"edge {i} produced {len(keys)} neighbour cosets, "
-                    f"expected {edge.coset_index}")
 
     chain = StabiliserChain(carrier.degree, candidate.group_generators())
     order_g = chain.order()
@@ -566,7 +551,7 @@ def find_completion(star: AmalgamStar,
                         attempts.append(AttemptRecord(t, "edge", plan.scheme,
                                                       "V2 failed", i))
                         continue
-                    if not _edge_v1(carrier, i, beta):
+                    if not _edge_v1(star, i, _conjugates(carrier, beta)):
                         attempts.append(AttemptRecord(t, "edge", plan.scheme,
                                                       "V1 failed", i))
                         continue

@@ -92,16 +92,15 @@ class FiniteGraph:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Canonical representatives and generator transition maps for the right
-    cosets of rho(A) in the completed group."""
+    """The right cosets of rho(A) in the completed group: the vertex id of
+    each canonical key, and one transition map per generator of G."""
 
-    representatives: tuple[Permutation, ...]
     index: dict[tuple[int, ...], int]
     transitions: tuple[tuple[int, ...], ...]    # per generator of G
 
     @property
     def size(self) -> int:
-        return len(self.representatives)
+        return len(self.index)
 
 
 def enumerate_cosets(candidate: CompletionCandidate, cap: int = DEFAULT_VERTEX_CAP,
@@ -153,8 +152,7 @@ def enumerate_cosets(candidate: CompletionCandidate, cap: int = DEFAULT_VERTEX_C
         if same_key != in_rho:
             raise ValidationError("canonical coset key",
                                   "key equality disagrees with membership")
-    return CosetTable(tuple(reps), index,
-                      tuple(tuple(row) for row in transitions))
+    return CosetTable(index, tuple(tuple(row) for row in transitions))
 
 
 @dataclass(frozen=True)
@@ -242,10 +240,10 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     valency = star.local_group.degree
     slots = _neighbour_slots(candidate)
     slot_elems = _slot_elements(candidate)
+    keys = tuple(carrier.canonical_coset_rep(e).images for e in slot_elems)
     table = enumerate_cosets(candidate, cap, report)
 
     if table is None:
-        keys = tuple(carrier.canonical_coset_rep(e).images for e in slot_elems)
         if len(set(keys)) != valency:
             raise TheoryViolationError(
                 "base vertex valency defect in implicit mode (V4 should have "
@@ -255,23 +253,24 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
             neighbour_slots=tuple(slots), neighbour_keys=keys,
             candidate=candidate, report=report)
 
+    # G acts on the right and the slot elements multiply on the left, so
+    # N(v * g) = N(v) * g: every vertex inherits its neighbourhood from the
+    # vertex that discovered it, and enumerate_cosets discovers in index order
     n = table.size
+    base_neighbours = [table.index[key] for key in keys]
+    neighbours: list[list[int] | None] = [base_neighbours] + [None] * (n - 1)
     edges = set()
-    base_neighbours = []
     for v in range(n):
-        rep = table.representatives[v]
-        nbrs = set()
-        for e in slot_elems:
-            w = table.index[carrier.canonical_coset_rep(e * rep).images]
-            nbrs.add(w)
-            if v == 0:
-                base_neighbours.append(w)
-        if len(nbrs) != valency or v in nbrs:
+        nbrs = neighbours[v]
+        for row in table.transitions:
+            w = row[v]
+            if neighbours[w] is None:
+                neighbours[w] = [row[u] for u in nbrs]
+        if len(set(nbrs)) != valency or v in nbrs:
             raise TheoryViolationError(
-                f"vertex {v} has {len(nbrs)} distinct neighbours, expected "
+                f"vertex {v} has {len(set(nbrs))} distinct neighbours, expected "
                 f"{valency} (V2/V4 should have excluded this)")
-        for w in nbrs:
-            edges.add((min(v, w), max(v, w)))
+        edges.update((min(v, w), max(v, w)) for w in nbrs)
     graph = FiniteGraph.from_edges(n, edges)
     if not graph.is_connected():
         raise TheoryViolationError("coset graph is not connected")

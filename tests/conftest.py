@@ -88,3 +88,44 @@ def brute_core(group_elements, sub_elements):
         g_inv = tuple_inv(g)
         core &= {tuple_mul(tuple_mul(g_inv, h), g) for h in sub_elements}
     return core
+
+
+def carrier_core_of_rho(candidate):
+    """Element indices x with every G-conjugate of rho(x) inside rho(A),
+    pruned on the carrier: each survivor is conjugated by every generator of
+    G and its inverse as full permutations, then looked up in rho(A)."""
+    carrier = candidate.carrier
+    conjugators = []
+    for g in candidate.group_generators():
+        conjugators.append(g)
+        inv = g.inverse()
+        if inv != g:
+            conjugators.append(inv)
+    survivors = set(range(carrier.size))
+    changed = True
+    while changed:
+        changed = False
+        for ia in tuple(survivors):
+            x = carrier.rho_index(ia)
+            for u in conjugators:
+                target = carrier.membership_index(u.inverse() * x * u)
+                if target is None or target not in survivors:
+                    survivors.discard(ia)
+                    changed = True
+                    break
+    return survivors
+
+
+def carrier_neighbourhoods(candidate, table):
+    """Neighbour ids of every coset, recomputed on the carrier: the coset of
+    vertex v is keyed by its canonical representative's images, and its
+    neighbours are the canonical keys of e * rep over the slot elements e."""
+    carrier = candidate.carrier
+    star = carrier.star
+    slot_elems = [candidate.betas[i - 1] * carrier.rho_index(a)
+                  for i in range(1, star.k + 1)
+                  for a in star.edge(i).right_transversal]
+    reps = {v: Permutation(key) for key, v in table.index.items()}
+    return [[table.index[carrier.canonical_coset_rep(e * reps[v]).images]
+             for e in slot_elems]
+            for v in range(table.size)]

@@ -8,8 +8,9 @@ from graphrestrict.amalgam import (EdgeElement, StarElement, build_star,
                                    local_model, phi, slot_action,
                                    star_multiply, validate_star)
 from graphrestrict.classify import analyze_local_group
-from graphrestrict.errors import CapacityError, InputError, ValidationError
-from graphrestrict.perm import Permutation, parse_permutation
+from graphrestrict.errors import (CapacityError, InputError,
+                                  TheoryViolationError, ValidationError)
+from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
 from conftest import group
 
@@ -63,6 +64,17 @@ class TestBuildStar:
 
     def test_enumeration_starts_at_identity(self, star0):
         assert star0.elements[0].is_identity()
+
+    def test_enumeration_off_identity_is_a_theory_violation(self, l0,
+                                                            monkeypatch):
+        # index 0 must be the identity, also under python -O: list every
+        # group's elements in reverse so the identity comes last
+        analysis = analyze_local_group(l0)
+        real_elements = PermutationGroup.elements
+        monkeypatch.setattr(PermutationGroup, "elements",
+                            lambda self, *args: real_elements(self, *args)[::-1])
+        with pytest.raises(TheoryViolationError, match="identity"):
+            build_star(analysis, 2)
 
     def test_generators_generate(self, star0):
         seen = {star0.identity}

@@ -1,8 +1,13 @@
+import random
+
+import pytest
+
 from graphrestrict import perm
 from graphrestrict.classify import (NOT_RESTRICTIVE, OUT_OF_SCOPE_TRANSITIVE,
                                     RESTRICTIVE_SEMIREGULAR,
                                     analyze_local_group, restrictive_verdict)
-from graphrestrict.perm import PermutationGroup
+from graphrestrict.errors import TheoryViolationError
+from graphrestrict.perm import Permutation, PermutationGroup
 
 from conftest import group
 
@@ -69,6 +74,40 @@ class TestAnalyze:
         a = analyze_local_group(l1, semiprimitive_cap=2)
         assert a.flags.semiprimitive is None
         assert a.verdict == NOT_RESTRICTIVE
+
+    def test_semiprimitive_iff_semiregular_on_random_intransitive_groups(self):
+        # the analysis reads the semiprimitive flag of intransitive input off
+        # semiregularity; the enumeration in perm must agree
+        rng = random.Random(0)
+        seen = set()
+        checked = 0
+        while checked < 40:
+            degree = rng.randint(2, 7)
+            gens = []
+            for _ in range(rng.randint(1, 2)):
+                support = rng.sample(range(1, degree + 1), rng.randint(2, degree))
+                moved = rng.sample(support, len(support))
+                images = list(range(1, degree + 1))
+                for p, q in zip(support, moved):
+                    images[p - 1] = q
+                gens.append(Permutation(images))
+            g = PermutationGroup(degree, tuple(gens))
+            if len(perm.orbits(g)) == 1:
+                continue
+            checked += 1
+            semiregular = perm.predicates(g).is_semiregular
+            assert perm.is_semiprimitive(g) == semiregular, g.generators
+            seen.add(semiregular)
+        assert seen == {True, False}
+
+    def test_not_restrictive_without_anchor_is_a_theory_violation(
+            self, l2, monkeypatch):
+        # the NOT_RESTRICTIVE preconditions must survive python -O: make the
+        # semiregular l2 look non-semiregular, so its anchor stabiliser is 1
+        monkeypatch.setattr(perm, "predicates",
+                            lambda g: perm.GroupPredicates(False, False))
+        with pytest.raises(TheoryViolationError, match="anchor stabiliser"):
+            analyze_local_group(l2)
 
 
 class TestVerdictReport:

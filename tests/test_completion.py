@@ -11,7 +11,7 @@ from graphrestrict.errors import (CapacityError, CompletionSearchError,
                                   InputError, ValidationError)
 from graphrestrict.perm import Permutation, StabiliserChain
 
-from conftest import group
+from conftest import carrier_core_of_rho, group
 
 
 @pytest.fixture
@@ -30,6 +30,47 @@ def identity_plan(star, i, t):
     return EdgePlan("identity", tuple(range(orbits)),
                     tuple(edge.left_transversal[o % edge.coset_index]
                           for o in range(orbits)))
+
+
+def accepted_candidate(g, n=2):
+    return find_completion(build_star(analyze_local_group(g), n))[0]
+
+
+def identity_third_beta(g):
+    # an accepted three-edge candidate whose third involution is replaced by
+    # the identity
+    cand = accepted_candidate(g)
+    ident = Permutation.identity(cand.carrier.degree)
+    return CompletionCandidate(cand.carrier, cand.betas[:2] + (ident,),
+                               cand.strategy)
+
+
+def normalizing_betas():
+    # identity pairings at one copy: the tail swap normalizes rho(A)
+    star = build_star(analyze_local_group(group(3, "(1 2)")), 2)
+    carrier = regular_carrier(star, 1)
+    plans = (identity_plan(star, 1, 1), identity_plan(star, 2, 1))
+    betas = tuple(build_involution(carrier, i, plan)
+                  for i, plan in enumerate(plans, start=1))
+    return CompletionCandidate(
+        carrier, betas, completion.CompletionStrategy(1, plans, 0, "manual"))
+
+
+CANDIDATES = {
+    "l0-accepted": lambda: accepted_candidate(group(3, "(1 2)")),
+    "l1-accepted": lambda: accepted_candidate(group(5, "(1 2 3)(4 5)")),
+    "identity-beta": lambda: identity_third_beta(group(4, "(1 2)")),
+    "normalizing-beta": normalizing_betas,
+    "leaking-third-edge": lambda: identity_third_beta(
+        group(5, "(1 2)", "(3 4)")),
+    "nonabelian-accepted": lambda: accepted_candidate(
+        group(4, "(1 2)", "(1 2 3)")),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CANDIDATES))
+def candidate(request):
+    return CANDIDATES[request.param]()
 
 
 class TestCarrier:
@@ -94,6 +135,19 @@ class TestCarrier:
         with pytest.raises(ValidationError) as err:
             rho_closure(carrier, carrier.generator_indices)
         assert err.value.check == "rho homomorphism"
+
+
+    def test_rho_rows_not_stored_above_table_limit(self, l0, monkeypatch):
+        star = build_star(analyze_local_group(l0), 4)
+        stored = regular_carrier(star, 2)
+        monkeypatch.setattr(completion, "_FULL_RHO_TABLE_LIMIT", 4)
+        carrier = regular_carrier(star, 2)
+        assert carrier._rho_cache == {}
+        beta = build_involution(carrier, 1, identity_plan(star, 1, 2))
+        assert len(list(completion._conjugates(carrier, beta))) == star.order
+        assert carrier._rho_cache == {}
+        for x in range(star.order):
+            assert carrier.rho_index(x).images == stored.rho_index(x).images
 
 
 class TestBuildInvolution:
@@ -228,6 +282,62 @@ class TestVerifyCompletion:
                 beta * carrier.rho_index(a)).images
                 for a in edge.right_transversal}
             assert len(keys) == edge.coset_index
+
+
+class TestConjugationMaps:
+    def test_map_is_literal_conjugation(self, candidate):
+        carrier = candidate.carrier
+        for beta in candidate.betas:
+            literal = []
+            for x in range(carrier.size):
+                y = carrier.membership_index(
+                    beta.inverse() * carrier.rho_index(x) * beta)
+                literal.append(-1 if y is None else y)
+            assert list(completion._conjugates(carrier, beta)) == literal
+
+    def test_core_matches_carrier_oracle(self, candidate):
+        carrier = candidate.carrier
+        maps = [tuple(completion._conjugates(carrier, beta))
+                for beta in candidate.betas]
+        core = completion._core_indices(carrier.star, maps)
+        assert core == carrier_core_of_rho(candidate)
+
+    def test_leaking_third_edge_core_is_nontrivial(self):
+        cand = CANDIDATES["leaking-third-edge"]()
+        maps = [tuple(completion._conjugates(cand.carrier, beta))
+                for beta in cand.betas]
+        assert len(completion._core_indices(cand.carrier.star, maps)) > 1
+
+    def test_core_is_closed_under_conjugation_by_a(self):
+        # A = S3 x S3^2 is nonabelian: a map that keeps the identity and one
+        # non-central x survives the beta maps alone, but a conjugate of x
+        # by a generator of A falls outside it
+        star = build_star(analyze_local_group(group(4, "(1 2)", "(1 2 3)")), 2)
+        x = next(x for x in range(star.order)
+                 if any(star.mul(x, g) != star.mul(g, x)
+                        for g in star.generator_indices))
+        keeps_x = [-1] * star.order
+        keeps_x[0], keeps_x[x] = 0, x
+        assert completion._core_indices(star, [keeps_x]) == {0}
+
+    def test_swapped_betas_break_the_contract(self, star0):
+        cand, _ = find_completion(star0)
+        swapped = CompletionCandidate(cand.carrier, cand.betas[::-1],
+                                      cand.strategy)
+        with pytest.raises(ValidationError) as err:
+            verify_completion(swapped)
+        assert err.value.check == "conjugation contract"
+
+    def test_non_involution_is_rejected_before_the_contract(self, star0):
+        cand, _ = find_completion(star0)
+        degree = cand.carrier.degree
+        three_cycle = Permutation((2, 3, 1) + tuple(range(4, degree + 1)))
+        broken = CompletionCandidate(cand.carrier,
+                                     (three_cycle,) + cand.betas[1:],
+                                     cand.strategy)
+        with pytest.raises(ValidationError) as err:
+            verify_completion(broken)
+        assert err.value.check == "beta involution"
 
 
 class TestFindCompletion:

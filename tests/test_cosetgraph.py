@@ -11,7 +11,7 @@ from graphrestrict.errors import (InputError, NotEnumeratedError,
                                   ParseError, TheoryViolationError)
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
-from conftest import group
+from conftest import carrier_neighbourhoods, group
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +71,15 @@ class TestBuildGraph:
     def test_l1_pair(self, result1):
         assert result1.pair.valency == 5
         assert result1.pair.stabiliser_order == 54
+
+    @pytest.mark.parametrize("name", ["result0", "result1"])
+    def test_adjacency_matches_carrier_oracle(self, name, request):
+        result = request.getfixturevalue(name)
+        table = enumerate_cosets(result.candidate, report=result.report)
+        oracle = carrier_neighbourhoods(result.candidate, table)
+        assert result.pair.graph.adjacency == tuple(
+            tuple(sorted(set(nbrs))) for nbrs in oracle)
+        assert list(result.pair.base_neighbours) == oracle[0]
 
     def test_orbit_stabiliser_identity(self, result0):
         pair = result0.pair
