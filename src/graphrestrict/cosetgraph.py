@@ -21,7 +21,9 @@ constructor.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
+import re
 from dataclasses import dataclass
 
 from . import amalgam, classify, perm
@@ -554,6 +556,15 @@ def growth_report(local_group: PermutationGroup, n_values,
 # ---------------------------------------------------------------------------
 
 
+# graph6 stores the upper triangle column by column, six bits to a byte
+# offset by 63: the pair (row, col), row < col, is bit col(col-1)/2 + row,
+# the most significant of the six bits first.
+_G6_CHARS = bytes(range(63, 127))
+_G6_SET_BITS = tuple(tuple(j for j in range(6) if v >> (5 - j) & 1)
+                     for v in range(64))
+_G6_NONZERO = re.compile(rb"[^?]")     # "?" is the byte with no bit set
+
+
 def _graph6_bytes(n: int) -> bytes:
     if n <= 62:
         return bytes([n + 63])
@@ -583,20 +594,11 @@ def export_graph(graph, fmt: str):
                        for v, nbrs in enumerate(graph.adjacency))
     if fmt == "graph6":
         n = graph.vertex_count
-        bits = []
-        for col in range(1, n):
-            col_adj = graph.adjacency[col]
-            for row in range(col):
-                bits.append(1 if row in col_adj else 0)
-        while len(bits) % 6:
-            bits.append(0)
-        data = bytearray(_graph6_bytes(n))
-        for i in range(0, len(bits), 6):
-            chunk = 0
-            for b in bits[i:i + 6]:
-                chunk = (chunk << 1) | b
-            data.append(chunk + 63)
-        return bytes(data)
+        data = bytearray(b"?" * -(-(n * (n - 1) // 2) // 6))
+        for row, col in graph.edges():     # each pair once: add sets the bit
+            k = col * (col - 1) // 2 + row
+            data[k // 6] += 32 >> (k % 6)
+        return _graph6_bytes(n) + data
     raise InputError(f"unknown graph format {fmt!r}")
 
 
@@ -608,9 +610,9 @@ def _parse_graph6(data: bytes) -> FiniteGraph:
     data = data.strip()
     if not data:
         raise ParseError("empty graph6 data")
-    for b in data:
-        if not 63 <= b <= 126:
-            raise ParseError(f"invalid graph6 byte {b}")
+    invalid = data.translate(None, _G6_CHARS)
+    if invalid:
+        raise ParseError(f"invalid graph6 byte {invalid[0]}")
     if data[0] != 126:
         start, width = 0, 1
     elif data[1:2] == b"~":
@@ -629,16 +631,16 @@ def _parse_graph6(data: bytes) -> FiniteGraph:
     if len(body) != expected:
         raise ParseError(f"graph6 data for {n} vertices needs {expected} data "
                          f"bytes, got {len(body)}")
-    bits = [(b - 63) >> s & 1 for b in body for s in (5, 4, 3, 2, 1, 0)]
-    if any(bits[bit_count:]):
+    padding = 6 * expected - bit_count
+    if padding and (body[-1] - 63) & ((1 << padding) - 1):
         raise ParseError("graph6 padding bits are not zero")
     edges = []
-    i = 0
-    for col in range(1, n):
-        for row in range(col):
-            if bits[i]:
-                edges.append((row, col))
-            i += 1
+    for m in _G6_NONZERO.finditer(body):
+        i = m.start()
+        for j in _G6_SET_BITS[body[i] - 63]:
+            k = 6 * i + j
+            col = (1 + math.isqrt(8 * k + 1)) // 2
+            edges.append((k - col * (col - 1) // 2, col))
     return FiniteGraph.from_edges(n, edges)
 
 

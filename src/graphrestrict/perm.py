@@ -12,6 +12,14 @@ Groups are represented by generators plus a lazily built stabiliser chain
 The chain construction is the deterministic Schreier-Sims procedure: base
 points are first moved points, appended greedily, so identical input always
 produces an identical chain.
+
+The primitives run at C speed.  ``images`` stays 1-based; a product looks
+the points of the first factor up in the second factor's images padded with
+a leading 0, through one ``operator.itemgetter`` call.  An identity test
+compares ``images`` with a cached ``(1, ..., m)``.  The chain builds each
+inverse transversal element as a product of the inverses it already has,
+never by inverting a permutation point by point, and rebuilds a level's
+orbit only when its generators have changed.
 """
 
 from __future__ import annotations
@@ -19,10 +27,16 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CapacityError, InputError, ParseError
 
 DEFAULT_ELEMENT_CAP = 100_000
+
+
+@functools.cache
+def _identity_images(degree: int) -> tuple[int, ...]:
+    return tuple(range(1, degree + 1))
 
 
 @functools.total_ordering
@@ -59,7 +73,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls._raw(tuple(range(1, degree + 1)))
+        return cls._raw(_identity_images(degree))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Permutation":
@@ -88,10 +102,12 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """self then other."""
-        oi = other.images
-        if len(oi) != len(self.images):
+        si, oi = self.images, other.images
+        if len(oi) != len(si):
             raise InputError("degree mismatch in product")
-        return Permutation._raw(tuple(oi[i - 1] for i in self.images))
+        images = itemgetter(*si)((0,) + oi)
+        # itemgetter with a single index returns the item, not a 1-tuple
+        return Permutation._raw(images if len(si) > 1 else (images,))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -116,7 +132,7 @@ class Permutation:
         return by.inverse() * self * by
 
     def is_identity(self) -> bool:
-        return all(q == p for p, q in enumerate(self.images, start=1))
+        return self.images == _identity_images(len(self.images))
 
     def fixed_points(self):
         return tuple(p for p, q in enumerate(self.images, start=1) if p == q)
@@ -199,7 +215,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
 
 
 class _ChainLevel:
-    __slots__ = ("point", "transversal", "inverse_transversal")
+    __slots__ = ("point", "transversal", "inverse_transversal", "gens")
 
     def __init__(self, point: int, degree: int):
         self.point = point
@@ -207,6 +223,7 @@ class _ChainLevel:
         ident = Permutation.identity(degree)
         self.transversal = {point: ident}
         self.inverse_transversal = {point: ident}
+        self.gens = None    # the generators the orbit was last built from
 
 
 class StabiliserChain:
@@ -255,19 +272,22 @@ class StabiliserChain:
     def _rebuild_orbit(self, i: int) -> None:
         lev = self.levels[i]
         gens = self._level_gens(i)
+        if gens == lev.gens:    # same generators, same orbit and transversals
+            return
+        lev.gens = gens
+        gens_inv = [s.inverse() for s in gens]
         ident = Permutation.identity(self.degree)
-        lev.transversal = {lev.point: ident}
-        lev.inverse_transversal = {lev.point: ident}
+        transversal = lev.transversal = {lev.point: ident}
+        inverse_transversal = lev.inverse_transversal = {lev.point: ident}
         queue = [lev.point]
-        while queue:
-            p = queue.pop(0)
-            u = lev.transversal[p]
-            for s in gens:
+        for p in queue:     # breadth first: the list grows while it is read
+            u = transversal[p]
+            u_inv = inverse_transversal[p]
+            for s, s_inv in zip(gens, gens_inv):
                 q = s.images[p - 1]
-                if q not in lev.transversal:
-                    rep = u * s
-                    lev.transversal[q] = rep
-                    lev.inverse_transversal[q] = rep.inverse()
+                if q not in transversal:
+                    transversal[q] = u * s
+                    inverse_transversal[q] = s_inv * u_inv    # (u s)^-1
                     queue.append(q)
 
     def _sift(self, g: Permutation, from_level: int = 0):
@@ -291,16 +311,17 @@ class StabiliserChain:
         while i >= 0:
             self._rebuild_orbit(i)
             lev = self.levels[i]
-            gens = self._level_gens(i)
+            gens = lev.gens
             new_level = None
             for p in sorted(lev.transversal):
                 u = lev.transversal[p]
                 for s in gens:
                     q = s.images[p - 1]
-                    schreier = u * s * lev.inverse_transversal[q]
-                    if schreier.is_identity():
+                    us = u * s
+                    # the Schreier generator u s t_q^-1 is trivial iff u s = t_q
+                    if us.images == lev.transversal[q].images:
                         continue
-                    residue, j = self._sift(schreier, i + 1)
+                    residue, j = self._sift(us * lev.inverse_transversal[q], i + 1)
                     if residue.is_identity():
                         continue
                     self.strong_gens.append(residue)

@@ -129,3 +129,164 @@ def carrier_neighbourhoods(candidate, table):
     return [[table.index[carrier.canonical_coset_rep(e * reps[v]).images]
              for e in slot_elems]
             for v in range(table.size)]
+
+
+# --- reference Schreier-Sims kernel ----------------------------------------
+# The permutation primitives the stabiliser chain used to run on: products
+# point by point, identity tests by enumeration, and every inverse
+# transversal element inverted point by point.  The chain built on them must
+# be bit-identical to perm.StabiliserChain.
+
+
+def reference_mul(a: Permutation, b: Permutation) -> Permutation:
+    """``a`` then ``b``, one point at a time."""
+    bi = b.images
+    return Permutation._raw(tuple(bi[i - 1] for i in a.images))
+
+
+def reference_is_identity(a: Permutation) -> bool:
+    return all(q == p for p, q in enumerate(a.images, start=1))
+
+
+def reference_inverse(a: Permutation) -> Permutation:
+    inv = [0] * len(a.images)
+    for p, q in enumerate(a.images, start=1):
+        inv[q - 1] = p
+    return Permutation._raw(tuple(inv))
+
+
+class ReferenceLevel:
+    def __init__(self, point, degree):
+        self.point = point
+        ident = Permutation.identity(degree)
+        self.transversal = {point: ident}
+        self.inverse_transversal = {point: ident}
+
+
+class ReferenceChain:
+    """Deterministic Schreier-Sims as perm.StabiliserChain runs it (same base
+    rule, same Schreier generator order, same restarts), on the reference
+    primitives, rebuilding a level's orbit every time the algorithm asks."""
+
+    def __init__(self, degree, generators, base_prefix=()):
+        self.degree = degree
+        self.strong_gens = []
+        self.levels = [ReferenceLevel(p, degree) for p in base_prefix]
+        for g in generators:
+            if not reference_is_identity(g) and g not in self.strong_gens:
+                self.strong_gens.append(g)
+                if all(g.images[lev.point - 1] == lev.point
+                       for lev in self.levels):
+                    self._append_first_moved_point(g)
+        self._complete()
+
+    @property
+    def base(self):
+        return tuple(lev.point for lev in self.levels)
+
+    def _append_first_moved_point(self, g):
+        for p in range(1, self.degree + 1):
+            if g.images[p - 1] != p:
+                self.levels.append(ReferenceLevel(p, self.degree))
+                return
+
+    def _level_gens(self, i):
+        pts = [lev.point for lev in self.levels[:i]]
+        return [s for s in self.strong_gens
+                if all(s.images[p - 1] == p for p in pts)]
+
+    def _rebuild_orbit(self, i):
+        lev = self.levels[i]
+        gens = self._level_gens(i)
+        ident = Permutation.identity(self.degree)
+        lev.transversal = {lev.point: ident}
+        lev.inverse_transversal = {lev.point: ident}
+        queue = [lev.point]
+        while queue:
+            p = queue.pop(0)
+            u = lev.transversal[p]
+            for s in gens:
+                q = s.images[p - 1]
+                if q not in lev.transversal:
+                    rep = reference_mul(u, s)
+                    lev.transversal[q] = rep
+                    lev.inverse_transversal[q] = reference_inverse(rep)
+                    queue.append(q)
+
+    def _sift(self, g, from_level):
+        h = g
+        for i in range(from_level, len(self.levels)):
+            lev = self.levels[i]
+            inv = lev.inverse_transversal.get(h.images[lev.point - 1])
+            if inv is None:
+                return h, i
+            h = reference_mul(h, inv)
+        return h, len(self.levels)
+
+    def _complete(self):
+        for i in range(len(self.levels)):
+            self._rebuild_orbit(i)
+        i = len(self.levels) - 1
+        while i >= 0:
+            self._rebuild_orbit(i)
+            lev = self.levels[i]
+            gens = self._level_gens(i)
+            new_level = None
+            for p in sorted(lev.transversal):
+                u = lev.transversal[p]
+                for s in gens:
+                    q = s.images[p - 1]
+                    schreier = reference_mul(reference_mul(u, s),
+                                             lev.inverse_transversal[q])
+                    if reference_is_identity(schreier):
+                        continue
+                    residue, j = self._sift(schreier, i + 1)
+                    if reference_is_identity(residue):
+                        continue
+                    self.strong_gens.append(residue)
+                    if j == len(self.levels):
+                        self._append_first_moved_point(residue)
+                    new_level = j
+                    break
+                if new_level is not None:
+                    break
+            if new_level is not None:
+                for l in range(i, new_level + 1):
+                    self._rebuild_orbit(l)
+                i = new_level
+            else:
+                i -= 1
+
+
+def chain_snapshot(chain):
+    """Base, strong generators, and each level's transversal and inverse
+    transversal in insertion order, all as raw image tuples."""
+    return (chain.base,
+            [g.images for g in chain.strong_gens],
+            [([(q, u.images) for q, u in lev.transversal.items()],
+              [(q, u.images) for q, u in lev.inverse_transversal.items()])
+             for lev in chain.levels])
+
+
+def graph6_pair_loop(graph) -> bytes:
+    """graph6 by walking every vertex pair of the upper triangle, column by
+    column, with a membership test per pair: the O(n^2) export oracle."""
+    n = graph.vertex_count
+    bits = []
+    for col in range(1, n):
+        col_adj = graph.adjacency[col]
+        for row in range(col):
+            bits.append(1 if row in col_adj else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    if n <= 62:
+        data = bytearray([n + 63])
+    else:
+        data = bytearray([126, (n >> 12) + 63, ((n >> 6) & 63) + 63,
+                          (n & 63) + 63])
+    for i in range(0, len(bits), 6):
+        chunk = 0
+        for b in bits[i:i + 6]:
+            chunk = (chunk << 1) | b
+        data.append(chunk + 63)
+    return bytes(data)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from graphrestrict.completion import SearchConfig
@@ -11,7 +13,7 @@ from graphrestrict.errors import (InputError, NotEnumeratedError,
                                   ParseError, TheoryViolationError)
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
-from conftest import carrier_neighbourhoods, group
+from conftest import carrier_neighbourhoods, graph6_pair_loop, group
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +337,61 @@ class TestExports:
             assert sorted(tuple(sorted(e)) for e in theirs.edges()) == \
                 sorted(g.edges())
             assert parse_graph(nx.to_graph6_bytes(theirs, header=False)) == g
+
+
+def random_graph(rng, n, p):
+    return FiniteGraph.from_edges(
+        n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+
+
+def graph6_cases():
+    """Graphs around the size-byte boundary (62/63 vertices) and every
+    padding length, plus a sparse one of 300 vertices."""
+    rng = random.Random(6)
+    graphs = [FiniteGraph.from_edges(n, []) for n in (0, 1, 2)]
+    graphs += [FiniteGraph.from_edges(n, [(u, v) for v in range(n)
+                                          for u in range(v)])
+               for n in (2, 3, 4, 5, 6, 7)]
+    graphs += [random_graph(rng, n, 0.3) for n in range(3, 12)]
+    graphs += [random_graph(rng, n, 0.1) for n in (61, 62, 63, 64, 130)]
+    graphs.append(random_graph(rng, 300, 0.02))
+    graphs.append(hexagon())
+    return graphs
+
+
+class TestGraph6:
+    def test_export_matches_pair_loop(self, result0, result1):
+        for g in graph6_cases() + [result0.pair.graph, result1.pair.graph]:
+            assert export_graph(g, "graph6") == graph6_pair_loop(g)
+
+    def test_export_matches_networkx(self, result0):
+        nx = pytest.importorskip("networkx")
+        for g in graph6_cases() + [result0.pair.graph]:
+            theirs = nx.Graph()
+            theirs.add_nodes_from(range(g.vertex_count))
+            theirs.add_edges_from(g.edges())
+            assert export_graph(g, "graph6") + b"\n" == nx.to_graph6_bytes(
+                theirs, header=False)
+
+    def test_parse_round_trip(self, result1):
+        for g in graph6_cases() + [result1.pair.graph]:
+            assert parse_graph(export_graph(g, "graph6")) == g
+            assert parse_graph(b">>graph6<<" + graph6_pair_loop(g)) == g
+
+    def test_every_padding_bit_checked(self):
+        # 5 vertices: 10 data bits, 2 padding bits; 6: 15 bits, 3 padding
+        for n in (5, 6):
+            data = bytearray(export_graph(FiniteGraph.from_edges(n, []),
+                                          "graph6"))
+            for bit in range(6 * (len(data) - 1) - n * (n - 1) // 2):
+                bad = bytearray(data)
+                bad[-1] = ((bad[-1] - 63) | 1 << bit) + 63
+                with pytest.raises(ParseError, match="padding"):
+                    parse_graph(bytes(bad))
+
+    def test_invalid_byte_named(self):
+        with pytest.raises(ParseError, match="invalid graph6 byte 62"):
+            parse_graph(b"D>c")
 
 
 class TestVerifierChecks:

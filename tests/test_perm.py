@@ -1,15 +1,25 @@
+import functools
 import itertools
 import random
 
 import pytest
 
 from graphrestrict import perm
+from graphrestrict.cosetgraph import construct_pair
 from graphrestrict.errors import CapacityError, InputError, ParseError
 from graphrestrict.perm import (Permutation, PermutationGroup,
-                                parse_permutation)
+                                StabiliserChain, parse_permutation)
 
-from conftest import (as_tuple, brute_core, brute_elements, group, tuple_inv,
+from conftest import (ReferenceChain, as_tuple, brute_core, brute_elements,
+                      chain_snapshot, group, reference_inverse,
+                      reference_is_identity, reference_mul, tuple_inv,
                       tuple_mul)
+
+
+def random_permutation(rng, degree):
+    images = list(range(1, degree + 1))
+    rng.shuffle(images)
+    return Permutation(images)
 
 
 class TestPermutationBasics:
@@ -45,6 +55,111 @@ class TestPermutationBasics:
     def test_degree_zero_rejected(self):
         with pytest.raises(InputError):
             Permutation(())
+
+
+class TestKernelEdgeCases:
+    def test_products_match_reference(self):
+        rng = random.Random(4)
+        for degree in (1, 2, 3, 7, 64, 300):
+            for _ in range(10):
+                a = random_permutation(rng, degree)
+                b = random_permutation(rng, degree)
+                assert (a * b).images == reference_mul(a, b).images
+                assert (a * b).is_identity() == reference_is_identity(a * b)
+                assert a.inverse().images == reference_inverse(a).images
+
+    def test_degree_one(self):
+        e = Permutation((1,))
+        assert (e * e).images == (1,)
+        assert (e * e).is_identity()
+        assert e.is_identity()
+        assert (e ** 5).images == (1,)
+        assert (e ** -3).images == (1,)
+        assert e.conjugate(e).images == (1,)
+        assert e.inverse().images == (1,)
+        assert Permutation.identity(1) == e
+        with pytest.raises(InputError):
+            e * Permutation.identity(2)
+
+    def test_identity_cache_across_degrees(self):
+        for degree in (5, 1, 3, 12, 3, 1, 5):
+            ident = Permutation.identity(degree)
+            assert ident.images == tuple(range(1, degree + 1))
+            assert ident.is_identity()
+            if degree > 1:
+                swap = Permutation.from_cycles(degree, [(1, degree)])
+                assert not swap.is_identity()
+                assert (swap * swap).is_identity()
+        assert not Permutation((2, 1)).is_identity()
+        assert Permutation((1, 2)).is_identity()
+
+    def test_inverse_of_product_reverses_factors(self):
+        rng = random.Random(11)
+        for degree in (1, 2, 5, 40):
+            for _ in range(10):
+                a = random_permutation(rng, degree)
+                b = random_permutation(rng, degree)
+                c = random_permutation(rng, degree)
+                assert (a * b).inverse() == b.inverse() * a.inverse()
+                assert (a * b * c).inverse() == (c.inverse() * b.inverse()
+                                                 * a.inverse())
+
+
+L0 = (3, "(1 2)")
+L1 = (5, "(1 2 3)(4 5)")
+
+
+@functools.cache
+def _pair(local, n):
+    return construct_pair(group(*local), n)
+
+
+# name -> (generators, base prefixes).  Vertex action groups are prefixed at
+# vertex 0 (point 1), as verify_locally_L does; the others at their last
+# point or at the points given.  The degree-1536 group runs only with
+# verify's prefix: its reference chain alone takes seconds.
+CHAIN_GROUPS = {
+    "l0-n2-vertices": (lambda: _pair(L0, 2).pair.action_generators, "none first"),
+    "l0-n3-vertices": (lambda: _pair(L0, 3).pair.action_generators, "none first"),
+    "l0-n4-vertices": (lambda: _pair(L0, 4).pair.action_generators, "none first"),
+    "l0-n2-carrier": (lambda: _pair(L0, 2).candidate.group_generators(), "none last"),
+    "l0-n3-carrier": (lambda: _pair(L0, 3).candidate.group_generators(), "none last"),
+    "l0-n4-carrier": (lambda: _pair(L0, 4).candidate.group_generators(), "none last"),
+    "l1-n2-carrier": (lambda: _pair(L1, 2).candidate.group_generators(), "none last"),
+    "l1-n2-vertices": (lambda: _pair(L1, 2).pair.action_generators, "first"),
+    "hexagon-rotation": (lambda: (parse_permutation("(1 2 3 4 5 6)", 6),),
+                         "none first"),
+    # found by a seeded random search: some u s equals t_q^-1 but not t_q,
+    # and skipping that Schreier generator changes the chain
+    "random-degree-8": (lambda: (parse_permutation("(1 7 5 8 3 6)(2 4)", 8),
+                                 parse_permutation("(2 7)(3 6)(4 8)", 8)),
+                        "none 7,2"),
+    "random-degree-10": (lambda: (parse_permutation("(1 2 5)", 10),
+                                  parse_permutation("(1 5)(2 8 6)", 10)),
+                         "none 10,1"),
+}
+CHAIN_CASES = [(name, where) for name, (_, prefixes) in CHAIN_GROUPS.items()
+               for where in prefixes.split()]
+
+
+def base_prefix(where, degree):
+    named = {"none": (), "first": (1,), "last": (degree,)}
+    if where in named:
+        return named[where]
+    return tuple(int(p) for p in where.split(","))
+
+
+class TestChainMatchesReferenceKernel:
+    @pytest.mark.parametrize("name,where", CHAIN_CASES,
+                             ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
+    def test_bit_identical(self, name, where):
+        gens = tuple(CHAIN_GROUPS[name][0]())
+        degree = gens[0].degree
+        prefix = base_prefix(where, degree)
+        chain = StabiliserChain(degree, gens, base_prefix=prefix)
+        reference = ReferenceChain(degree, gens, base_prefix=prefix)
+        assert chain_snapshot(chain) == chain_snapshot(reference)
+        assert chain.base[:len(prefix)] == prefix
 
 
 class TestOrbits:
