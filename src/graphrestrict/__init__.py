@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .classify import (LocalGroupAnalysis, analyze_local_group,
                        restrictive_verdict)
-from .amalgam import AmalgamStar, build_star, local_model, phi, star_multiply, validate_star
+from .amalgam import AmalgamStar, build_star, local_model, validate_star
 from .completion import (CompletionCandidate, CompletionReport, SearchConfig,
                          build_involution, find_completion, regular_carrier,
                          verify_completion)
@@ -33,7 +33,7 @@ __all__ = [
     "point_stabiliser", "predicates", "is_semiprimitive",
     "permutation_isomorphic",
     "LocalGroupAnalysis", "analyze_local_group", "restrictive_verdict",
-    "AmalgamStar", "build_star", "phi", "star_multiply", "validate_star",
+    "AmalgamStar", "build_star", "validate_star",
     "local_model",
     "SearchConfig", "CompletionCandidate", "CompletionReport",
     "regular_carrier", "build_involution", "verify_completion",

@@ -21,9 +21,7 @@ transversal and certificate is deterministic.  Products, inverses and twists
 are computed from the Cayley tables of L and S (|L|^2 and |S|^2 entries):
 multiplying every element by one fixed element is a row of |A| indices,
 built on demand by mixed-radix expansion, and no table with |A|^2 entries is
-stored.  ``StarElement`` is the decoded view of an index (a head
-Permutation and a tuple of tail Permutations), used by ``phi``,
-``star_multiply`` and ``slot_action``.
+stored.
 
 Right cosets of C_i in A are classified by the image of r_i under the head,
 left cosets by the image under the inverse head; both facts are used for
@@ -32,7 +30,6 @@ transversals throughout.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import classify
@@ -47,76 +44,10 @@ IDENTITY_TWIST = "identity"
 
 
 @dataclass(frozen=True)
-class StarElement:
-    """An element of the product group A: a head in L and n tail entries in S."""
-
-    head: Permutation
-    tail: tuple[Permutation, ...]
-
-    def __mul__(self, other: "StarElement") -> "StarElement":
-        return StarElement(self.head * other.head,
-                           tuple(a * b for a, b in zip(self.tail, other.tail)))
-
-    def inverse(self) -> "StarElement":
-        return StarElement(self.head.inverse(),
-                           tuple(t.inverse() for t in self.tail))
-
-    def is_identity(self) -> bool:
-        return self.head.is_identity() and all(t.is_identity() for t in self.tail)
-
-    def __repr__(self):
-        tails = ", ".join(t.cycle_string() for t in self.tail)
-        return f"({self.head.cycle_string()}; {tails})"
-
-
-@dataclass(frozen=True)
-class EdgeElement:
-    """An element of the edge extension: a base element of C_i and a flip bit.
-
-    Multiplication is (c, e)(c', e') = (c * phi_i^e(c'), e xor e'); the flip
-    squares to the identity and conjugation by it realises phi_i.
-    """
-
-    edge: int
-    base: StarElement
-    flip: int
-
-
-class EdgeTwist:
-    """Descriptor of the order-2 automorphism attached to one edge."""
-
-    def __init__(self, edge: int, n: int):
-        self.edge = edge
-        self.n = n
-        if edge == 1:
-            self.kind = FULL_REVERSAL
-        elif edge == 2:
-            self.kind = TAIL_REVERSAL
-        else:
-            self.kind = IDENTITY_TWIST
-
-    def apply(self, elem: StarElement) -> StarElement:
-        if self.kind == FULL_REVERSAL:
-            coords = (elem.head,) + elem.tail
-            rev = coords[::-1]
-            return StarElement(rev[0], rev[1:])
-        if self.kind == TAIL_REVERSAL:
-            return StarElement(elem.head, elem.tail[::-1])
-        return elem
-
-    @property
-    def is_identity(self) -> bool:
-        return self.kind == IDENTITY_TWIST
-
-    def __repr__(self):
-        return f"EdgeTwist(edge={self.edge}, {self.kind})"
-
-
-@dataclass(frozen=True)
 class EdgeData:
     index: int                       # 1-based edge number
     orbit_rep: int                   # the point r_i
-    twist: EdgeTwist
+    twist: str                       # FULL_REVERSAL, TAIL_REVERSAL or IDENTITY_TWIST
     subgroup_indices: tuple[int, ...]          # element indices of C_i
     subgroup_order: int
     coset_index: int                           # |A : C_i| = orbit length of r_i
@@ -156,6 +87,10 @@ class AmalgamStar:
         self.generator_indices = self._generator_indices()
         self.edges = tuple(self._edge_data(i, rep) for i, rep
                            in enumerate(analysis.orbit_reps, start=1))
+        # the base vertex's neighbour slots: one per right coset of each
+        # C_i, ordered by (edge, transversal order)
+        self.slots = tuple((edge.index, rep) for edge in self.edges
+                           for rep in edge.right_transversal)
 
     # -- the index encoding ------------------------------------------------
 
@@ -204,28 +139,6 @@ class AmalgamStar:
         return self._expand(self._head_mul[hx],
                             [self._tail_mul[a] for a in tx])
 
-    def element(self, x: int) -> StarElement:
-        """The decoded view of element index x."""
-        h, tail = self.digits(x)
-        return StarElement(self._heads[h], tuple(self._tails[t] for t in tail))
-
-    def index_of(self, elem: StarElement) -> int | None:
-        """Element index of a decoded element, or None when it is not in A."""
-        h = self._head_index.get(elem.head)
-        tail = [self._tail_index.get(t) for t in elem.tail]
-        if h is None or len(tail) != self.n or None in tail:
-            return None
-        return self.encode(h, tail)
-
-    @functools.cached_property
-    def elements(self) -> tuple[StarElement, ...]:
-        """All elements, decoded, in index order."""
-        return tuple(self.element(x) for x in range(self.order))
-
-    @property
-    def identity(self) -> StarElement:
-        return self.element(0)
-
     # -- the star ------------------------------------------------------------
 
     @property
@@ -268,9 +181,6 @@ class AmalgamStar:
                 gens.append(self._tail_index[s] * weight)
         return tuple(gens)
 
-    def generators(self) -> tuple[StarElement, ...]:
-        return tuple(self.element(x) for x in self.generator_indices)
-
     def _twist_index(self, kind: str, x: int) -> int:
         h, tail = self.digits(x)
         if kind == FULL_REVERSAL:
@@ -298,10 +208,10 @@ class AmalgamStar:
             raise ValidationError("coset count", f"edge {i}")
         if self.order // len(members) != orbit_len:
             raise ValidationError("index identity |A:C_i| = |L:L_i|", f"edge {i}")
-        twist = EdgeTwist(i, self.n)
+        twist = {1: FULL_REVERSAL, 2: TAIL_REVERSAL}.get(i, IDENTITY_TWIST)
         twist_images = [-1] * self.order
         for c in members:
-            twist_images[c] = self._twist_index(twist.kind, c)
+            twist_images[c] = self._twist_index(twist, c)
         return EdgeData(
             index=i,
             orbit_rep=rep,
@@ -335,55 +245,9 @@ def build_star(analysis: classify.LocalGroupAnalysis, n: int,
     return AmalgamStar(analysis, n)
 
 
-def _index_in_a(star: AmalgamStar, elem) -> int:
-    x = star.index_of(elem) if isinstance(elem, StarElement) else None
-    if x is None:
-        raise InputError("element does not belong to A")
-    return x
-
-
-def phi(star: AmalgamStar, i: int, elem: StarElement) -> StarElement:
-    """Apply the edge twist phi_i; the element must lie in C_i."""
-    x = _index_in_a(star, elem)
-    if not star.in_edge_subgroup(i, x):
-        raise InputError(f"element is not in the edge subgroup C_{i}")
-    return star.element(star.edge(i).twist_images[x])
-
-
-def star_multiply(star: AmalgamStar, side, u, v):
-    """Multiply in the named group: side 'A', or 'B1'/'B2'/... for an edge
-    extension."""
-    if side == "A":
-        if not (isinstance(u, StarElement) and isinstance(v, StarElement)):
-            raise InputError("A-side multiplication needs StarElements")
-        return star.element(star.mul(_index_in_a(star, u), _index_in_a(star, v)))
-    if isinstance(side, str) and side.startswith("B"):
-        i = int(side[1:])
-    else:
-        raise InputError(f"unknown side {side!r}; expected 'A' or 'B<i>'")
-    if not (isinstance(u, EdgeElement) and isinstance(v, EdgeElement)):
-        raise InputError("B-side multiplication needs EdgeElements")
-    if u.edge != i or v.edge != i:
-        raise InputError("edge index mismatch")
-    bases = []
-    for w in (u, v):
-        x = star.index_of(w.base)
-        if x is None or not star.in_edge_subgroup(i, x):
-            raise InputError(f"base element is not in C_{i}")
-        if w.flip not in (0, 1):
-            raise InputError("flip bit must be 0 or 1")
-        bases.append(x)
-    right = star.edge(i).twist_images[bases[1]] if u.flip else bases[1]
-    return EdgeElement(i, star.element(star.mul(bases[0], right)),
-                       u.flip ^ v.flip)
-
-
 @dataclass(frozen=True)
 class StarValidation:
-    checks: tuple[str, ...]
     core_size: int
-    edge_subgroup_orders: tuple[int, ...]
-    coset_indices: tuple[int, ...]
 
 
 def validate_star(star: AmalgamStar) -> StarValidation:
@@ -400,7 +264,6 @@ def validate_star(star: AmalgamStar) -> StarValidation:
           the completed group to be trivial).
     All checks run on element indices.
     """
-    checks = []
     for edge in star.edges:
         members = edge.subgroup_indices
         tw = edge.twist_images
@@ -408,7 +271,6 @@ def validate_star(star: AmalgamStar) -> StarValidation:
             image = tw[c]
             if image < 0 or tw[image] != c:
                 raise ValidationError("twist involution", f"edge {edge.index}")
-        checks.append(f"phi_{edge.index}^2 = identity on C_{edge.index}")
         twisted = [tw[c] for c in members]
         for d in members:
             times_d = star.right_row(d)              # c -> c * d
@@ -417,13 +279,11 @@ def validate_star(star: AmalgamStar) -> StarValidation:
                     != list(map(times_phi_d.__getitem__, twisted))):
                 raise ValidationError("twist multiplicative",
                                       f"edge {edge.index}")
-        checks.append(f"phi_{edge.index} multiplicative")
         expected_index = len(star.local_group.orbit(edge.orbit_rep))
         if star.order // edge.subgroup_order != expected_index:
             raise ValidationError("index identity", f"edge {edge.index}")
         if edge.coset_index != expected_index:
             raise ValidationError("coset index", f"edge {edge.index}")
-        checks.append(f"|A:C_{edge.index}| = {expected_index}, |B:C| = 2")
 
     # (d) brute-force core of the intersection of the edge subgroups
     in_inter = [all(star.in_edge_subgroup(i, x) for i in range(1, star.k + 1))
@@ -441,7 +301,6 @@ def validate_star(star: AmalgamStar) -> StarValidation:
     expected_size = star.anchor_stabiliser_order ** star.n
     if len(core) != expected_size:
         raise ValidationError("core size", f"{len(core)} != {expected_size}")
-    checks.append(f"core of intersection = 1 x S^n of size {expected_size}")
 
     # (e) transitivity of the two reversals on coordinate positions
     m = star.n + 1
@@ -450,11 +309,8 @@ def validate_star(star: AmalgamStar) -> StarValidation:
     pos_group = PermutationGroup(m, (full, tail_only))
     if len(pos_group.orbit(1)) != m:
         raise ValidationError("reversals transitive on coordinate positions")
-    checks.append("reversals act transitively on the n+1 coordinate positions")
 
-    return StarValidation(tuple(checks), len(core),
-                          tuple(e.subgroup_order for e in star.edges),
-                          tuple(e.coset_index for e in star.edges))
+    return StarValidation(len(core))
 
 
 @dataclass(frozen=True)
@@ -479,9 +335,7 @@ class LocalModel:
 
 def local_model(star: AmalgamStar) -> LocalModel:
     """Build and certify the radius-1 model of the base vertex."""
-    slots = [(edge.index, rep_idx) for edge in star.edges
-             for rep_idx in edge.right_transversal]
-    labels = [star.right_coset_point(i, rep_idx) for i, rep_idx in slots]
+    labels = [p for edge in star.edges for p in edge.right_coset_points]
     degree = star.local_group.degree
     if sorted(labels) != list(range(1, degree + 1)):
         raise TheoryViolationError(
@@ -489,24 +343,10 @@ def local_model(star: AmalgamStar) -> LocalModel:
             "this indicates a bug, not an input condition")
 
     kernel = list(range(star.order))
-    for (i, rep_idx), label in zip(slots, labels):
+    for (i, rep_idx), label in zip(star.slots, labels):
         rep_times = star.left_row(rep_idx)       # a -> rep * a
         kernel = [a for a in kernel
                   if star.right_coset_point(i, rep_times[a]) == label]
     if kernel != list(range(star.tail_size)):   # head index 0 is the identity
         raise TheoryViolationError("slot-action kernel differs from 1 x S^n")
-    return LocalModel(tuple(slots), tuple(labels), len(kernel))
-
-
-def slot_action(star: AmalgamStar, model: LocalModel,
-                elem: StarElement) -> Permutation:
-    """The permutation of the model's slots induced by right multiplication."""
-    x = _index_in_a(star, elem)
-    point_to_slot = {}
-    for j, (i, rep_idx) in enumerate(model.slots):
-        point_to_slot[(i, model.labels[j])] = j
-    images = [0] * model.size
-    for j, (i, rep_idx) in enumerate(model.slots):
-        moved = star.right_coset_point(i, star.mul(rep_idx, x))
-        images[j] = point_to_slot[(i, moved)] + 1
-    return Permutation(images)
+    return LocalModel(star.slots, tuple(labels), len(kernel))

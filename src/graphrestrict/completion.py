@@ -37,12 +37,14 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .amalgam import DEFAULT_CARRIER_CAP, AmalgamStar, StarElement
+from .amalgam import DEFAULT_CARRIER_CAP, IDENTITY_TWIST, AmalgamStar
 from .errors import (CapacityError, CompletionSearchError, InputError,
                      TheoryViolationError, ValidationError)
 from .perm import Permutation, StabiliserChain
 
 _FULL_RHO_TABLE_LIMIT = 2000  # precompute rho images for |A| up to this size
+_PER_EDGE_CANDIDATES = 24     # plans offered per edge and search pass
+_RANDOM_ROUNDS = 16           # seeded-transversal rounds per edge
 
 
 class Carrier:
@@ -73,7 +75,7 @@ class Carrier:
         for g, image in zip(self.generator_indices, self.rho_generators):
             if g != 0 and image.fixed_points():
                 raise ValidationError("regular action fixed-point-free",
-                                      repr(star.element(g)))
+                                      f"generator index {g}")
         reached = rho_closure(self, self.generator_indices)
         if reached != star.order:
             raise ValidationError("rho(A) order", f"{reached} != {star.order}")
@@ -99,13 +101,6 @@ class Carrier:
         if images is None:
             images = self._rho_images(element_index)
         return Permutation._raw(images)
-
-    def rho(self, element: StarElement) -> Permutation:
-        """rho of a decoded element of A."""
-        ia = self.star.index_of(element)
-        if ia is None:
-            raise InputError("element does not belong to A")
-        return self.rho_index(ia)
 
     def membership_index(self, perm: Permutation) -> int | None:
         """Element index x with perm == rho(x), or None."""
@@ -250,9 +245,7 @@ class SearchConfig:
     seed: int = 0
     carrier_cap: int = DEFAULT_CARRIER_CAP
     max_copies: int = 4
-    per_edge_candidates: int = 24
     combo_attempts: int = 256
-    random_rounds: int = 16
 
 
 def regular_carrier(star: AmalgamStar, t: int,
@@ -317,7 +310,9 @@ def _edge_v1(star: AmalgamStar, i: int, conjugates) -> bool:
 
 
 def _edge_v2(carrier: Carrier, beta: Permutation) -> bool:
-    return (beta * beta).is_identity() and not carrier.in_rho(beta)
+    """beta_i lies outside rho(A); that it is an involution is checked when
+    it is built (build_involution) or verified ("beta involution")."""
+    return not carrier.in_rho(beta)
 
 
 def _core_indices(star: AmalgamStar, beta_maps) -> set[int]:
@@ -346,16 +341,11 @@ def _v4(candidate: CompletionCandidate) -> bool:
     outside rho(A)."""
     carrier = candidate.carrier
     star = carrier.star
-    slots = []
-    for i, beta in enumerate(candidate.betas, start=1):
-        for a_idx in star.edge(i).right_transversal:
-            slots.append((i, a_idx, beta))
-    for s in range(len(slots)):
-        i, a_idx, beta_i = slots[s]
-        for u in range(s + 1, len(slots)):
-            j, b_idx, beta_j = slots[u]
+    betas = candidate.betas
+    for s, (i, a_idx) in enumerate(star.slots):
+        for j, b_idx in star.slots[s + 1:]:
             a_b_inv = star.mul(a_idx, star.inverse[b_idx])
-            w = beta_i * carrier.rho_index(a_b_inv) * beta_j
+            w = betas[i - 1] * carrier.rho_index(a_b_inv) * betas[j - 1]
             if carrier.in_rho(w):
                 return False
     return True
@@ -472,7 +462,7 @@ def _edge_plans(star: AmalgamStar, i: int, t: int, cfg: SearchConfig,
         if partner is not None and all(partner != p for _, p in partners):
             partners.append((scheme, partner))
 
-    push("default", _default_partner(orbits, m, edge.twist.is_identity))
+    push("default", _default_partner(orbits, m, edge.twist == IDENTITY_TWIST))
     if t >= 2:
         push("cross-copy", _cross_copy_partner(orbits, m))
     if orbits <= 6:
@@ -481,7 +471,7 @@ def _edge_plans(star: AmalgamStar, i: int, t: int, cfg: SearchConfig,
 
     if not randomized:
         plans = [EdgePlan(scheme, partner, minimal) for scheme, partner in partners]
-        return plans[:cfg.per_edge_candidates]
+        return plans[:_PER_EDGE_CANDIDATES]
 
     plans = []
     rng = random.Random(cfg.seed * 1_000_003 + t * 1009 + i)
@@ -489,7 +479,7 @@ def _edge_plans(star: AmalgamStar, i: int, t: int, cfg: SearchConfig,
     point_to_coset = {p: c for c, p in enumerate(edge.left_coset_points)}
     for idx in range(star.order):
         coset_members[point_to_coset[star.left_coset_point(i, idx)]].append(idx)
-    for round_no in range(1, cfg.random_rounds + 1):
+    for round_no in range(1, _RANDOM_ROUNDS + 1):
         if not partners:
             break
         reps = tuple(rng.choice(coset_members[o % m]) for o in range(orbits))
@@ -503,7 +493,7 @@ def _edge_plans(star: AmalgamStar, i: int, t: int, cfg: SearchConfig,
                 partner[a], partner[b] = b, a
             plans.append(EdgePlan(f"random-pairing-{round_no}", tuple(partner),
                                   minimal))
-    return plans[:cfg.per_edge_candidates]
+    return plans[:_PER_EDGE_CANDIDATES]
 
 
 def find_completion(star: AmalgamStar,
@@ -524,7 +514,8 @@ def find_completion(star: AmalgamStar,
     attempts: list[AttemptRecord] = []
     t_start = 1
     for edge in star.edges:
-        if edge.twist.is_identity and (edge.coset_index % 2 or edge.coset_index == 1):
+        if edge.twist == IDENTITY_TWIST and (edge.coset_index % 2
+                                             or edge.coset_index == 1):
             t_start = 2
             break
 

@@ -106,8 +106,7 @@ class CosetTable:
 
 
 def enumerate_cosets(candidate: CompletionCandidate, cap: int = DEFAULT_VERTEX_CAP,
-                     report: CompletionReport | None = None,
-                     key_check_seed: int = 0) -> CosetTable | None:
+                     report: CompletionReport | None = None) -> CosetTable | None:
     """Enumerate the cosets of rho(A) in G, or None when they exceed ``cap``.
 
     Each coset is keyed by the image array of its canonical representative
@@ -140,7 +139,7 @@ def enumerate_cosets(candidate: CompletionCandidate, cap: int = DEFAULT_VERTEX_C
             transitions[gi].append(ti)
         v += 1
 
-    rng = random.Random(key_check_seed)
+    rng = random.Random(0)
     n = len(reps)
     for _ in range(min(_KEY_CHECK_PAIRS, 4 * n)):
         x = reps[rng.randrange(n)]
@@ -212,19 +211,10 @@ class BaseLocalCertificate:
     witness: LocalActionWitness | None = None
 
 
-def _neighbour_slots(candidate: CompletionCandidate) -> list[tuple[int, int]]:
-    star = candidate.carrier.star
-    slots = []
-    for i in range(1, star.k + 1):
-        for a_idx in star.edge(i).right_transversal:
-            slots.append((i, a_idx))
-    return slots
-
-
 def _slot_elements(candidate: CompletionCandidate) -> list[Permutation]:
     carrier = candidate.carrier
     return [candidate.betas[i - 1] * carrier.rho_index(a_idx)
-            for i, a_idx in _neighbour_slots(candidate)]
+            for i, a_idx in carrier.star.slots]
 
 
 def build_graph(candidate: CompletionCandidate, report: CompletionReport,
@@ -240,7 +230,6 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     carrier = candidate.carrier
     star = carrier.star
     valency = star.local_group.degree
-    slots = _neighbour_slots(candidate)
     slot_elems = _slot_elements(candidate)
     keys = tuple(carrier.canonical_coset_rep(e).images for e in slot_elems)
     table = enumerate_cosets(candidate, cap, report)
@@ -252,7 +241,7 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
                 "excluded this)")
         return BaseLocalCertificate(
             stabiliser_order=star.order, valency=valency, vertex_count=None,
-            neighbour_slots=tuple(slots), neighbour_keys=keys,
+            neighbour_slots=star.slots, neighbour_keys=keys,
             candidate=candidate, report=report)
 
     # G acts on the right and the slot elements multiply on the left, so
@@ -286,7 +275,7 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     return FiniteLocallyLPair(
         graph=graph, action_generators=action, base_vertex=0,
         stabiliser_order=star.order, valency=valency, vertex_count=n,
-        neighbour_slots=tuple(slots), base_neighbours=tuple(base_neighbours),
+        neighbour_slots=star.slots, base_neighbours=tuple(base_neighbours),
         candidate=candidate, report=report)
 
 
@@ -305,11 +294,10 @@ def local_action(pair, local_group: PermutationGroup) -> LocalActionWitness:
     star = carrier.star
     if star.local_group.degree != local_group.degree:
         raise InputError("local group degree mismatch")
-    slots = _neighbour_slots(candidate)
     slot_elems = _slot_elements(candidate)
     keys = [carrier.canonical_coset_rep(e).images for e in slot_elems]
     key_to_slot = {k: j for j, k in enumerate(keys)}
-    if len(key_to_slot) != len(slots):
+    if len(key_to_slot) != len(star.slots):
         raise TheoryViolationError("neighbour slots are not distinct cosets")
 
     def induced(element_index: int) -> Permutation:
@@ -327,15 +315,11 @@ def local_action(pair, local_group: PermutationGroup) -> LocalActionWitness:
 
     gens = [induced(g) for g in carrier.generator_indices]
 
-    model = amalgam.local_model(star)
-    labels = model.labels
-    if tuple(slots) != model.slots:
-        raise TheoryViolationError("slot order differs from the radius-1 model")
-
+    labels = amalgam.local_model(star).labels
     label_perm = Permutation(labels)  # slot j+1 -> domain point labels[j]
     transported = [label_perm.inverse() * g * label_perm for g in gens]
     ok = all(local_group.contains(t) for t in transported)
-    induced_group = PermutationGroup(len(slots), tuple(gens))
+    induced_group = PermutationGroup(len(star.slots), tuple(gens))
     ok = ok and induced_group.order() == local_group.order()
 
     kernel = sum(1 for ia in range(star.order)
@@ -404,9 +388,9 @@ def verify_locally_L(graph: FiniteGraph, generators,
     orbit_size = len(chain.levels[0].transversal) if chain.levels else 1
     transitive = orbit_size == n
     stab_gens = tuple(chain.stabiliser_generators())
-    stab_order = 1
-    for lev in chain.levels[1:]:
-        stab_order *= len(lev.transversal)
+    stab_order = math.prod(len(lev.transversal) for lev in chain.levels[1:])
+    # release the transversals before group.order() builds its own chain
+    del chain
 
     neighbours = graph.adjacency[0]
     valency = len(neighbours)

@@ -131,6 +131,54 @@ def carrier_neighbourhoods(candidate, table):
             for v in range(table.size)]
 
 
+# --- decoded star algebra ---------------------------------------------------
+# The star's product group A = L x S^n on Permutations, the oracle for the
+# index encoding in amalgam.  It decodes indices itself from the formula
+# index = h * s^n + (t_1 ... t_n in base s), with L and S listed in
+# sorted-element order, and shares no code with amalgam.
+
+
+class DecodedStar:
+    """Elements of A as (head, tail) pairs: a head in L and a tuple of n tail
+    entries in S, multiplied coordinate-wise."""
+
+    def __init__(self, star):
+        heads = star.local_group.elements()
+        tails = star.analysis.anchor_stabiliser.elements()
+        n, s = star.n, len(tails)
+        self.elements = tuple(
+            (heads[x // s ** n],
+             tuple(tails[x // s ** (n - 1 - j) % s] for j in range(n)))
+            for x in range(len(heads) * s ** n))
+        self.index = {e: x for x, e in enumerate(self.elements)}
+
+    @staticmethod
+    def mul(a, b):
+        return a[0] * b[0], tuple(p * q for p, q in zip(a[1], b[1]))
+
+    @staticmethod
+    def inverse(a):
+        return a[0].inverse(), tuple(t.inverse() for t in a[1])
+
+    @staticmethod
+    def twist(i, a):
+        """phi_i as a reversal of coordinates: edge 1 reverses all n+1
+        coordinates (head, t_1..t_n), edge 2 the tail alone, and every later
+        edge fixes the element."""
+        if i == 1:
+            coords = ((a[0],) + a[1])[::-1]
+            return coords[0], coords[1:]
+        if i == 2:
+            return a[0], a[1][::-1]
+        return a
+
+    def edge_mul(self, i, u, v):
+        """The product in B_i of (c, e) and (c', e'), base c in C_i and flip
+        bit e: (c * phi_i^e(c'), e xor e')."""
+        (c, e), (d, f) = u, v
+        return self.mul(c, self.twist(i, d) if e else d), e ^ f
+
+
 # --- reference Schreier-Sims kernel ----------------------------------------
 # The permutation primitives the stabiliser chain used to run on: products
 # point by point, identity tests by enumeration, and every inverse

@@ -20,8 +20,8 @@ from graphrestrict.classify import (NOT_RESTRICTIVE, OUT_OF_SCOPE_TRANSITIVE,
 from graphrestrict.cosetgraph import construct_pair, growth_report, verify_locally_L, FiniteGraph
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
-from conftest import (as_tuple, brute_core, brute_elements, group, tuple_inv,
-                      tuple_mul)
+from conftest import (DecodedStar, as_tuple, brute_core, brute_elements, group,
+                      tuple_inv, tuple_mul)
 
 L0_TEXT = "degree 3\n(1 2)\n"
 L1_TEXT = "degree 5\n(1 2 3)(4 5)\n"
@@ -93,10 +93,11 @@ def test_criterion_4_completion_invariants(l0, l1):
         # permutation-isomorphism witness onto the local group
         assert result.witness.transported_equal
         star = result.star
+        decoded = DecodedStar(star).elements
         for (edge, rep_idx), label in zip(result.pair.neighbour_slots,
                                           result.witness.labels):
-            rep = star.elements[rep_idx]
-            assert label == rep.head.apply(star.edge(edge).orbit_rep)
+            head, _ = decoded[rep_idx]
+            assert label == head.apply(star.edge(edge).orbit_rep)
         conj = result.witness.conjugation
         induced = PermutationGroup(local.degree,
                                    result.witness.induced_generators)

@@ -3,16 +3,15 @@ import itertools
 
 import pytest
 
-from graphrestrict import amalgam
-from graphrestrict.amalgam import (EdgeElement, StarElement, build_star,
-                                   local_model, phi, slot_action,
-                                   star_multiply, validate_star)
+from graphrestrict.amalgam import (FULL_REVERSAL, IDENTITY_TWIST,
+                                   TAIL_REVERSAL, build_star, local_model,
+                                   validate_star)
 from graphrestrict.classify import analyze_local_group
 from graphrestrict.errors import (CapacityError, InputError,
                                   TheoryViolationError, ValidationError)
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
-from conftest import group
+from conftest import DecodedStar, group
 
 
 @pytest.fixture
@@ -32,6 +31,24 @@ def s(star):
 
 def ident(star):
     return star.local_group.identity()
+
+
+def edge_mul(star, i, u, v):
+    """The product in B_i of (element index, flip bit) pairs, read from the
+    star's twist map: (c, e)(c', e') = (c * phi_i^e(c'), e xor e')."""
+    (c, e), (d, f) = u, v
+    return star.mul(c, star.edge(i).twist_images[d] if e else d), e ^ f
+
+
+def slot_action(dec, star, model, x):
+    """Slot j -> the slot of its right coset times element index x, keyed
+    by the coset's head image of r_i, read through the decoded algebra."""
+    slot_of = {(i, label): j
+               for j, ((i, _), label) in enumerate(zip(model.slots,
+                                                        model.labels))}
+    return [slot_of[(i, dec.elements[star.mul(rep, x)][0].apply(
+                star.edge(i).orbit_rep))]
+            for i, rep in model.slots]
 
 
 class TestBuildStar:
@@ -63,7 +80,9 @@ class TestBuildStar:
             build_star(analyze_local_group(l0), 2, carrier_cap=4)
 
     def test_enumeration_starts_at_identity(self, star0):
-        assert star0.elements[0].is_identity()
+        head, tail = DecodedStar(star0).elements[0]
+        assert head.is_identity() and all(t.is_identity() for t in tail)
+        assert star0.digits(0) == (0, [0, 0])
 
     def test_enumeration_off_identity_is_a_theory_violation(self, l0,
                                                             monkeypatch):
@@ -77,14 +96,15 @@ class TestBuildStar:
             build_star(analysis, 2)
 
     def test_generators_generate(self, star0):
-        seen = {star0.identity}
-        frontier = [star0.identity]
-        gens = star0.generators()
+        dec = DecodedStar(star0)
+        gens = [dec.elements[x] for x in star0.generator_indices]
+        seen = {dec.elements[0]}
+        frontier = [dec.elements[0]]
         while frontier:
             nxt = []
             for x in frontier:
                 for g in gens:
-                    y = x * g
+                    y = dec.mul(x, g)
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
@@ -93,79 +113,83 @@ class TestBuildStar:
 
 
 class TestPhi:
+    """The twist phi_i as the index map ``EdgeData.twist_images``."""
+
     def test_full_reversal(self, star0):
-        elem = StarElement(s(star0), (ident(star0), ident(star0)))
-        out = phi(star0, 1, elem)
-        assert out == StarElement(ident(star0), (ident(star0), s(star0)))
+        dec = DecodedStar(star0)
+        e, t = ident(star0), s(star0)
+        edge = star0.edge(1)
+        assert edge.twist == FULL_REVERSAL
+        assert edge.twist_images[dec.index[(t, (e, e))]] == \
+            dec.index[(e, (e, t))]
 
     def test_tail_reversal(self, star0):
-        elem = StarElement(ident(star0), (s(star0), ident(star0)))
-        out = phi(star0, 2, elem)
-        assert out == StarElement(ident(star0), (ident(star0), s(star0)))
+        dec = DecodedStar(star0)
+        e, t = ident(star0), s(star0)
+        edge = star0.edge(2)
+        assert edge.twist == TAIL_REVERSAL
+        assert edge.twist_images[dec.index[(e, (t, e))]] == \
+            dec.index[(e, (e, t))]
 
     def test_identity_fixed(self, star0):
-        assert phi(star0, 1, star0.identity) == star0.identity
+        assert all(edge.twist_images[0] == 0 for edge in star0.edges)
 
     def test_membership_enforced(self, star1):
-        outside = StarElement(parse_permutation("(1 2 3)(4 5)", 5),
-                              (ident(star1),) * 2)
-        with pytest.raises(InputError):
-            phi(star1, 1, outside)  # head moves the anchor point 4
+        dec = DecodedStar(star1)
+        outside = (parse_permutation("(1 2 3)(4 5)", 5), (ident(star1),) * 2)
+        # the head moves the anchor point 4, so phi_1 is undefined there
+        assert star1.edge(1).twist_images[dec.index[outside]] == -1
 
     def test_identity_twist_on_extra_edges(self):
         g = group(4, "(1 2)")
         star = build_star(analyze_local_group(g), 2)
         assert star.k == 3
         edge3 = star.edge(3)
-        assert edge3.twist.is_identity
+        assert edge3.twist == IDENTITY_TWIST
         for idx in edge3.subgroup_indices:
-            assert phi(star, 3, star.elements[idx]) == star.elements[idx]
+            assert edge3.twist_images[idx] == idx
 
 
 class TestStarMultiply:
+    """Products in A and in the edge groups B_i, on element indices."""
+
     def test_a_side_identity(self, star0):
-        u = star0.elements[5]
-        assert star_multiply(star0, "A", u, star0.identity) == u
+        assert star0.mul(5, 0) == 5 == star0.mul(0, 5)
 
     def test_b1_example(self, star0):
+        dec = DecodedStar(star0)
         e, t = ident(star0), s(star0)
-        u = EdgeElement(1, StarElement(t, (e, t)), 1)
-        v = EdgeElement(1, StarElement(t, (e, e)), 0)
-        out = star_multiply(star0, "B1", u, v)
-        assert out.base == StarElement(t, (e, e))
-        assert out.flip == 1
+        u = (dec.index[(t, (e, t))], 1)
+        v = (dec.index[(t, (e, e))], 0)
+        assert edge_mul(star0, 1, u, v) == (dec.index[(t, (e, e))], 1)
 
     def test_flip_squares_to_identity(self, star0):
         for i in (1, 2):
-            b = EdgeElement(i, star0.identity, 1)
-            sq = star_multiply(star0, f"B{i}", b, b)
-            assert sq.base.is_identity() and sq.flip == 0
+            assert edge_mul(star0, i, (0, 1), (0, 1)) == (0, 0)
 
     def test_identity_twist_direct_product(self):
         g = group(4, "(1 2)")
         star = build_star(analyze_local_group(g), 2)
-        c = star.elements[star.edge(3).subgroup_indices[1]]
-        d = star.elements[star.edge(3).subgroup_indices[2]]
-        out = star_multiply(star, "B3",
-                            EdgeElement(3, c, 1), EdgeElement(3, d, 1))
-        assert out.base == c * d and out.flip == 0
+        dec = DecodedStar(star)
+        c, d = star.edge(3).subgroup_indices[1:3]
+        cd = star.mul(c, d)
+        assert edge_mul(star, 3, (c, 1), (d, 1)) == (cd, 0)
+        assert dec.elements[cd] == dec.mul(dec.elements[c], dec.elements[d])
 
     def test_conjugation_realises_twist(self, star0):
+        dec = DecodedStar(star0)
         for i in (1, 2):
-            flip = EdgeElement(i, star0.identity, 1)
-            for idx in star0.edge(i).subgroup_indices:
-                c = EdgeElement(i, star0.elements[idx], 0)
-                out = star_multiply(star0, f"B{i}",
-                                    star_multiply(star0, f"B{i}", flip, c), flip)
-                assert out.flip == 0
-                assert out.base == phi(star0, i, star0.elements[idx])
+            flip = (0, 1)
+            for c in star0.edge(i).subgroup_indices:
+                out = edge_mul(star0, i, edge_mul(star0, i, flip, (c, 0)), flip)
+                assert out == (dec.index[dec.twist(i, dec.elements[c])], 0)
 
     def test_membership_errors(self, star0):
-        with pytest.raises(InputError):
-            star_multiply(star0, "B2",
-                          EdgeElement(2, StarElement(s(star0),
-                                      (ident(star0), ident(star0))), 0),
-                          EdgeElement(2, star0.identity, 0))
+        # (1 2) in the head moves r_2 = 1: no twist image, so no element of
+        # B_2 has this base
+        dec = DecodedStar(star0)
+        base = dec.index[(s(star0), (ident(star0), ident(star0)))]
+        assert star0.edge(2).twist_images[base] == -1
 
 
 class TestValidateStar:
@@ -176,10 +200,12 @@ class TestValidateStar:
         assert validate_star(star1).core_size == 9
 
     def test_twist_involution_checked_everywhere(self, star0):
-        tw = star0.edge(1).twist
+        dec = DecodedStar(star0)
+        tw = star0.edge(1).twist_images
         for idx in star0.edge(1).subgroup_indices:
-            c = star0.elements[idx]
-            assert tw.apply(tw.apply(c)) == c
+            c = dec.elements[idx]
+            assert dec.twist(1, dec.twist(1, c)) == c
+            assert tw[tw[idx]] == idx
 
     def test_reversals_generate_transitive_position_group(self, star0):
         m = star0.n + 1
@@ -213,18 +239,20 @@ class TestLocalModel:
 
     def test_head_acts_as_local_group(self, star0):
         model = local_model(star0)
-        elem = StarElement(s(star0), (ident(star0), ident(star0)))
-        act = slot_action(star0, model, elem)
+        dec = DecodedStar(star0)
+        x = dec.index[(s(star0), (ident(star0), ident(star0)))]
+        act = slot_action(dec, star0, model, x)
         # transported through the labels, the action must be the head itself
-        for j, label in enumerate(model.labels, start=1):
-            assert model.labels[act.apply(j) - 1] == s(star0).apply(label)
+        for j, label in enumerate(model.labels):
+            assert model.labels[act[j]] == s(star0).apply(label)
 
     def test_whole_group_factors_through_head(self, star1):
         model = local_model(star1)
-        for elem in star1.elements:
-            act = slot_action(star1, model, elem)
-            for j, label in enumerate(model.labels, start=1):
-                assert model.labels[act.apply(j) - 1] == elem.head.apply(label)
+        dec = DecodedStar(star1)
+        for x, (head, _) in enumerate(dec.elements):
+            act = slot_action(dec, star1, model, x)
+            for j, label in enumerate(model.labels):
+                assert model.labels[act[j]] == head.apply(label)
 
 
 # L0 at n=2..4, L1 at n=2, and a k=3 star with an identity twist on edge 3
@@ -240,60 +268,85 @@ def oracle_star(request):
 
 
 class TestIndexEncoding:
-    """The index encoding against the decoded StarElement algebra."""
+    """The index encoding against the decoded algebra of tests/conftest.py."""
 
     def test_enumeration_order(self, oracle_star):
         star = oracle_star
         heads = star.local_group.elements()
         tails = star.analysis.anchor_stabiliser.elements()
-        expected = tuple(StarElement(h, t) for h in heads
+        expected = tuple((h, t) for h in heads
                          for t in itertools.product(tails, repeat=star.n))
-        assert star.elements == expected
-        assert all(star.index_of(e) == x for x, e in enumerate(expected))
+        assert DecodedStar(star).elements == expected
+        assert star.order == len(expected)
+        for x, (h, t) in enumerate(expected):
+            digits = (heads.index(h), [tails.index(u) for u in t])
+            assert star.digits(x) == digits
+            assert star.encode(*digits) == x
 
     def test_products_every_pair(self, oracle_star):
         star = oracle_star
-        elems = star.elements
+        dec = DecodedStar(star)
+        elems = dec.elements
         for y in range(star.order):
             right = star.right_row(y)
             left = star.left_row(y)
             for x in range(star.order):
-                assert elems[right[x]] == elems[x] * elems[y]
-                assert elems[left[x]] == elems[y] * elems[x]
+                assert elems[right[x]] == dec.mul(elems[x], elems[y])
+                assert elems[left[x]] == dec.mul(elems[y], elems[x])
                 assert star.mul(x, y) == right[x]
 
     def test_inverses(self, oracle_star):
         star = oracle_star
-        for x, e in enumerate(star.elements):
-            assert star.elements[star.inverse[x]] == e.inverse()
+        dec = DecodedStar(star)
+        for x, e in enumerate(dec.elements):
+            assert dec.elements[star.inverse[x]] == dec.inverse(e)
 
     def test_twist_maps(self, oracle_star):
         star = oracle_star
+        dec = DecodedStar(star)
         for edge in star.edges:
-            members = set(edge.subgroup_indices)
-            for x, e in enumerate(star.elements):
+            r = edge.orbit_rep
+            members = [x for x, (h, _) in enumerate(dec.elements)
+                       if h.apply(r) == r]
+            assert list(edge.subgroup_indices) == members
+            for x, e in enumerate(dec.elements):
                 if x in members:
                     assert edge.twist_images[x] == \
-                        star.index_of(edge.twist.apply(e))
+                        dec.index[dec.twist(edge.index, e)]
                 else:
                     assert edge.twist_images[x] == -1
 
-    def test_generators(self, oracle_star):
+    def test_edge_products(self, oracle_star):
+        # every product in every B_i, read from the twist map, against the
+        # decoded product (c, e)(c', e') = (c * phi_i^e(c'), e xor e')
         star = oracle_star
-        assert all(star.elements[x] == g for x, g in
-                   zip(star.generator_indices, star.generators()))
+        dec = DecodedStar(star)
+        for edge in star.edges:
+            pairs = [(c, e) for c in edge.subgroup_indices for e in (0, 1)]
+            for u in pairs:
+                for v in pairs:
+                    x, f = edge_mul(star, edge.index, u, v)
+                    assert (dec.elements[x], f) == dec.edge_mul(
+                        edge.index, (dec.elements[u[0]], u[1]),
+                        (dec.elements[v[0]], v[1]))
 
-    def test_non_member_has_no_index(self, star0):
-        outside = StarElement(parse_permutation("(1 2 3)", 3),
-                              (ident(star0), ident(star0)))
-        assert star0.index_of(outside) is None
-        short = StarElement(ident(star0), (ident(star0),))
-        assert star0.index_of(short) is None
+    def test_generators(self, oracle_star):
+        # the local group's generators in the head, then each stabiliser
+        # generator in each tail slot
+        star = oracle_star
+        e = star.local_group.identity()
+        n = star.n
+        expected = [(g, (e,) * n) for g in star.local_group.generators]
+        for slot in range(n):
+            for u in star.analysis.anchor_stabiliser.generators:
+                expected.append((e, (e,) * slot + (u,) + (e,) * (n - 1 - slot)))
+        dec = DecodedStar(star)
+        assert [dec.elements[x] for x in star.generator_indices] == expected
 
     def test_corrupted_twist_fails_multiplicativity(self):
         star = build_star(analyze_local_group(group(4, "(1 2)")), 2)
         edge = star.edge(3)
-        assert edge.twist.is_identity
+        assert edge.twist == IDENTITY_TWIST
         # swapping two non-identity images keeps the map an involution on
         # C_3 but breaks multiplicativity
         x, y = edge.subgroup_indices[1], edge.subgroup_indices[2]

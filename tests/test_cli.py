@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -222,3 +223,36 @@ class TestReportCommand:
         assert main(["report", files["L0"], "--n-from", "2",
                      "--n-to", "2"]) == 2
         assert cli.CAPS_ENV_VAR in capsys.readouterr().err
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenBytes:
+    """Pinned sha256 values of outputs.  Criterion 9 compares two runs of
+    one build; these hashes hold the bytes fixed from one version of the
+    code to the next.  Both accepted plans are deterministic
+    (default+cross-copy for L0, cross-copy+cross-copy for L1), so the
+    values do not depend on the Python version."""
+
+    @pytest.mark.parametrize("name, expected", [
+        ("L0", {"certificate.json": "25cd727ee6380ca6fe82830ab21395414e0df470"
+                                    "e7227b61c8941f261eead657",
+                "graph.g6": "af2845c1ddb7e0f4fad4ae2d043d9eeed1387de082b1436e"
+                            "b5b430c6c11dedf7"}),
+        ("L1", {"certificate.json": "215be79a421d4d0fd0cc4147aff945ef15b89823"
+                                    "7d4ef5ecc0c4af5183bc2e31"}),
+    ])
+    def test_construct_n2(self, files, capsys, name, expected):
+        out_dir = files["dir"] / "out"
+        assert main(["construct", files[name], "--n", "2", "--seed", "0",
+                     "--out", str(out_dir)]) == 0
+        for fname, digest in expected.items():
+            assert sha256((out_dir / fname).read_bytes()) == digest, fname
+
+    def test_report_json(self, files, capsys):
+        assert main(["report", files["L0"], "--n-from", "2", "--n-to", "5",
+                     "--json"]) == 0
+        assert sha256(capsys.readouterr().out.encode()) == \
+            "8e9c84aad51e72f526e1dbc892e77c0748953641b226b28ec3b4b764070e704f"

@@ -1,7 +1,7 @@
 import pytest
 
 from graphrestrict import completion
-from graphrestrict.amalgam import build_star
+from graphrestrict.amalgam import IDENTITY_TWIST, build_star
 from graphrestrict.classify import analyze_local_group
 from graphrestrict.completion import (CompletionCandidate, EdgePlan,
                                       SearchConfig, build_involution,
@@ -11,7 +11,7 @@ from graphrestrict.errors import (CapacityError, CompletionSearchError,
                                   InputError, ValidationError)
 from graphrestrict.perm import Permutation, StabiliserChain
 
-from conftest import carrier_core_of_rho, group
+from conftest import DecodedStar, carrier_core_of_rho, group
 
 
 @pytest.fixture
@@ -77,8 +77,8 @@ class TestCarrier:
     def test_l0_t1(self, star0):
         carrier = regular_carrier(star0, 1)
         assert carrier.degree == 8
-        head_gen = star0.generators()[0]
-        rho = carrier.rho(head_gen)
+        head_gen = star0.generator_indices[0]
+        rho = carrier.rho_index(head_gen)
         cycles = rho.cycles()
         assert len(cycles) == 4 and all(len(c) == 2 for c in cycles)
 
@@ -154,20 +154,20 @@ class TestBuildInvolution:
     def test_fixed_orbit_is_twist(self, star0):
         carrier = regular_carrier(star0, 1)
         beta = build_involution(carrier, 1, identity_plan(star0, 1, 1))
-        twist = star0.edge(1).twist
-        for ia, a in enumerate(star0.elements):
+        dec = DecodedStar(star0)
+        for ia, a in enumerate(dec.elements):
             img = beta.apply(carrier.point(ia, 1))
-            assert img == carrier.point(star0.index_of(twist.apply(a)), 1)
+            assert img == carrier.point(dec.index[dec.twist(1, a)], 1)
 
     def test_conjugation_contract(self, star0):
         carrier = regular_carrier(star0, 1)
+        dec = DecodedStar(star0)
         for i in (1, 2):
             beta = build_involution(carrier, i, identity_plan(star0, i, 1))
-            edge = star0.edge(i)
-            for ci in edge.subgroup_indices:
+            for ci in star0.edge(i).subgroup_indices:
                 lhs = beta * carrier.rho_index(ci) * beta
-                rhs = carrier.rho(edge.twist.apply(star0.elements[ci]))
-                assert lhs == rhs
+                twisted = dec.twist(i, dec.elements[ci])
+                assert lhs == carrier.rho_index(dec.index[twisted])
 
     def test_paired_orbits(self, star0):
         carrier = regular_carrier(star0, 1)
@@ -175,12 +175,12 @@ class TestBuildInvolution:
         plan = EdgePlan("swap", (1, 0), tuple(edge.left_transversal))
         beta = build_involution(carrier, 2, plan)
         assert (beta * beta).is_identity()
-        rep0, rep1 = (star0.elements[x] for x in edge.left_transversal)
-        twist = edge.twist
+        dec = DecodedStar(star0)
+        rep0, rep1 = (dec.elements[x] for x in edge.left_transversal)
         for ci in edge.subgroup_indices:
-            c = star0.elements[ci]
-            src = carrier.point(star0.index_of(rep0 * c), 1)
-            dst = carrier.point(star0.index_of(rep1 * twist.apply(c)), 1)
+            c = dec.elements[ci]
+            src = carrier.point(dec.index[dec.mul(rep0, c)], 1)
+            dst = carrier.point(dec.index[dec.mul(rep1, dec.twist(2, c))], 1)
             assert beta.apply(src) == dst
 
     def test_copy_swap_for_whole_group_edge(self):
@@ -188,7 +188,7 @@ class TestBuildInvolution:
         g = group(4, "(1 2)")
         star = build_star(analyze_local_group(g), 2)
         edge = star.edge(3)
-        assert edge.twist.is_identity and edge.coset_index == 1
+        assert edge.twist == IDENTITY_TWIST and edge.coset_index == 1
         carrier = regular_carrier(star, 2)
         plan = EdgePlan("copy-swap", (1, 0),
                         (edge.left_transversal[0], edge.left_transversal[0]))
@@ -360,7 +360,7 @@ class TestFindCompletion:
         assert err.value.attempts is not None
 
     def test_exhaustion_report_lists_attempts(self, star0):
-        cfg = SearchConfig(max_copies=1, random_rounds=2)
+        cfg = SearchConfig(max_copies=1)
         # one copy cannot work for this star, so the log must show the
         # failing edge conditions
         with pytest.raises(CompletionSearchError) as err:

@@ -1,7 +1,9 @@
 import random
+import weakref
 
 import pytest
 
+from graphrestrict import perm
 from graphrestrict.completion import SearchConfig
 from graphrestrict.cosetgraph import (BaseLocalCertificate, FiniteGraph,
                                       FiniteLocallyLPair, build_graph,
@@ -407,3 +409,27 @@ class TestVerifierChecks:
         rot = parse_permutation("(1 2 3 4 5 6)", 6)
         with pytest.raises(TheoryViolationError, match="orbit-stabiliser"):
             verify_locally_L(hexagon(), (rot,), PermutationGroup(2))
+
+    def test_vertex_chain_released_before_group_order(self, result0,
+                                                      monkeypatch):
+        # the chain based at vertex 0 holds full transversals of degree n;
+        # it must be dead before group.order() builds the second chain of
+        # that degree, so that the two are never alive at once
+        n = result0.pair.vertex_count
+        real_chain = perm.StabiliserChain
+        built = []
+
+        def tracked_chain(degree, *args, **kwargs):
+            if degree == n:
+                assert all(ref() is None for ref in built)
+            chain = real_chain(degree, *args, **kwargs)
+            if degree == n:
+                built.append(weakref.ref(chain))
+            return chain
+
+        monkeypatch.setattr(perm, "StabiliserChain", tracked_chain)
+        cert = verify_locally_L(result0.pair.graph,
+                                result0.pair.action_generators,
+                                group(3, "(1 2)"))
+        assert cert.locally_l
+        assert len(built) == 2 and n > cert.valency
