@@ -49,6 +49,7 @@ class EdgeData:
     orbit_rep: int                   # the point r_i
     twist: str                       # FULL_REVERSAL, TAIL_REVERSAL or IDENTITY_TWIST
     subgroup_indices: tuple[int, ...]          # element indices of C_i
+    subgroup_generators: tuple[int, ...]       # Schreier generators of C_i
     subgroup_order: int
     coset_index: int                           # |A : C_i| = orbit length of r_i
     right_transversal: tuple[int, ...]         # element index per right coset
@@ -208,6 +209,17 @@ class AmalgamStar:
             raise ValidationError("coset count", f"edge {i}")
         if self.order // len(members) != orbit_len:
             raise ValidationError("index identity |A:C_i| = |L:L_i|", f"edge {i}")
+        # Schreier's lemma on the right cosets: C_i is generated by the
+        # u * g * (rep of C_i u g)^-1 over coset representatives u and
+        # generators g of A
+        generators = {}
+        for u in right_seen.values():
+            for g in self.generator_indices:
+                ug = self.mul(u, g)
+                rep_ug = right_seen[heads[ug // ts].apply(rep)]
+                c = self.mul(ug, self.inverse[rep_ug])
+                if c:
+                    generators.setdefault(c)
         twist = {1: FULL_REVERSAL, 2: TAIL_REVERSAL}.get(i, IDENTITY_TWIST)
         twist_images = [-1] * self.order
         for c in members:
@@ -217,6 +229,7 @@ class AmalgamStar:
             orbit_rep=rep,
             twist=twist,
             subgroup_indices=members,
+            subgroup_generators=tuple(generators),
             subgroup_order=len(members),
             coset_index=orbit_len,
             right_transversal=tuple(right_seen.values()),

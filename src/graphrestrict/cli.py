@@ -22,7 +22,9 @@ negative, 2 input error, 3 search exhaustion.
 Caps may be overridden through the single environment variable
 ``GRAPHRESTRICT_CAPS`` (comma-separated ``name=value`` entries with names
 ``vertices``, ``carrier``, ``copies``, ``attempts``, each at least 1);
-command-line flags take precedence.
+command-line flags take precedence.  ``verify`` refuses a graph of more
+than ``vertices`` vertices, or a group file of larger degree, before it
+builds anything from them.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from . import __version__
 from . import amalgam, classify, cosetgraph, perm
 from .completion import SearchConfig
 from .cosetgraph import DEFAULT_VERTEX_CAP, FiniteLocallyLPair
-from .errors import (CompletionSearchError, GraphRestrictError, InputError,
-                     ParseError)
+from .errors import (CapacityError, CompletionSearchError,
+                     GraphRestrictError, InputError, ParseError)
 from .perm import PermutationGroup
 
 CERTIFICATE_SCHEMA = "graphrestrict.certificate/1"
@@ -51,8 +53,10 @@ EXIT_INPUT = 2
 EXIT_EXHAUSTED = 3
 
 
-def parse_group_spec(text: str) -> PermutationGroup:
-    """Parse the group file grammar; errors carry the offending line."""
+def parse_group_spec(text: str, max_degree: int | None = None) -> PermutationGroup:
+    """Parse the group file grammar; errors carry the offending line.  A
+    degree above ``max_degree`` raises CapacityError before any generator
+    is parsed."""
     degree = None
     generators = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -70,6 +74,8 @@ def parse_group_spec(text: str) -> PermutationGroup:
                 raise ParseError(f"bad degree {parts[1]!r}", line=no) from None
             if degree < 1:
                 raise ParseError("degree must be positive", line=no)
+            if max_degree is not None and degree > max_degree:
+                raise CapacityError("vertices", max_degree, degree)
             continue
         try:
             generators.append(perm.parse_permutation(line, degree))
@@ -80,12 +86,12 @@ def parse_group_spec(text: str) -> PermutationGroup:
     return PermutationGroup(degree, tuple(generators))
 
 
-def load_group(path: str) -> PermutationGroup:
+def load_group(path: str, max_degree: int | None = None) -> PermutationGroup:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read group file {path}: {exc}") from None
-    return parse_group_spec(text)
+    return parse_group_spec(text, max_degree)
 
 
 def _caps_from_env() -> dict:
@@ -265,9 +271,12 @@ def cmd_verify(args) -> int:
         data = Path(args.graph).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read graph file {args.graph}: {exc}") from None
-    graph = cosetgraph.parse_graph(data)
-    group = load_group(args.group)
-    local = load_group(args.local_group)
+    # the vertex cap bounds the graph and the degree of both group files, so
+    # that an oversized input is refused before anything is allocated for it
+    vertex_cap = _caps_from_env().get("vertices", DEFAULT_VERTEX_CAP)
+    graph = cosetgraph.parse_graph(data, vertex_cap)
+    group = load_group(args.group, vertex_cap)
+    local = load_group(args.local_group, vertex_cap)
     cert = cosetgraph.verify_locally_L(graph, group.generators, local)
     doc = {
         "schema": "graphrestrict.verify/1",

@@ -19,9 +19,16 @@ reversals act transitively by coordinate position), so a computed V3
 failure under those hypotheses is reported as a theory violation, never as
 a search miss.
 
-The conjugation contract, V1 and V3 read one integer map per involution,
-the index of ``beta_i^-1 rho(x) beta_i`` (or -1 outside rho(A)) for each
-element index x; V2, V4 and the order of G work on the carrier.
+Conjugation by beta_i is checked on few elements only.  The contract is
+checked on the Schreier generators of C_i, since both of its sides are
+homomorphisms on C_i.  The elements x whose conjugate
+``beta_i^-1 rho(x) beta_i`` lies in rho(A) form a subgroup D_i, so V1
+(D_i = C_i) needs the generators of C_i and one element of each other left
+coset of C_i.  When V1 holds, the twist's index map is the conjugation map
+of beta_i, and the V3 core reads it; an edge where V1 fails has its map
+computed element by element.  V2 and V4 are checked on the carrier.  The
+order of G is not computed here: the coset graph gets it from the coset
+count (see ``cosetgraph.build_graph``).
 
 There is no guarantee that a completion exists at small ``t`` for every
 input, so ``find_completion`` runs a deterministic escalation ladder
@@ -40,7 +47,7 @@ from operator import itemgetter
 from .amalgam import DEFAULT_CARRIER_CAP, IDENTITY_TWIST, AmalgamStar
 from .errors import (CapacityError, CompletionSearchError, InputError,
                      TheoryViolationError, ValidationError)
-from .perm import Permutation, StabiliserChain
+from .perm import Permutation
 
 _FULL_RHO_TABLE_LIMIT = 2000  # precompute rho images for |A| up to this size
 _PER_EDGE_CANDIDATES = 24     # plans offered per edge and search pass
@@ -213,11 +220,14 @@ class CompletionCandidate:
 
 @dataclass(frozen=True)
 class CompletionReport:
+    """V1-V4 of a candidate.  ``order_g`` is None until the coset graph
+    of an accepted candidate is built."""
+
     v1: tuple[bool, ...]
     v2: tuple[bool, ...]
     v3: bool
     v4: bool
-    order_g: int
+    order_g: int | None
     order_a: int
     accepted: bool
 
@@ -302,11 +312,25 @@ def _conjugates(carrier: Carrier, beta: Permutation):
         yield -1 if y is None else y
 
 
-def _edge_v1(star: AmalgamStar, i: int, conjugates) -> bool:
-    """rho(A) meets its beta_i-conjugate exactly in rho(C_i): the
-    conjugation map of beta_i is defined exactly on C_i."""
-    members = set(star.edge(i).subgroup_indices)
-    return all((y >= 0) == (x in members) for x, y in enumerate(conjugates))
+def _conjugate_index(carrier: Carrier, beta: Permutation, x: int) -> int | None:
+    """The index of beta * rho(x) * beta, or None outside rho(A); for an
+    involution beta this is the conjugate beta^-1 * rho(x) * beta."""
+    return carrier.membership_index(beta * carrier.rho_index(x) * beta)
+
+
+def _edge_v1(carrier: Carrier, i: int, beta: Permutation) -> bool:
+    """rho(A) meets its beta_i-conjugate exactly in rho(C_i), for an
+    involution beta_i.
+
+    The x with beta_i^-1 rho(x) beta_i in rho(A) form a subgroup D_i of A.
+    It contains C_i when it contains C_i's generators, and then it is a
+    union of left cosets of C_i, so D_i = C_i exactly when no other coset's
+    transversal element lies in it."""
+    edge = carrier.star.edge(i)
+    return (all(_conjugate_index(carrier, beta, c) is not None
+                for c in edge.subgroup_generators)
+            and all(_conjugate_index(carrier, beta, x) is None
+                    for x in edge.left_transversal if x))
 
 
 def _edge_v2(carrier: Carrier, beta: Permutation) -> bool:
@@ -352,26 +376,30 @@ def _v4(candidate: CompletionCandidate) -> bool:
 
 
 def verify_completion(candidate: CompletionCandidate) -> CompletionReport:
-    """Compute V1-V4 and the exact order of the completed group.
+    """Compute V1-V4 of a candidate; ``order_g`` stays None.
 
-    Each beta is first checked to be an involution whose conjugation map
-    realises the edge twist on C_i; V1 and V3 then read those maps.  Also
-    asserts the consequence the construction theory forces: V3 must hold
-    whenever V1 holds on every edge.
+    Each beta is first checked to be an involution that realises the edge
+    twist by conjugation on the generators of C_i.  V1 then tests one
+    element per left coset of C_i, and the V3 core reads each edge's
+    conjugation map: the twist's map where V1 holds, the map computed
+    element by element where it fails.  Also asserts the consequence the
+    construction theory forces: V3 must hold whenever V1 holds on every
+    edge.
     """
     carrier = candidate.carrier
     star = carrier.star
-    beta_maps = []
     for i, beta in enumerate(candidate.betas, start=1):
         if not (beta * beta).is_identity():
             raise ValidationError("beta involution", f"edge {i}")
-        conj = tuple(_conjugates(carrier, beta))
         edge = star.edge(i)
-        if any(conj[c] != edge.twist_images[c] for c in edge.subgroup_indices):
+        if any(_conjugate_index(carrier, beta, c) != edge.twist_images[c]
+               for c in edge.subgroup_generators):
             raise ValidationError("conjugation contract", f"edge {i}")
-        beta_maps.append(conj)
-    v1 = tuple(_edge_v1(star, i, conj) for i, conj in enumerate(beta_maps, start=1))
+    v1 = tuple(_edge_v1(carrier, i, beta)
+               for i, beta in enumerate(candidate.betas, start=1))
     v2 = tuple(_edge_v2(carrier, beta) for beta in candidate.betas)
+    beta_maps = [edge.twist_images if ok else tuple(_conjugates(carrier, beta))
+                 for edge, ok, beta in zip(star.edges, v1, candidate.betas)]
     v3 = _core_indices(star, beta_maps) == {0}
     # When V1 holds on every edge the core lies inside the head-trivial
     # subgroup (validated at star build), and invariance under the two
@@ -383,11 +411,8 @@ def verify_completion(candidate: CompletionCandidate) -> CompletionReport:
         raise TheoryViolationError(
             "core of rho(A) nontrivial although V1 holds on every edge")
     v4 = _v4(candidate)
-
-    chain = StabiliserChain(carrier.degree, candidate.group_generators())
-    order_g = chain.order()
     accepted = all(v1) and all(v2) and v3 and v4
-    return CompletionReport(v1, v2, v3, v4, order_g, star.order, accepted)
+    return CompletionReport(v1, v2, v3, v4, None, star.order, accepted)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +567,7 @@ def find_completion(star: AmalgamStar,
                         attempts.append(AttemptRecord(t, "edge", plan.scheme,
                                                       "V2 failed", i))
                         continue
-                    if not _edge_v1(star, i, _conjugates(carrier, beta)):
+                    if not _edge_v1(carrier, i, beta):
                         attempts.append(AttemptRecord(t, "edge", plan.scheme,
                                                       "V1 failed", i))
                         continue

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from . import amalgam, classify, perm
 from .completion import (CompletionCandidate, CompletionReport, SearchConfig,
                          find_completion)
-from .errors import (CompletionSearchError, InputError, NotEnumeratedError,
-                     ParseError, TheoryViolationError, ValidationError)
+from .errors import (CapacityError, CompletionSearchError, InputError,
+                     NotEnumeratedError, ParseError, TheoryViolationError,
+                     ValidationError)
 from .perm import Permutation, PermutationGroup
 
 DEFAULT_VERTEX_CAP = 1_000_000
@@ -79,8 +80,7 @@ class FiniteGraph:
             return True
         seen = {0}
         queue = [0]
-        while queue:
-            u = queue.pop(0)
+        for u in queue:     # breadth first: the list grows while it is read
             for v in self.adjacency[u]:
                 if v not in seen:
                     seen.add(v)
@@ -105,20 +105,17 @@ class CosetTable:
         return len(self.index)
 
 
-def enumerate_cosets(candidate: CompletionCandidate, cap: int = DEFAULT_VERTEX_CAP,
-                     report: CompletionReport | None = None) -> CosetTable | None:
+def enumerate_cosets(candidate: CompletionCandidate,
+                     cap: int = DEFAULT_VERTEX_CAP) -> CosetTable | None:
     """Enumerate the cosets of rho(A) in G, or None when they exceed ``cap``.
 
     Each coset is keyed by the image array of its canonical representative
     (the unique coset element sending the basepoint to the least possible
-    point).  When the exact vertex count is already known from the group
-    order it is compared with the cap up front; the breadth-first orbit also
-    aborts incrementally as a safety net.  Key soundness is cross-checked on
-    seeded random pairs: equal keys exactly when the quotient lies in rho(A).
+    point).  The breadth-first orbit stops as soon as it finds coset
+    ``cap + 1``.  Key soundness is cross-checked on seeded random pairs:
+    equal keys exactly when the quotient lies in rho(A).
     """
     carrier = candidate.carrier
-    if report is not None and report.order_g // report.order_a > cap:
-        return None
     generators = candidate.group_generators()
     start = carrier.canonical_coset_rep(Permutation.identity(carrier.degree))
     reps = [start]
@@ -224,6 +221,11 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     Explicit mode returns a FiniteLocallyLPair with the full graph and the
     acting group as vertex permutations; implicit mode returns a
     BaseLocalCertificate carrying the base vertex's certified data only.
+    Either way the returned ``report`` carries the order of G.  The
+    stabiliser of the base coset in G is rho(A), so in explicit mode
+    ``|G| = |A| * V`` for the V cosets enumerated; only in implicit mode,
+    where the coset count stays unknown, does a stabiliser chain of G
+    compute it.
     """
     if not report.accepted:
         raise InputError("completion was not accepted; cannot build the graph")
@@ -232,17 +234,20 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     valency = star.local_group.degree
     slot_elems = _slot_elements(candidate)
     keys = tuple(carrier.canonical_coset_rep(e).images for e in slot_elems)
-    table = enumerate_cosets(candidate, cap, report)
+    table = enumerate_cosets(candidate, cap)
 
     if table is None:
         if len(set(keys)) != valency:
             raise TheoryViolationError(
                 "base vertex valency defect in implicit mode (V4 should have "
                 "excluded this)")
+        chain = perm.StabiliserChain(carrier.degree,
+                                     candidate.group_generators())
         return BaseLocalCertificate(
             stabiliser_order=star.order, valency=valency, vertex_count=None,
             neighbour_slots=star.slots, neighbour_keys=keys,
-            candidate=candidate, report=report)
+            candidate=candidate,
+            report=dataclasses.replace(report, order_g=chain.order()))
 
     # G acts on the right and the slot elements multiply on the left, so
     # N(v * g) = N(v) * g: every vertex inherits its neighbourhood from the
@@ -270,13 +275,12 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
 
     action = tuple(Permutation(tuple(row[v] + 1 for v in range(n)))
                    for row in table.transitions)
-    if report.order_g != star.order * n:
-        raise TheoryViolationError("orbit-stabiliser identity failed")
     return FiniteLocallyLPair(
         graph=graph, action_generators=action, base_vertex=0,
         stabiliser_order=star.order, valency=valency, vertex_count=n,
         neighbour_slots=star.slots, base_neighbours=tuple(base_neighbours),
-        candidate=candidate, report=report)
+        candidate=candidate,
+        report=dataclasses.replace(report, order_g=star.order * n))
 
 
 def local_action(pair, local_group: PermutationGroup) -> LocalActionWitness:
@@ -322,8 +326,8 @@ def local_action(pair, local_group: PermutationGroup) -> LocalActionWitness:
     induced_group = PermutationGroup(len(star.slots), tuple(gens))
     ok = ok and induced_group.order() == local_group.order()
 
-    kernel = sum(1 for ia in range(star.order)
-                 if induced(ia).is_identity())
+    # the slot action is a homomorphism of A onto the induced group
+    kernel = star.order // induced_group.order()
     expected_kernel = star.anchor_stabiliser_order ** star.n
     if kernel != expected_kernel:
         raise TheoryViolationError(
@@ -469,8 +473,8 @@ def construct_pair(local_group: PermutationGroup, n: int,
     pair = build_graph(candidate, report, vertex_cap)
     witness = local_action(pair, local_group)
     pair = dataclasses.replace(pair, witness=witness)
-    return ConstructionResult(analysis, star, validation, candidate, report,
-                              pair, witness)
+    return ConstructionResult(analysis, star, validation, candidate,
+                              pair.report, pair, witness)
 
 
 @dataclass(frozen=True)
@@ -586,7 +590,14 @@ def export_graph(graph, fmt: str):
     raise InputError(f"unknown graph format {fmt!r}")
 
 
-def _parse_graph6(data: bytes) -> FiniteGraph:
+def _check_vertex_count(n: int, vertex_cap: int | None) -> None:
+    """Refuse a graph of more than ``vertex_cap`` vertices before any
+    per-vertex storage is allocated."""
+    if vertex_cap is not None and n > vertex_cap:
+        raise CapacityError("vertices", vertex_cap, n)
+
+
+def _parse_graph6(data: bytes, vertex_cap: int | None = None) -> FiniteGraph:
     """Strict graph6: the vertex count, then exactly ceil(n(n-1)/2 / 6) data
     bytes whose padding bits are zero."""
     if data.startswith(b">>graph6<<"):
@@ -609,6 +620,7 @@ def _parse_graph6(data: bytes) -> FiniteGraph:
     n = 0
     for b in size_bytes:
         n = (n << 6) | (b - 63)
+    _check_vertex_count(n, vertex_cap)
     bit_count = n * (n - 1) // 2
     body = data[start + width:]
     expected = -(-bit_count // 6)
@@ -628,13 +640,17 @@ def _parse_graph6(data: bytes) -> FiniteGraph:
     return FiniteGraph.from_edges(n, edges)
 
 
-def parse_graph(text_or_bytes) -> FiniteGraph:
-    """Parse edge-list, adjacency-list, or graph6 input, by content."""
+def parse_graph(text_or_bytes, vertex_cap: int | None = None) -> FiniteGraph:
+    """Parse edge-list, adjacency-list, or graph6 input, by content.
+
+    The vertex count is the largest vertex id plus one (graph6 states it);
+    a count above ``vertex_cap`` raises CapacityError before the graph is
+    built."""
     if isinstance(text_or_bytes, bytes):
         try:
             text = text_or_bytes.decode("ascii")
         except UnicodeDecodeError:
-            return _parse_graph6(text_or_bytes)
+            return _parse_graph6(text_or_bytes, vertex_cap)
     else:
         text = text_or_bytes
     lines = [ln for ln in (l.strip() for l in text.splitlines()) if ln]
@@ -650,14 +666,16 @@ def parse_graph(text_or_bytes) -> FiniteGraph:
             except ValueError:
                 raise ParseError(f"bad adjacency line {ln!r}", line=no) from None
             adj[v] = nbrs
-        n = max(adj) + 1 if adj else 0
         edges = {(min(v, w), max(v, w)) for v, nbrs in adj.items() for w in nbrs}
+        n = max(max(adj), max((w for _, w in edges), default=0)) + 1
+        _check_vertex_count(n, vertex_cap)
         return FiniteGraph.from_edges(n, edges)
     if all(len(ln.split()) == 2 and all(t.isdigit() for t in ln.split())
            for ln in lines):
         edges = [tuple(int(t) for t in ln.split()) for ln in lines]
         n = max(max(e) for e in edges) + 1
+        _check_vertex_count(n, vertex_cap)
         return FiniteGraph.from_edges(n, edges)
     if len(lines) == 1:
-        return _parse_graph6(lines[0].encode("ascii"))
+        return _parse_graph6(lines[0].encode("ascii"), vertex_cap)
     raise ParseError("unrecognized graph format")

@@ -431,8 +431,7 @@ class PermutationGroup:
             raise InputError(f"point {point} out of range 1..{self.degree}")
         seen = {point}
         queue = [point]
-        while queue:
-            p = queue.pop(0)
+        for p in queue:     # breadth first: the list grows while it is read
             for s in self.generators:
                 q = s.apply(p)
                 if q not in seen:
@@ -503,15 +502,12 @@ def normal_closure(group: PermutationGroup, element: Permutation) -> Permutation
         return PermutationGroup.trivial(group.degree)
     closure = [element]
     seen = {element}
-    queue = [element]
-    while queue:
-        x = queue.pop(0)
+    for x in closure:   # breadth first: the list grows while it is read
         for s in group.generators:
             y = x.conjugate(s)
             if y not in seen:
                 seen.add(y)
                 closure.append(y)
-                queue.append(y)
     return PermutationGroup(group.degree, tuple(closure))
 
 
@@ -537,15 +533,12 @@ def core(group: PermutationGroup, subgroup: PermutationGroup,
     # transversal of right cosets, found by orbiting the trivial coset
     reps = [coset_key(group.identity())]
     keys = {reps[0]}
-    queue = list(reps)
-    while queue:
-        r = queue.pop(0)
+    for r in reps:      # breadth first: the list grows while it is read
         for s in group.generators:
             key = coset_key(r * s)
             if key not in keys:
                 keys.add(key)
                 reps.append(key)
-                queue.append(key)
     kernel = [x for x in sub_elements
               if all(r * x * r.inverse() in sub_set for r in reps)]
     kernel = [x for x in kernel if not x.is_identity()]

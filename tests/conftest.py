@@ -116,6 +116,39 @@ def carrier_core_of_rho(candidate):
     return survivors
 
 
+def full_map_v1(star, i, conjugates):
+    """V1 over the whole conjugation map of beta_i: it is defined (>= 0)
+    exactly on the element indices of C_i."""
+    members = set(star.edge(i).subgroup_indices)
+    return all((y >= 0) == (x in members) for x, y in enumerate(conjugates))
+
+
+def full_map_contract(star, i, conjugates):
+    """The conjugation contract on every element of C_i: the map of beta_i
+    agrees with the twist phi_i there."""
+    edge = star.edge(i)
+    conjugates = tuple(conjugates)
+    return all(conjugates[c] == edge.twist_images[c]
+               for c in edge.subgroup_indices)
+
+
+def kernel_order_by_loop(pair):
+    """Order of the kernel of the base vertex's slot action, by moving every
+    neighbour coset by every element of rho(A) on the carrier and counting
+    the elements that fix them all."""
+    candidate = pair.candidate
+    carrier = candidate.carrier
+    slot_elems = [candidate.betas[i - 1] * carrier.rho_index(a)
+                  for i, a in carrier.star.slots]
+    keys = [carrier.canonical_coset_rep(e).images for e in slot_elems]
+    kernel = 0
+    for x in range(carrier.size):
+        g = carrier.rho_index(x)
+        kernel += all(carrier.canonical_coset_rep(e * g).images == key
+                      for e, key in zip(slot_elems, keys))
+    return kernel
+
+
 def carrier_neighbourhoods(candidate, table):
     """Neighbour ids of every coset, recomputed on the carrier: the coset of
     vertex v is keyed by its canonical representative's images, and its

@@ -343,6 +343,20 @@ class TestIndexEncoding:
         dec = DecodedStar(star)
         assert [dec.elements[x] for x in star.generator_indices] == expected
 
+    def test_subgroup_generators_generate_the_edge_subgroup(self, oracle_star):
+        star = oracle_star
+        dec = DecodedStar(star)
+        for edge in star.edges:
+            gens = [dec.elements[x] for x in edge.subgroup_generators]
+            seen = {dec.elements[0]}
+            frontier = list(seen)
+            while frontier:
+                frontier = [y for y in {dec.mul(x, g) for x in frontier
+                                        for g in gens} if y not in seen]
+                seen.update(frontier)
+            assert sorted(dec.index[e] for e in seen) == \
+                list(edge.subgroup_indices)
+
     def test_corrupted_twist_fails_multiplicativity(self):
         star = build_star(analyze_local_group(group(4, "(1 2)")), 2)
         edge = star.edge(3)

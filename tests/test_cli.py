@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -184,6 +185,44 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "locally-L: True" in out
         assert "stabiliser order: 8" in out
+
+
+class TestHostileVerifyInput:
+    """verify refuses a graph or group file beyond the vertex cap with a
+    named CapacityError (exit 2), before allocating anything for it."""
+
+    HEXAGON = "0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n"
+
+    def run_verify(self, files, graph_text, group_text):
+        graph = files["dir"] / "hostile.graph"
+        graph.write_text(graph_text)
+        grp = files["dir"] / "hostile.grp"
+        grp.write_text(group_text)
+        start = time.perf_counter()
+        code = main(["verify", str(graph), str(grp), files["L0"]])
+        assert time.perf_counter() - start < 1.0
+        return code
+
+    def test_huge_vertex_id(self, files, capsys):
+        assert self.run_verify(files, "0 2000000000\n",
+                               "degree 6\n(1 2 3 4 5 6)\n") == 2
+        err = capsys.readouterr().err
+        assert "cap 'vertices'" in err and "2000000001" in err
+
+    def test_huge_group_degree(self, files, capsys):
+        assert self.run_verify(files, self.HEXAGON,
+                               "degree 2000000000\n(1 2)\n") == 2
+        err = capsys.readouterr().err
+        assert "cap 'vertices'" in err and "2000000000" in err
+
+    def test_cap_from_environment(self, files, capsys, monkeypatch):
+        monkeypatch.setenv(cli.CAPS_ENV_VAR, "vertices=5")
+        assert self.run_verify(files, self.HEXAGON,
+                               "degree 6\n(1 2 3 4 5 6)\n") == 2
+        assert "cap 'vertices' = 5" in capsys.readouterr().err
+        monkeypatch.setenv(cli.CAPS_ENV_VAR, "vertices=6")
+        assert self.run_verify(files, self.HEXAGON,
+                               "degree 6\n(1 2 3 4 5 6)\n(2 6)(3 5)\n") == 1
 
 
 class TestReportCommand:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from graphrestrict import completion
@@ -7,11 +9,13 @@ from graphrestrict.completion import (CompletionCandidate, EdgePlan,
                                       SearchConfig, build_involution,
                                       find_completion, regular_carrier,
                                       rho_closure, verify_completion)
+from graphrestrict.cosetgraph import build_graph
 from graphrestrict.errors import (CapacityError, CompletionSearchError,
                                   InputError, ValidationError)
 from graphrestrict.perm import Permutation, StabiliserChain
 
-from conftest import DecodedStar, carrier_core_of_rho, group
+from conftest import (DecodedStar, carrier_core_of_rho, full_map_contract,
+                      full_map_v1, group)
 
 
 @pytest.fixture
@@ -268,6 +272,7 @@ class TestVerifyCompletion:
 
     def test_accepted_l0(self, star0):
         candidate, report = find_completion(star0)
+        report = build_graph(candidate, report).report
         assert report.accepted
         assert all(report.v1) and all(report.v2) and report.v3 and report.v4
         assert report.order_a == 8
@@ -378,6 +383,7 @@ class TestFindCompletion:
     def test_core_pruning_matches_enumeration(self, star0):
         # independent check of the V3 computation on a small accepted group
         candidate, report = find_completion(star0)
+        report = build_graph(candidate, report).report
         carrier = candidate.carrier
         gens = candidate.group_generators()
         elements = {Permutation.identity(carrier.degree)}
@@ -398,3 +404,88 @@ class TestFindCompletion:
                                for g in elements)}
         assert literal_core == {Permutation.identity(carrier.degree)}
         assert report.v3 is True
+
+
+# stars whose edge plans exercise V1 both ways: L0 at n = 2..4, L1 at n = 2,
+# and two three-orbit stars, one with a whole-group edge
+GENERATOR_CHECK_STARS = {
+    "l0-n2": ((3, "(1 2)"), 2),
+    "l0-n3": ((3, "(1 2)"), 3),
+    "l0-n4": ((3, "(1 2)"), 4),
+    "l1-n2": ((5, "(1 2 3)(4 5)"), 2),
+    "k3-n2": ((4, "(1 2)"), 2),
+    "k3-three-orbits-n2": ((5, "(1 2)", "(3 4)"), 2),
+}
+
+
+def generator_check_star(name):
+    spec, n = GENERATOR_CHECK_STARS[name]
+    return build_star(analyze_local_group(group(*spec)), n)
+
+
+def built_plans(carrier):
+    """(edge, beta) for every plan of both search phases that builds."""
+    star = carrier.star
+    for randomized in (False, True):
+        for i in range(1, star.k + 1):
+            for plan in completion._edge_plans(star, i, carrier.t,
+                                               SearchConfig(), randomized):
+                try:
+                    yield i, build_involution(carrier, i, plan)
+                except (InputError, ValidationError):
+                    continue
+
+
+class TestGeneratorChecks:
+    """V1 and the conjugation contract read a few elements of A; their
+    full-map forms in conftest are the oracles."""
+
+    @pytest.mark.parametrize("name", sorted(GENERATOR_CHECK_STARS))
+    def test_v1_matches_full_map(self, name):
+        star = generator_check_star(name)
+        outcomes = set()
+        for t in (1, 2, 3):
+            carrier = regular_carrier(star, t)
+            for i, beta in built_plans(carrier):
+                v1 = completion._edge_v1(carrier, i, beta)
+                assert v1 == full_map_v1(
+                    star, i, completion._conjugates(carrier, beta))
+                outcomes.add(v1)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("name", sorted(GENERATOR_CHECK_STARS))
+    def test_contract_raised_exactly_when_full_map_fails(self, name):
+        # put every involution built for any edge, and seeded random
+        # fixed-point-free involutions, in each edge slot of an accepted
+        # candidate: the contract error names that edge exactly when the
+        # full-map contract fails there
+        star = generator_check_star(name)
+        cand, _ = find_completion(star)
+        carrier = cand.carrier
+        betas = [beta for _, beta in built_plans(carrier)]
+        rng = random.Random(0)
+        for _ in range(4):
+            points = list(range(1, carrier.degree + 1))
+            rng.shuffle(points)
+            images = [0] * carrier.degree
+            for p, q in zip(points[0::2], points[1::2]):
+                images[p - 1], images[q - 1] = q, p
+            betas.append(Permutation(images))
+        outcomes = set()
+        for i in range(1, star.k + 1):
+            for beta in betas:
+                full = full_map_contract(
+                    star, i, completion._conjugates(carrier, beta))
+                trial = list(cand.betas)
+                trial[i - 1] = beta
+                try:
+                    verify_completion(CompletionCandidate(
+                        carrier, tuple(trial), cand.strategy))
+                    raised = False
+                except ValidationError as err:
+                    assert err.check == "conjugation contract"
+                    assert str(err).endswith(f"edge {i}")
+                    raised = True
+                assert raised == (not full)
+                outcomes.add(raised)
+        assert outcomes == {True, False}

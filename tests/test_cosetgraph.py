@@ -1,21 +1,25 @@
+import dataclasses
+import functools
 import random
 import weakref
 
 import pytest
 
 from graphrestrict import perm
-from graphrestrict.completion import SearchConfig
+from graphrestrict.completion import SearchConfig, find_completion
 from graphrestrict.cosetgraph import (BaseLocalCertificate, FiniteGraph,
                                       FiniteLocallyLPair, build_graph,
                                       construct_pair, enumerate_cosets,
                                       export_graph, growth_report,
                                       local_action, parse_graph,
                                       verify_locally_L)
-from graphrestrict.errors import (InputError, NotEnumeratedError,
-                                  ParseError, TheoryViolationError)
+from graphrestrict.errors import (CapacityError, InputError,
+                                  NotEnumeratedError, ParseError,
+                                  TheoryViolationError)
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
-from conftest import carrier_neighbourhoods, graph6_pair_loop, group
+from conftest import (carrier_neighbourhoods, graph6_pair_loop, group,
+                      kernel_order_by_loop)
 
 
 @pytest.fixture(scope="module")
@@ -36,21 +40,20 @@ def hexagon():
 
 class TestEnumerateCosets:
     def test_lagrange(self, result0):
-        table = enumerate_cosets(result0.candidate, report=result0.report)
+        table = enumerate_cosets(result0.candidate)
         assert table.size * result0.report.order_a == result0.report.order_g
 
     def test_cap_one_gives_implicit(self, result0):
-        assert enumerate_cosets(result0.candidate, cap=1,
-                                report=result0.report) is None
+        assert enumerate_cosets(result0.candidate, cap=1) is None
 
     def test_base_coset_is_zero(self, result0):
-        table = enumerate_cosets(result0.candidate, report=result0.report)
+        table = enumerate_cosets(result0.candidate)
         ident = Permutation.identity(result0.candidate.carrier.degree)
         key = result0.candidate.carrier.canonical_coset_rep(ident).images
         assert table.index[key] == 0
 
     def test_transitions_act_transitively(self, result0):
-        table = enumerate_cosets(result0.candidate, report=result0.report)
+        table = enumerate_cosets(result0.candidate)
         n = table.size
         gens = [Permutation(tuple(row[v] + 1 for v in range(n)))
                 for row in table.transitions]
@@ -79,7 +82,7 @@ class TestBuildGraph:
     @pytest.mark.parametrize("name", ["result0", "result1"])
     def test_adjacency_matches_carrier_oracle(self, name, request):
         result = request.getfixturevalue(name)
-        table = enumerate_cosets(result.candidate, report=result.report)
+        table = enumerate_cosets(result.candidate)
         oracle = carrier_neighbourhoods(result.candidate, table)
         assert result.pair.graph.adjacency == tuple(
             tuple(sorted(set(nbrs))) for nbrs in oracle)
@@ -114,6 +117,68 @@ class TestBuildGraph:
             build_graph(result0.candidate, bad_report)
 
 
+# accepted constructions whose |G| is cross-checked against a stabiliser
+# chain of G: L0 at n = 2..5, L1 at n = 2 and 3, <(1 2)> on 4 points at n = 3
+ORDER_CASES = {
+    "l0-n2": ((3, "(1 2)"), 2), "l0-n3": ((3, "(1 2)"), 3),
+    "l0-n4": ((3, "(1 2)"), 4), "l0-n5": ((3, "(1 2)"), 5),
+    "l1-n2": ((5, "(1 2 3)(4 5)"), 2), "l1-n3": ((5, "(1 2 3)(4 5)"), 3),
+    "two-fixed-points-n3": ((4, "(1 2)"), 3),
+}
+
+
+@functools.cache
+def constructed(name):
+    spec, n = ORDER_CASES[name]
+    return construct_pair(group(*spec), n)
+
+
+class TestOrderOfG:
+    """build_graph reads |G| off the coset count in explicit mode; a
+    stabiliser chain of G is the independent check."""
+
+    @pytest.mark.parametrize("name", sorted(ORDER_CASES))
+    def test_order_matches_chain(self, name):
+        result = constructed(name)
+        candidate = result.candidate
+        chain = perm.StabiliserChain(candidate.carrier.degree,
+                                     candidate.group_generators())
+        assert chain.order() == result.report.order_g
+
+    @pytest.mark.parametrize("name", ["l0-n2", "l1-n2"])
+    def test_implicit_mode_order_matches_explicit(self, name):
+        result = constructed(name)
+        implicit = build_graph(result.candidate,
+                               dataclasses.replace(result.report,
+                                                   order_g=None), cap=1)
+        assert isinstance(implicit, BaseLocalCertificate)
+        assert implicit.report.order_g == result.report.order_g
+
+    def test_search_reports_no_order(self, result0):
+        _, report = find_completion(result0.star)
+        assert report.order_g is None
+        assert dataclasses.replace(report, order_g=result0.report.order_g) \
+            == result0.report
+
+    @pytest.mark.parametrize("cap, chains", [(None, 0), (1, 1)])
+    def test_chain_of_g_only_in_implicit_mode(self, monkeypatch, cap, chains):
+        # the search and the explicit graph build no chain at the carrier's
+        # degree; the implicit graph builds one, for the accepted candidate
+        star = constructed("l0-n3").star
+        degree = constructed("l0-n3").candidate.carrier.degree
+        real_init = perm.StabiliserChain.__init__
+        degrees = []
+
+        def counting_init(self, d, *args, **kwargs):
+            degrees.append(d)
+            real_init(self, d, *args, **kwargs)
+
+        monkeypatch.setattr(perm.StabiliserChain, "__init__", counting_init)
+        candidate, report = find_completion(star)
+        build_graph(candidate, report, **({} if cap is None else {"cap": cap}))
+        assert degrees.count(degree) == chains
+
+
 class TestLocalAction:
     def test_l0_witness(self, result0):
         w = result0.witness
@@ -132,6 +197,16 @@ class TestLocalAction:
         for (edge, _), label in zip(result1.pair.neighbour_slots, w.labels):
             by_edge.setdefault(edge, set()).add(label)
         assert {len(v) for v in by_edge.values()} == {2, 3}
+
+    @pytest.mark.parametrize("name", sorted(ORDER_CASES))
+    def test_kernel_order_matches_loop(self, name):
+        result = constructed(name)
+        assert result.witness.kernel_order == kernel_order_by_loop(result.pair)
+
+    def test_implicit_kernel_order_matches_loop(self, result1):
+        implicit = build_graph(result1.candidate, result1.report, cap=1)
+        assert local_action(implicit, group(5, "(1 2 3)(4 5)")).kernel_order \
+            == kernel_order_by_loop(implicit) == 9
 
     def test_induced_group_order(self, result0):
         w = result0.witness
@@ -394,6 +469,32 @@ class TestGraph6:
     def test_invalid_byte_named(self):
         with pytest.raises(ParseError, match="invalid graph6 byte 62"):
             parse_graph(b"D>c")
+
+
+class TestVertexCap:
+    """parse_graph refuses a vertex count above the cap before it builds
+    anything per vertex."""
+
+    @pytest.mark.parametrize("data", [
+        "0 2000000000\n",                  # edge list
+        "0: 2000000000\n",                 # adjacency list
+        b"~~?B?????\n",                    # graph6, 3 * 2^24 vertices
+    ])
+    def test_oversized_graph_refused(self, data):
+        with pytest.raises(CapacityError) as err:
+            parse_graph(data, vertex_cap=1000)
+        assert err.value.cap_name == "vertices"
+
+    def test_cap_is_inclusive(self):
+        assert parse_graph("0 5\n", vertex_cap=6).vertex_count == 6
+        with pytest.raises(CapacityError):
+            parse_graph("0 5\n", vertex_cap=5)
+
+    def test_adjacency_counts_unlisted_neighbours(self):
+        # vertex 2 has no line of its own; it is still a vertex
+        g = parse_graph("0: 1\n1: 0 2\n")
+        assert g.vertex_count == 3
+        assert sorted(g.edges()) == [(0, 1), (1, 2)]
 
 
 class TestVerifierChecks:
