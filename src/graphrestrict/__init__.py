@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .classify import (LocalGroupAnalysis, analyze_local_group,
                        restrictive_verdict)
 from .amalgam import AmalgamStar, build_star, local_model, validate_star
-from .completion import (CompletionCandidate, CompletionReport, SearchConfig,
-                         build_involution, find_completion, regular_carrier,
+from .completion import (Carrier, CompletionCandidate, CompletionReport,
+                         SearchConfig, build_involution, find_completion,
                          verify_completion)
 from .cosetgraph import (FiniteGraph, FiniteLocallyLPair, GrowthTable,
                          build_graph, construct_pair, enumerate_cosets,
@@ -36,7 +36,7 @@ __all__ = [
     "AmalgamStar", "build_star", "validate_star",
     "local_model",
     "SearchConfig", "CompletionCandidate", "CompletionReport",
-    "regular_carrier", "build_involution", "verify_completion",
+    "Carrier", "build_involution", "verify_completion",
     "find_completion",
     "FiniteGraph", "FiniteLocallyLPair", "GrowthTable", "enumerate_cosets",
     "build_graph", "local_action", "verify_locally_L", "growth_report",

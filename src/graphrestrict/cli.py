@@ -22,9 +22,9 @@ negative, 2 input error, 3 search exhaustion.
 Caps may be overridden through the single environment variable
 ``GRAPHRESTRICT_CAPS`` (comma-separated ``name=value`` entries with names
 ``vertices``, ``carrier``, ``copies``, ``attempts``, each at least 1);
-command-line flags take precedence.  ``verify`` refuses a graph of more
-than ``vertices`` vertices, or a group file of larger degree, before it
-builds anything from them.
+command-line flags take precedence.  Every command refuses a group file
+of degree above ``vertices``, and ``verify`` a graph of more vertices,
+before it builds anything from them.
 """
 
 from __future__ import annotations
@@ -118,6 +118,11 @@ def _caps_from_env() -> dict:
     return caps
 
 
+def _vertex_cap() -> int:
+    """The ``vertices`` cap, which also bounds the degree of group files."""
+    return _caps_from_env().get("vertices", DEFAULT_VERTEX_CAP)
+
+
 def _search_config(args) -> tuple[SearchConfig, int]:
     caps = _caps_from_env()
     vertex_cap = caps.get("vertices", DEFAULT_VERTEX_CAP)
@@ -152,7 +157,7 @@ def _group_dict(group: PermutationGroup) -> dict:
 
 
 def cmd_classify(args) -> int:
-    group = load_group(args.group)
+    group = load_group(args.group, _vertex_cap())
     analysis = classify.analyze_local_group(group)
     verdict = classify.restrictive_verdict(analysis)
     if args.json:
@@ -210,7 +215,7 @@ def _dump_json(doc) -> str:
 
 
 def cmd_construct(args) -> int:
-    group = load_group(args.group)
+    group = load_group(args.group, _vertex_cap())
     analysis = classify.analyze_local_group(group)
     if analysis.verdict != classify.NOT_RESTRICTIVE:
         verdict = classify.restrictive_verdict(analysis)
@@ -273,7 +278,7 @@ def cmd_verify(args) -> int:
         raise InputError(f"cannot read graph file {args.graph}: {exc}") from None
     # the vertex cap bounds the graph and the degree of both group files, so
     # that an oversized input is refused before anything is allocated for it
-    vertex_cap = _caps_from_env().get("vertices", DEFAULT_VERTEX_CAP)
+    vertex_cap = _vertex_cap()
     graph = cosetgraph.parse_graph(data, vertex_cap)
     group = load_group(args.group, vertex_cap)
     local = load_group(args.local_group, vertex_cap)
@@ -306,7 +311,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    group = load_group(args.group)
+    group = load_group(args.group, _vertex_cap())
     analysis = classify.analyze_local_group(group)
     if analysis.verdict != classify.NOT_RESTRICTIVE:
         raise InputError(f"growth report requires verdict NOT_RESTRICTIVE; "

@@ -77,10 +77,13 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Permutation":
-        """Build from a list of cycles of 1-based points, applied left to right."""
-        out = cls.identity(degree)
+        """Build from a list of cycles of 1-based points, applied left to
+        right.  Each cycle is composed into the running images through the
+        inverse images, so the cost is the total cycle length plus the
+        degree."""
+        images = list(range(degree + 1))        # images[p], 0 is padding
+        preimages = list(range(degree + 1))
         for cyc in cycles:
-            images = list(range(1, degree + 1))
             seen = set()
             for p in cyc:
                 if not 1 <= p <= degree:
@@ -88,12 +91,12 @@ class Permutation:
                 if p in seen:
                     raise InputError(f"point {p} repeated in cycle {tuple(cyc)}")
                 seen.add(p)
-            for a, b in zip(cyc, cyc[1:]):
-                images[a - 1] = b
-            if len(cyc) > 1:
-                images[cyc[-1] - 1] = cyc[0]
-            out = out * cls(images)
-        return out
+            # the points now sent to cyc[j] go on to cyc[j + 1]
+            sources = [preimages[p] for p in cyc]
+            for src, q in zip(sources, cyc[1:] + cyc[:1]):
+                images[src] = q
+                preimages[q] = src
+        return cls._raw(tuple(images[1:]))
 
     def apply(self, point: int) -> int:
         if not 1 <= point <= self.degree:

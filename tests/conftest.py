@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -149,6 +150,85 @@ def kernel_order_by_loop(pair):
     return kernel
 
 
+def from_cycles_by_products(degree, cycles):
+    """A product of cycles, one full permutation per cycle, applied left to
+    right: the O(cycles x degree) oracle for Permutation.from_cycles."""
+    out = tuple(range(degree))
+    for cyc in cycles:
+        images = list(range(degree))
+        for a, b in zip(cyc, list(cyc[1:]) + list(cyc[:1])):
+            images[a - 1] = b - 1
+        out = tuple_mul(out, tuple(images))
+    return tuple(q + 1 for q in out)
+
+
+def rho_check_by_loop(carrier):
+    """The carrier's rho facts over all of A, on the carrier's stored rows:
+    rho(0) is the identity, the rho(x) send the basepoint to pairwise
+    distinct points, and rho(x) * rho(g) = rho(x * g) for every x and every
+    generator g.  Returns the name of the first fact that fails, or None."""
+    star = carrier.star
+    rows = [carrier.rho_index(x).images for x in range(carrier.size)]
+    if rows[0] != tuple(range(1, carrier.degree + 1)):
+        return "rho(identity) is the identity"
+    if len({row[0] for row in rows}) != carrier.size:
+        return "rho injective on basepoint images"
+    for g in carrier.generator_indices:
+        x_times_g = star.right_row(g)
+        for x, row in enumerate(rows):
+            if tuple(rows[g][q - 1] for q in row) != rows[x_times_g[x]]:
+                return "rho homomorphism"
+    return None
+
+
+def slot_kernel_by_loop(star, labels):
+    """The element indices of A that fix every neighbour slot of the base
+    vertex: x fixes slot (i, rep) when rep * x lies in the right coset of
+    C_i labelled by the slot's point."""
+    kernel = list(range(star.order))
+    for (i, rep), label in zip(star.slots, labels):
+        rep_times = star.left_row(rep)       # a -> rep * a
+        kernel = [a for a in kernel
+                  if star.right_coset_point(i, rep_times[a]) == label]
+    return kernel
+
+
+def star_core_by_loop(star):
+    """The core in A of the intersection of the edge subgroups, by
+    conjugating the intersection with every element of A."""
+    reps = [edge.orbit_rep for edge in star.edges]
+    heads = star.local_group.elements()
+    tail_size = star.order // len(heads)
+    in_inter = [all(heads[x // tail_size].apply(r) == r for r in reps)
+                for x in range(star.order)]
+    core = [x for x in range(star.order) if in_inter[x]]
+    for a in range(star.order):
+        times_a = star.left_row(a)                           # d -> a * d
+        times_a_inv = star.right_row(star.inverse[a])        # y -> y * a^-1
+        core = [d for d in core if in_inter[times_a_inv[times_a[d]]]]
+    return core
+
+
+def coset_key_failure(candidate, table, pairs=1000, seed=0):
+    """The canonical coset keys of an enumerated table on seeded random
+    pairs of cosets: a coset's key is unchanged by left multiplication with
+    rho(A), and two keys are equal exactly when the quotient of their
+    representatives lies in rho(A).  Returns the first failure, or None."""
+    carrier = candidate.carrier
+    reps = [Permutation(key) for key in table.index]
+    rng = random.Random(seed)
+    n = len(reps)
+    for _ in range(min(pairs, 4 * n)):
+        x = reps[rng.randrange(n)]
+        y = reps[rng.randrange(n)]
+        shifted = carrier.rho_index(rng.randrange(carrier.size)) * x
+        if carrier.canonical_coset_rep(shifted).images != x.images:
+            return "same coset produced different keys"
+        if (x.images == y.images) != carrier.in_rho(x * y.inverse()):
+            return "key equality disagrees with membership"
+    return None
+
+
 def carrier_neighbourhoods(candidate, table):
     """Neighbour ids of every coset, recomputed on the carrier: the coset of
     vertex v is keyed by its canonical representative's images, and its
@@ -162,6 +242,13 @@ def carrier_neighbourhoods(candidate, table):
     return [[table.index[carrier.canonical_coset_rep(e * reps[v]).images]
              for e in slot_elems]
             for v in range(table.size)]
+
+
+# L0 at n=2..4, L1 at n=2, and a k=3 star with an identity twist on edge 3:
+# the stars every all-of-A oracle runs on
+ORACLE_STARS = {"L0-n2": ((3, "(1 2)"), 2), "L0-n3": ((3, "(1 2)"), 3),
+                "L0-n4": ((3, "(1 2)"), 4), "L1-n2": ((5, "(1 2 3)(4 5)"), 2),
+                "k3-n2": ((4, "(1 2)"), 2)}
 
 
 # --- decoded star algebra ---------------------------------------------------

@@ -11,7 +11,10 @@ from graphrestrict.errors import (CapacityError, InputError,
                                   TheoryViolationError, ValidationError)
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
-from conftest import DecodedStar, group
+from graphrestrict.cosetgraph import construct_pair
+
+from conftest import (ORACLE_STARS, DecodedStar, group, slot_kernel_by_loop,
+                      star_core_by_loop)
 
 
 @pytest.fixture
@@ -207,13 +210,30 @@ class TestValidateStar:
             assert dec.twist(1, dec.twist(1, c)) == c
             assert tw[tw[idx]] == idx
 
-    def test_reversals_generate_transitive_position_group(self, star0):
-        m = star0.n + 1
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_reversals_generate_transitive_position_group(self, n):
+        # what forces the core of a completion with V1 on every edge to be
+        # trivial: the two reversals act transitively on the n+1 positions
+        m = n + 1
         full = Permutation(tuple(range(m, 0, -1)))
         tail = Permutation((1,) + tuple(range(m, 1, -1)))
-        from graphrestrict.perm import PermutationGroup
         pos = PermutationGroup(m, (full, tail))
         assert len(pos.orbit(1)) == m
+
+    def test_core_matches_loop(self, oracle_star):
+        core = star_core_by_loop(oracle_star)
+        assert core == list(range(oracle_star.tail_size))
+        assert validate_star(oracle_star).core_size == len(core)
+
+    def test_dropped_edge_leaves_nontrivial_core(self, star0):
+        # with edge 2 gone the intersection is C_1 = L_3 x S^n = A, whose
+        # core is all of A; the head check and the loop both see it
+        star0.edges = star0.edges[:1]
+        assert len(star_core_by_loop(star0)) == star0.order == 8
+        with pytest.raises(ValidationError) as err:
+            validate_star(star0)
+        assert err.value.check == "core of edge-subgroup intersection"
+        assert "got 8 elements, expected 4" in str(err.value)
 
 
 class TestLocalModel:
@@ -225,13 +245,13 @@ class TestLocalModel:
             by_edge.setdefault(edge, set()).add(label)
         assert by_edge == {1: {3}, 2: {1, 2}}
 
-    def test_l0_kernel(self, star0):
-        assert local_model(star0).kernel_size == 4
+    def test_l0_kernel(self, l0):
+        assert construct_pair(l0, 2).witness.kernel_order == 4
 
-    def test_l1_model(self, star1):
+    def test_l1_model(self, star1, l1):
         model = local_model(star1)
         assert model.size == 5
-        assert model.kernel_size == 9
+        assert construct_pair(l1, 2).witness.kernel_order == 9
         by_edge = {}
         for (edge, _), label in zip(model.slots, model.labels):
             by_edge.setdefault(edge, set()).add(label)
@@ -255,16 +275,19 @@ class TestLocalModel:
                 assert model.labels[act[j]] == head.apply(label)
 
 
-# L0 at n=2..4, L1 at n=2, and a k=3 star with an identity twist on edge 3
-ORACLE_STARS = {"L0-n2": ((3, "(1 2)"), 2), "L0-n3": ((3, "(1 2)"), 3),
-                "L0-n4": ((3, "(1 2)"), 4), "L1-n2": ((5, "(1 2 3)(4 5)"), 2),
-                "k3-n2": ((4, "(1 2)"), 2)}
-
-
 @pytest.fixture(scope="module", params=sorted(ORACLE_STARS))
 def oracle_star(request):
     spec, n = ORACLE_STARS[request.param]
     return build_star(analyze_local_group(group(*spec)), n)
+
+
+class TestSlotKernel:
+    def test_kernel_is_head_trivial_subgroup(self, oracle_star):
+        star = oracle_star
+        kernel = slot_kernel_by_loop(star, local_model(star).labels)
+        assert kernel == list(range(star.tail_size))
+        witness = construct_pair(star.local_group, star.n).witness
+        assert witness.kernel_order == len(kernel)
 
 
 class TestIndexEncoding:

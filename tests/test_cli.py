@@ -225,6 +225,23 @@ class TestHostileVerifyInput:
                                "degree 6\n(1 2 3 4 5 6)\n(2 6)(3 5)\n") == 1
 
 
+class TestGroupDegreeCap:
+    """classify, construct and report refuse a group file of degree above
+    the vertex cap, as verify does."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["construct", "--n", "2"],
+        ["report", "--n-from", "2", "--n-to", "2"]])
+    def test_cap_from_environment(self, files, capsys, monkeypatch, argv):
+        grp = files["dir"] / "degree6.grp"
+        grp.write_text("degree 6\n(1 2)\n")
+        monkeypatch.setenv(cli.CAPS_ENV_VAR, "vertices=5")
+        out = ["--out", str(files["dir"] / "out")] if argv[0] == "construct" \
+            else []
+        assert main([argv[0], str(grp)] + argv[1:] + out) == 2
+        assert "cap 'vertices' = 5" in capsys.readouterr().err
+
+
 class TestReportCommand:
     def test_l0_table(self, files, capsys):
         assert main(["report", files["L0"], "--n-from", "2",

@@ -5,17 +5,18 @@ import pytest
 from graphrestrict import completion
 from graphrestrict.amalgam import IDENTITY_TWIST, build_star
 from graphrestrict.classify import analyze_local_group
-from graphrestrict.completion import (CompletionCandidate, EdgePlan,
+from graphrestrict.completion import (Carrier, CompletionCandidate, EdgePlan,
                                       SearchConfig, build_involution,
-                                      find_completion, regular_carrier,
-                                      rho_closure, verify_completion)
+                                      find_completion, rho_closure,
+                                      verify_completion)
 from graphrestrict.cosetgraph import build_graph
 from graphrestrict.errors import (CapacityError, CompletionSearchError,
                                   InputError, ValidationError)
 from graphrestrict.perm import Permutation, StabiliserChain
 
-from conftest import (DecodedStar, carrier_core_of_rho, full_map_contract,
-                      full_map_v1, group)
+from conftest import (ORACLE_STARS, DecodedStar, carrier_core_of_rho,
+                      full_map_contract, full_map_v1, group,
+                      rho_check_by_loop)
 
 
 @pytest.fixture
@@ -52,7 +53,7 @@ def identity_third_beta(g):
 def normalizing_betas():
     # identity pairings at one copy: the tail swap normalizes rho(A)
     star = build_star(analyze_local_group(group(3, "(1 2)")), 2)
-    carrier = regular_carrier(star, 1)
+    carrier = Carrier(star, 1)
     plans = (identity_plan(star, 1, 1), identity_plan(star, 2, 1))
     betas = tuple(build_involution(carrier, i, plan)
                   for i, plan in enumerate(plans, start=1))
@@ -79,7 +80,7 @@ def candidate(request):
 
 class TestCarrier:
     def test_l0_t1(self, star0):
-        carrier = regular_carrier(star0, 1)
+        carrier = Carrier(star0, 1)
         assert carrier.degree == 8
         head_gen = star0.generator_indices[0]
         rho = carrier.rho_index(head_gen)
@@ -87,7 +88,7 @@ class TestCarrier:
         assert len(cycles) == 4 and all(len(c) == 2 for c in cycles)
 
     def test_l0_t2_two_orbits(self, star0):
-        carrier = regular_carrier(star0, 2)
+        carrier = Carrier(star0, 2)
         assert carrier.degree == 16
         from graphrestrict.perm import PermutationGroup
         g = PermutationGroup(16, carrier.rho_generators)
@@ -95,15 +96,15 @@ class TestCarrier:
         assert g.orbit(9) == tuple(range(9, 17))
 
     def test_l1_size(self, star1):
-        assert regular_carrier(star1, 1).degree == 54
+        assert Carrier(star1, 1).degree == 54
 
     def test_fixed_point_free(self, star0):
-        carrier = regular_carrier(star0, 2)
+        carrier = Carrier(star0, 2)
         for ia in range(1, carrier.size):
             assert not carrier.rho_index(ia).fixed_points()
 
     def test_membership(self, star0):
-        carrier = regular_carrier(star0, 2)
+        carrier = Carrier(star0, 2)
         for ia in range(carrier.size):
             assert carrier.membership_index(carrier.rho_index(ia)) == ia
         swap = Permutation(tuple(range(9, 17)) + tuple(range(1, 9)))
@@ -111,14 +112,14 @@ class TestCarrier:
 
     def test_cap(self, star0):
         with pytest.raises(CapacityError):
-            regular_carrier(star0, 2, carrier_cap=10)
+            Carrier(star0, 2, carrier_cap=10)
 
     @pytest.mark.parametrize("t", [1, 2])
     def test_closure_matches_chain(self, star0, star1, t):
         # the table-level closure check against Schreier-Sims, on the whole
         # generating set and on every prefix and single generator
         for star in (star0, star1):
-            carrier = regular_carrier(star, t)
+            carrier = Carrier(star, t)
             gens = carrier.generator_indices
             subsets = [gens[:j] for j in range(len(gens) + 1)]
             subsets += [(g,) for g in gens]
@@ -131,32 +132,46 @@ class TestCarrier:
     def test_closure_detects_broken_homomorphism(self, star0):
         # swap two images of rho(3) away from the basepoint: the images stay
         # a permutation with distinct basepoint images, so only the
-        # homomorphism check can notice
-        carrier = regular_carrier(star0, 1)
-        images = list(carrier._rho_cache[3])
+        # homomorphism oracle can notice; the carrier trusts its rows,
+        # which are rows of A's regular action by construction
+        carrier = Carrier(star0, 1)
+        assert rho_check_by_loop(carrier) is None
+        images = list(carrier.rho_index(3).images)
         images[1], images[2] = images[2], images[1]
-        carrier._rho_cache[3] = tuple(images)
-        with pytest.raises(ValidationError) as err:
-            rho_closure(carrier, carrier.generator_indices)
-        assert err.value.check == "rho homomorphism"
+        carrier._rho[3] = Permutation(images)
+        assert rho_check_by_loop(carrier) == "rho homomorphism"
+        assert rho_closure(carrier, carrier.generator_indices) == star0.order
 
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(ORACLE_STARS))
+    def test_rho_facts_hold_on_every_row(self, name, t):
+        spec, n = ORACLE_STARS[name]
+        carrier = Carrier(build_star(analyze_local_group(group(*spec)), n), t)
+        assert rho_check_by_loop(carrier) is None
 
-    def test_rho_rows_not_stored_above_table_limit(self, l0, monkeypatch):
-        star = build_star(analyze_local_group(l0), 4)
-        stored = regular_carrier(star, 2)
-        monkeypatch.setattr(completion, "_FULL_RHO_TABLE_LIMIT", 4)
-        carrier = regular_carrier(star, 2)
-        assert carrier._rho_cache == {}
-        beta = build_involution(carrier, 1, identity_plan(star, 1, 2))
-        assert len(list(completion._conjugates(carrier, beta))) == star.order
-        assert carrier._rho_cache == {}
-        for x in range(star.order):
-            assert carrier.rho_index(x).images == stored.rho_index(x).images
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(ORACLE_STARS))
+    def test_rho_rows_built_on_request(self, name, t):
+        # the memo holds rho(0), the generators, and what was asked for
+        spec, n = ORACLE_STARS[name]
+        star = build_star(analyze_local_group(group(*spec)), n)
+        carrier = Carrier(star, t)
+        built = {0, *star.generator_indices}
+        assert set(carrier._rho) == built
+        dec = DecodedStar(star)
+        requested = random.Random(t).sample(range(star.order), 3)
+        for x in requested:
+            images = carrier.rho_index(x).images
+            assert carrier.rho_index(x) is carrier._rho[x]
+            assert images == tuple(
+                carrier.point(dec.index[dec.mul(a, dec.elements[x])], j)
+                for j in range(1, t + 1) for a in dec.elements)
+        assert set(carrier._rho) == built | set(requested)
 
 
 class TestBuildInvolution:
     def test_fixed_orbit_is_twist(self, star0):
-        carrier = regular_carrier(star0, 1)
+        carrier = Carrier(star0, 1)
         beta = build_involution(carrier, 1, identity_plan(star0, 1, 1))
         dec = DecodedStar(star0)
         for ia, a in enumerate(dec.elements):
@@ -164,7 +179,7 @@ class TestBuildInvolution:
             assert img == carrier.point(dec.index[dec.twist(1, a)], 1)
 
     def test_conjugation_contract(self, star0):
-        carrier = regular_carrier(star0, 1)
+        carrier = Carrier(star0, 1)
         dec = DecodedStar(star0)
         for i in (1, 2):
             beta = build_involution(carrier, i, identity_plan(star0, i, 1))
@@ -174,7 +189,7 @@ class TestBuildInvolution:
                 assert lhs == carrier.rho_index(dec.index[twisted])
 
     def test_paired_orbits(self, star0):
-        carrier = regular_carrier(star0, 1)
+        carrier = Carrier(star0, 1)
         edge = star0.edge(2)
         plan = EdgePlan("swap", (1, 0), tuple(edge.left_transversal))
         beta = build_involution(carrier, 2, plan)
@@ -193,7 +208,7 @@ class TestBuildInvolution:
         star = build_star(analyze_local_group(g), 2)
         edge = star.edge(3)
         assert edge.twist == IDENTITY_TWIST and edge.coset_index == 1
-        carrier = regular_carrier(star, 2)
+        carrier = Carrier(star, 2)
         plan = EdgePlan("copy-swap", (1, 0),
                         (edge.left_transversal[0], edge.left_transversal[0]))
         beta = build_involution(carrier, 3, plan)
@@ -208,7 +223,7 @@ class TestBuildInvolution:
         assert not carrier.in_rho(beta)
 
     def test_wrong_coset_rep_rejected(self, star0):
-        carrier = regular_carrier(star0, 1)
+        carrier = Carrier(star0, 1)
         edge = star0.edge(2)
         bad = EdgePlan("bad", (0, 1),
                        (edge.left_transversal[1], edge.left_transversal[0]))
@@ -216,7 +231,7 @@ class TestBuildInvolution:
             build_involution(carrier, 2, bad)
 
     def test_non_involution_pairing_rejected(self, star1):
-        carrier = regular_carrier(star1, 1)
+        carrier = Carrier(star1, 1)
         with pytest.raises(InputError):
             build_involution(carrier, 2, EdgePlan(
                 "cycle", (1, 2, 0),
@@ -240,7 +255,7 @@ class TestVerifyCompletion:
     def test_normalizing_beta_fails_v1(self, star0):
         # at one copy, the aligned tail swap normalizes rho(A) on the
         # two-coset edge, so the intersection is too large
-        carrier = regular_carrier(star0, 1)
+        carrier = Carrier(star0, 1)
         beta1 = build_involution(carrier, 1, identity_plan(star0, 1, 1))
         beta2 = build_involution(carrier, 2, identity_plan(star0, 2, 1))
         cand = CompletionCandidate(
@@ -445,7 +460,7 @@ class TestGeneratorChecks:
         star = generator_check_star(name)
         outcomes = set()
         for t in (1, 2, 3):
-            carrier = regular_carrier(star, t)
+            carrier = Carrier(star, t)
             for i, beta in built_plans(carrier):
                 v1 = completion._edge_v1(carrier, i, beta)
                 assert v1 == full_map_v1(

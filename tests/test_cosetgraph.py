@@ -18,8 +18,8 @@ from graphrestrict.errors import (CapacityError, InputError,
                                   TheoryViolationError)
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
-from conftest import (carrier_neighbourhoods, graph6_pair_loop, group,
-                      kernel_order_by_loop)
+from conftest import (carrier_neighbourhoods, coset_key_failure,
+                      graph6_pair_loop, group, kernel_order_by_loop)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +38,20 @@ def hexagon():
     return FiniteGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 
 
+ORDER_CASES = {
+    "l0-n2": ((3, "(1 2)"), 2), "l0-n3": ((3, "(1 2)"), 3),
+    "l0-n4": ((3, "(1 2)"), 4), "l0-n5": ((3, "(1 2)"), 5),
+    "l1-n2": ((5, "(1 2 3)(4 5)"), 2), "l1-n3": ((5, "(1 2 3)(4 5)"), 3),
+    "two-fixed-points-n3": ((4, "(1 2)"), 3),
+}
+
+
+@functools.cache
+def constructed(name):
+    spec, n = ORDER_CASES[name]
+    return construct_pair(group(*spec), n)
+
+
 class TestEnumerateCosets:
     def test_lagrange(self, result0):
         table = enumerate_cosets(result0.candidate)
@@ -51,6 +65,19 @@ class TestEnumerateCosets:
         ident = Permutation.identity(result0.candidate.carrier.degree)
         key = result0.candidate.carrier.canonical_coset_rep(ident).images
         assert table.index[key] == 0
+
+    @pytest.mark.parametrize("name", sorted(ORDER_CASES))
+    def test_keys_match_membership(self, name):
+        result = constructed(name)
+        table = enumerate_cosets(result.candidate)
+        assert coset_key_failure(result.candidate, table) is None
+
+    def test_key_oracle_sees_uncanonical_keys(self, result0, monkeypatch):
+        carrier = result0.candidate.carrier
+        table = enumerate_cosets(result0.candidate)
+        monkeypatch.setattr(carrier, "canonical_coset_rep", lambda perm: perm)
+        assert coset_key_failure(result0.candidate, table) == \
+            "same coset produced different keys"
 
     def test_transitions_act_transitively(self, result0):
         table = enumerate_cosets(result0.candidate)
@@ -119,20 +146,6 @@ class TestBuildGraph:
 
 # accepted constructions whose |G| is cross-checked against a stabiliser
 # chain of G: L0 at n = 2..5, L1 at n = 2 and 3, <(1 2)> on 4 points at n = 3
-ORDER_CASES = {
-    "l0-n2": ((3, "(1 2)"), 2), "l0-n3": ((3, "(1 2)"), 3),
-    "l0-n4": ((3, "(1 2)"), 4), "l0-n5": ((3, "(1 2)"), 5),
-    "l1-n2": ((5, "(1 2 3)(4 5)"), 2), "l1-n3": ((5, "(1 2 3)(4 5)"), 3),
-    "two-fixed-points-n3": ((4, "(1 2)"), 3),
-}
-
-
-@functools.cache
-def constructed(name):
-    spec, n = ORDER_CASES[name]
-    return construct_pair(group(*spec), n)
-
-
 class TestOrderOfG:
     """build_graph reads |G| off the coset count in explicit mode; a
     stabiliser chain of G is the independent check."""

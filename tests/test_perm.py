@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 
 import pytest
 
@@ -11,9 +12,9 @@ from graphrestrict.perm import (Permutation, PermutationGroup,
                                 StabiliserChain, parse_permutation)
 
 from conftest import (ReferenceChain, as_tuple, brute_core, brute_elements,
-                      chain_snapshot, group, reference_inverse,
-                      reference_is_identity, reference_mul, tuple_inv,
-                      tuple_mul)
+                      chain_snapshot, from_cycles_by_products, group,
+                      reference_inverse, reference_is_identity, reference_mul,
+                      tuple_inv, tuple_mul)
 
 
 def random_permutation(rng, degree):
@@ -55,6 +56,39 @@ class TestPermutationBasics:
     def test_degree_zero_rejected(self):
         with pytest.raises(InputError):
             Permutation(())
+
+
+class TestFromCycles:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_product_of_cycles(self, seed):
+        # cycles may share points: they are applied left to right
+        rng = random.Random(seed)
+        degree = rng.randint(1, 12)
+        cycles = [rng.sample(range(1, degree + 1), rng.randint(0, degree))
+                  for _ in range(rng.randint(0, 6))]
+        assert Permutation.from_cycles(degree, cycles).images == \
+            from_cycles_by_products(degree, cycles)
+
+    def test_overlapping_cycles(self):
+        # (1 2) then (2 3): 1 -> 2 -> 3, 2 -> 1, 3 -> 2
+        assert Permutation.from_cycles(3, [(1, 2), (2, 3)]).images == (3, 1, 2)
+        assert parse_permutation("(1 2)(2 3)", 3).images == (3, 1, 2)
+
+    def test_errors(self):
+        with pytest.raises(InputError, match="point 4 out of range 1..3"):
+            Permutation.from_cycles(3, [(1, 2), (3, 4)])
+        with pytest.raises(InputError, match=r"point 2 repeated in cycle \(1, 2, 3, 2\)"):
+            Permutation.from_cycles(3, [(1, 2, 3, 2)])
+
+    def test_large_generator_parses_quickly(self):
+        # one generator of 100000 disjoint transpositions at degree 200000
+        degree = 200_000
+        text = "".join(f"({p} {p + 1})" for p in range(1, degree, 2))
+        start = time.perf_counter()
+        g = parse_permutation(text, degree)
+        assert time.perf_counter() - start < 5.0
+        assert g.images[:4] == (2, 1, 4, 3) and g.images[-1] == degree - 1
+        assert (g * g).is_identity()
 
 
 class TestKernelEdgeCases:
