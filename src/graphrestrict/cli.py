@@ -131,6 +131,9 @@ def _search_config(args) -> tuple[SearchConfig, int]:
     attempts = caps.get("attempts", 256)
     if getattr(args, "max_vertices", None) is not None:
         vertex_cap = args.max_vertices
+        if vertex_cap < 1:
+            raise InputError(f"--max-vertices must be at least 1, "
+                             f"got {vertex_cap}")
     seed = getattr(args, "seed", 0) or 0
     return (SearchConfig(seed=seed, carrier_cap=carrier_cap, max_copies=copies,
                          combo_attempts=attempts), vertex_cap)

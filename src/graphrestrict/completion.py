@@ -24,14 +24,16 @@ failure under those hypotheses is reported as a theory violation, never as
 a search miss.
 
 Conjugation by beta_i is checked on few elements only.  The contract is
-checked on the Schreier generators of C_i, since both of its sides are
-homomorphisms on C_i.  The elements x whose conjugate
+checked on the generators of C_i = L_{r_i} x S^n (the stabiliser's in the
+head, A's in the tail), since both of its sides are homomorphisms on C_i.
+The elements x whose conjugate
 ``beta_i^-1 rho(x) beta_i`` lies in rho(A) form a subgroup D_i, so V1
 (D_i = C_i) needs the generators of C_i and one element of each other left
 coset of C_i.  When V1 holds, the twist's index map is the conjugation map
 of beta_i, and the V3 core reads it; an edge where V1 fails has its map
-computed element by element.  V2 and V4 are checked on the carrier.  The
-order of G is not computed here: the coset graph gets it from the coset
+computed element by element.  V2 is checked on the carrier, and V4 on the
+canonical coset keys of the slot elements, the keys the coset graph uses.
+The order of G is not computed here: the coset graph gets it from the coset
 count (see ``cosetgraph.build_graph``).
 
 There is no guarantee that a completion exists at small ``t`` for every
@@ -204,6 +206,13 @@ class CompletionCandidate:
     def group_generators(self) -> tuple[Permutation, ...]:
         return self.carrier.rho_generators + self.betas
 
+    def slot_elements(self) -> list[Permutation]:
+        """``beta_i * rho(a)`` for each base-vertex slot (i, a), in slot
+        order: the coset rho(A) * beta_i * rho(a) is that slot's neighbour."""
+        carrier = self.carrier
+        return [self.betas[i - 1] * carrier.rho_index(a)
+                for i, a in carrier.star.slots]
+
 
 @dataclass(frozen=True)
 class CompletionReport:
@@ -342,19 +351,14 @@ def _core_indices(star: AmalgamStar, beta_maps) -> set[int]:
 
 
 def _v4(candidate: CompletionCandidate) -> bool:
-    """All base-vertex neighbour cosets pairwise distinct: for slots
-    (i, a) != (j, a'), the element beta_i * rho(a a'^-1) * beta_j must lie
-    outside rho(A)."""
+    """All base-vertex neighbour cosets pairwise distinct: the slot elements
+    have distinct canonical coset keys.  Two slots (i, a), (j, a') share a
+    coset exactly when beta_i * rho(a a'^-1) * beta_j^-1 lies in rho(A), and
+    each beta is an involution (checked before V4 runs)."""
     carrier = candidate.carrier
-    star = carrier.star
-    betas = candidate.betas
-    for s, (i, a_idx) in enumerate(star.slots):
-        for j, b_idx in star.slots[s + 1:]:
-            a_b_inv = star.mul(a_idx, star.inverse[b_idx])
-            w = betas[i - 1] * carrier.rho_index(a_b_inv) * betas[j - 1]
-            if carrier.in_rho(w):
-                return False
-    return True
+    keys = {carrier.canonical_coset_rep(e).images
+            for e in candidate.slot_elements()}
+    return len(keys) == len(carrier.star.slots)
 
 
 def verify_completion(candidate: CompletionCandidate) -> CompletionReport:

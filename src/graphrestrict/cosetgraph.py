@@ -193,12 +193,6 @@ class BaseLocalCertificate:
     witness: LocalActionWitness | None = None
 
 
-def _slot_elements(candidate: CompletionCandidate) -> list[Permutation]:
-    carrier = candidate.carrier
-    return [candidate.betas[i - 1] * carrier.rho_index(a_idx)
-            for i, a_idx in carrier.star.slots]
-
-
 def build_graph(candidate: CompletionCandidate, report: CompletionReport,
                 cap: int = DEFAULT_VERTEX_CAP):
     """The coset graph of an accepted completion, explicit when it fits.
@@ -217,15 +211,11 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     carrier = candidate.carrier
     star = carrier.star
     valency = star.local_group.degree
-    slot_elems = _slot_elements(candidate)
-    keys = tuple(carrier.canonical_coset_rep(e).images for e in slot_elems)
+    keys = tuple(carrier.canonical_coset_rep(e).images
+                 for e in candidate.slot_elements())
     table = enumerate_cosets(candidate, cap)
 
     if table is None:
-        if len(set(keys)) != valency:
-            raise TheoryViolationError(
-                "base vertex valency defect in implicit mode (V4 should have "
-                "excluded this)")
         chain = perm.StabiliserChain(carrier.degree,
                                      candidate.group_generators())
         return BaseLocalCertificate(
@@ -283,11 +273,10 @@ def local_action(pair, local_group: PermutationGroup) -> LocalActionWitness:
     star = carrier.star
     if star.local_group.degree != local_group.degree:
         raise InputError("local group degree mismatch")
-    slot_elems = _slot_elements(candidate)
-    keys = [carrier.canonical_coset_rep(e).images for e in slot_elems]
-    key_to_slot = {k: j for j, k in enumerate(keys)}
-    if len(key_to_slot) != len(star.slots):
-        raise TheoryViolationError("neighbour slots are not distinct cosets")
+    slot_elems = candidate.slot_elements()
+    # distinct by V4, which accepted the candidate on these same keys
+    key_to_slot = {carrier.canonical_coset_rep(e).images: j
+                   for j, e in enumerate(slot_elems)}
 
     def induced(element_index: int) -> Permutation:
         g = carrier.rho_index(element_index)

@@ -117,6 +117,12 @@ def carrier_core_of_rho(candidate):
     return survivors
 
 
+def index_mul(star, x, y):
+    """x * y on element indices, read from the star's row of y (the star
+    multiplies whole rows, not single pairs)."""
+    return star.right_row(y)[x]
+
+
 def full_map_v1(star, i, conjugates):
     """V1 over the whole conjugation map of beta_i: it is defined (>= 0)
     exactly on the element indices of C_i."""
@@ -191,6 +197,37 @@ def slot_kernel_by_loop(star, labels):
         kernel = [a for a in kernel
                   if star.right_coset_point(i, rep_times[a]) == label]
     return kernel
+
+
+def twist_multiplicative_by_loop(star):
+    """Twist multiplicativity over every pair of every edge subgroup:
+    phi_i(c * d) = phi_i(c) * phi_i(d) for all c, d in C_i, two rows of A
+    per d.  Assumes each twist maps C_i into itself.  Returns "twist
+    multiplicative" at the first failure, or None."""
+    for edge in star.edges:
+        members = edge.subgroup_indices
+        tw = edge.twist_images
+        for d in members:
+            times_d = star.right_row(d)              # c -> c * d
+            times_phi_d = star.right_row(tw[d])      # c -> c * phi(d)
+            if any(tw[times_d[c]] != times_phi_d[tw[c]] for c in members):
+                return "twist multiplicative"
+    return None
+
+
+def v4_by_pairs(candidate):
+    """V4 pair by pair: for slots (i, a) before (j, a'), the element
+    beta_i * rho(a a'^-1) * beta_j must lie outside rho(A)."""
+    carrier = candidate.carrier
+    star = carrier.star
+    betas = candidate.betas
+    for s, (i, a) in enumerate(star.slots):
+        for j, b in star.slots[s + 1:]:
+            a_b_inv = index_mul(star, a, star.inverse[b])
+            w = betas[i - 1] * carrier.rho_index(a_b_inv) * betas[j - 1]
+            if carrier.in_rho(w):
+                return False
+    return True
 
 
 def star_core_by_loop(star):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -13,8 +15,9 @@ from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
 from graphrestrict.cosetgraph import construct_pair
 
-from conftest import (ORACLE_STARS, DecodedStar, group, slot_kernel_by_loop,
-                      star_core_by_loop)
+from conftest import (ORACLE_STARS, DecodedStar, group, index_mul,
+                      slot_kernel_by_loop, star_core_by_loop,
+                      twist_multiplicative_by_loop)
 
 
 @pytest.fixture
@@ -40,7 +43,17 @@ def edge_mul(star, i, u, v):
     """The product in B_i of (element index, flip bit) pairs, read from the
     star's twist map: (c, e)(c', e') = (c * phi_i^e(c'), e xor e')."""
     (c, e), (d, f) = u, v
-    return star.mul(c, star.edge(i).twist_images[d] if e else d), e ^ f
+    return index_mul(star, c, star.edge(i).twist_images[d] if e else d), e ^ f
+
+
+def with_twist_images(star, i, images):
+    """A shallow copy of the star whose edge i has the given twist map."""
+    edge = star.edge(i)
+    broken = copy.copy(star)
+    broken.edges = (star.edges[:i - 1]
+                    + (dataclasses.replace(edge, twist_images=tuple(images)),)
+                    + star.edges[i:])
+    return broken
 
 
 def slot_action(dec, star, model, x):
@@ -49,7 +62,7 @@ def slot_action(dec, star, model, x):
     slot_of = {(i, label): j
                for j, ((i, _), label) in enumerate(zip(model.slots,
                                                         model.labels))}
-    return [slot_of[(i, dec.elements[star.mul(rep, x)][0].apply(
+    return [slot_of[(i, dec.elements[index_mul(star, rep, x)][0].apply(
                 star.edge(i).orbit_rep))]
             for i, rep in model.slots]
 
@@ -157,7 +170,7 @@ class TestStarMultiply:
     """Products in A and in the edge groups B_i, on element indices."""
 
     def test_a_side_identity(self, star0):
-        assert star0.mul(5, 0) == 5 == star0.mul(0, 5)
+        assert star0.right_row(0)[5] == 5 == star0.left_row(0)[5]
 
     def test_b1_example(self, star0):
         dec = DecodedStar(star0)
@@ -175,7 +188,7 @@ class TestStarMultiply:
         star = build_star(analyze_local_group(g), 2)
         dec = DecodedStar(star)
         c, d = star.edge(3).subgroup_indices[1:3]
-        cd = star.mul(c, d)
+        cd = index_mul(star, c, d)
         assert edge_mul(star, 3, (c, 1), (d, 1)) == (cd, 0)
         assert dec.elements[cd] == dec.mul(dec.elements[c], dec.elements[d])
 
@@ -316,7 +329,6 @@ class TestIndexEncoding:
             for x in range(star.order):
                 assert elems[right[x]] == dec.mul(elems[x], elems[y])
                 assert elems[left[x]] == dec.mul(elems[y], elems[x])
-                assert star.mul(x, y) == right[x]
 
     def test_inverses(self, oracle_star):
         star = oracle_star
@@ -394,3 +406,49 @@ class TestIndexEncoding:
         with pytest.raises(ValidationError) as err:
             validate_star(star)
         assert err.value.check == "twist multiplicative"
+
+    @pytest.mark.parametrize("x, y", itertools.combinations((3, 5, 6, 7), 2))
+    def test_swapped_non_generator_images_fail_multiplicativity(self, x, y):
+        # C_3 is generated by 4, 2 and 1, so this swap leaves every
+        # generator's image alone; the check on generators still sees it
+        star = build_star(analyze_local_group(group(4, "(1 2)")), 2)
+        edge = star.edge(3)
+        assert {x, y}.isdisjoint(edge.subgroup_generators)
+        images = list(edge.twist_images)
+        images[x], images[y] = y, x
+        broken = with_twist_images(star, 3, images)
+        assert twist_multiplicative_by_loop(broken) == "twist multiplicative"
+        with pytest.raises(ValidationError) as err:
+            validate_star(broken)
+        assert err.value.check == "twist multiplicative"
+        assert str(err.value).endswith("edge 3")
+
+    def test_twist_check_matches_loop(self, oracle_star):
+        # relabel two non-identity members of C_i on both sides of the twist
+        # (sigma phi sigma stays an involution of C_i) on seeded pairs: the
+        # generator check fails exactly when the all-pairs loop does
+        star = oracle_star
+        assert twist_multiplicative_by_loop(star) is None
+        validate_star(star)
+        rng = random.Random(0)
+        outcomes = set()
+        for edge in star.edges:
+            for _ in range(8):
+                x, y = rng.sample(edge.subgroup_indices[1:], 2)
+                swap = {x: y, y: x}
+                tw = edge.twist_images
+                images = list(tw)
+                for c in edge.subgroup_indices:
+                    d = tw[swap.get(c, c)]
+                    images[c] = swap.get(d, d)
+                broken = with_twist_images(star, edge.index, images)
+                loop = twist_multiplicative_by_loop(broken)
+                try:
+                    validate_star(broken)
+                    raised = None
+                except ValidationError as err:
+                    raised = err.check
+                    assert str(err).endswith(f"edge {edge.index}")
+                assert raised == loop
+                outcomes.add(loop)
+        assert outcomes == {None, "twist multiplicative"}

@@ -281,6 +281,20 @@ class TestReportCommand:
         assert cli.CAPS_ENV_VAR in capsys.readouterr().err
 
 
+class TestMaxVerticesFlag:
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [["construct", "--n", "2", "--out"],
+                                      ["report", "--n-from", "2", "--n-to",
+                                       "2"]])
+    def test_below_one_exit_2(self, files, capsys, argv, value):
+        if argv[0] == "construct":
+            argv = argv + [str(files["dir"] / "small-cap")]
+        assert main([argv[0], files["L0"]] + argv[1:]
+                    + ["--max-vertices", value]) == 2
+        err = capsys.readouterr().err
+        assert f"--max-vertices must be at least 1, got {value}" in err
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

@@ -15,8 +15,8 @@ from graphrestrict.errors import (CapacityError, CompletionSearchError,
 from graphrestrict.perm import Permutation, StabiliserChain
 
 from conftest import (ORACLE_STARS, DecodedStar, carrier_core_of_rho,
-                      full_map_contract, full_map_v1, group,
-                      rho_check_by_loop)
+                      full_map_contract, full_map_v1, group, index_mul,
+                      rho_check_by_loop, v4_by_pairs)
 
 
 @pytest.fixture
@@ -304,6 +304,21 @@ class TestVerifyCompletion:
             assert len(keys) == edge.coset_index
 
 
+class TestV4:
+    """V4 on the slot elements' canonical keys; the pairwise membership
+    loop in conftest is the oracle."""
+
+    V4_HOLDS = {"l0-accepted": True, "l1-accepted": True,
+                "identity-beta": True, "nonabelian-accepted": True,
+                "normalizing-beta": False, "leaking-third-edge": False}
+
+    @pytest.mark.parametrize("name", sorted(CANDIDATES))
+    def test_matches_pairwise_loop(self, name):
+        cand = CANDIDATES[name]()
+        assert completion._v4(cand) is v4_by_pairs(cand) is self.V4_HOLDS[name]
+        assert verify_completion(cand).v4 is self.V4_HOLDS[name]
+
+
 class TestConjugationMaps:
     def test_map_is_literal_conjugation(self, candidate):
         carrier = candidate.carrier
@@ -334,7 +349,7 @@ class TestConjugationMaps:
         # by a generator of A falls outside it
         star = build_star(analyze_local_group(group(4, "(1 2)", "(1 2 3)")), 2)
         x = next(x for x in range(star.order)
-                 if any(star.mul(x, g) != star.mul(g, x)
+                 if any(index_mul(star, x, g) != index_mul(star, g, x)
                         for g in star.generator_indices))
         keeps_x = [-1] * star.order
         keeps_x[0], keeps_x[x] = 0, x
