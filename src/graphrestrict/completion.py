@@ -17,11 +17,13 @@ realises the edge twist on ``rho(C_i)``.  The group ``G`` generated by
 * V4:              the base vertex's neighbour cosets are pairwise distinct.
 
 These are precisely the finite conditions the coset-graph construction
-consumes; V3 is mathematically forced once V1 holds on every edge (the
-core is then confined to the head-trivial subgroup, on which the two
-reversals act transitively by coordinate position), so a computed V3
-failure under those hypotheses is reported as a theory violation, never as
-a search miss.
+consumes.  V3 is not computed: it follows from the conjugation contract and
+V1 on every edge.  A normal subgroup of G inside rho(A) lies in every D_i =
+C_i, so in the core in A of the intersection of the C_i, which is the
+head-trivial subgroup 1 x S^n; conjugation by beta_1 and beta_2 acts on it
+as the two reversals, which move every coordinate onto the head, so only
+the identity survives.  V3 is reported True when V1 holds on every edge and
+None otherwise, when V1 has already rejected the candidate.
 
 Conjugation by beta_i is checked on few elements only.  The contract is
 checked on the generators of C_i = L_{r_i} x S^n (the stabiliser's in the
@@ -29,12 +31,10 @@ head, A's in the tail), since both of its sides are homomorphisms on C_i.
 The elements x whose conjugate
 ``beta_i^-1 rho(x) beta_i`` lies in rho(A) form a subgroup D_i, so V1
 (D_i = C_i) needs the generators of C_i and one element of each other left
-coset of C_i.  When V1 holds, the twist's index map is the conjugation map
-of beta_i, and the V3 core reads it; an edge where V1 fails has its map
-computed element by element.  V2 is checked on the carrier, and V4 on the
-canonical coset keys of the slot elements, the keys the coset graph uses.
-The order of G is not computed here: the coset graph gets it from the coset
-count (see ``cosetgraph.build_graph``).
+coset of C_i.  V2 is checked on the carrier, and V4 on the canonical coset
+keys of the slot elements, the keys the coset graph uses.  The order of G
+is not computed here: the coset graph gets it from the coset count (see
+``cosetgraph.build_graph``).
 
 There is no guarantee that a completion exists at small ``t`` for every
 input, so ``find_completion`` runs a deterministic escalation ladder
@@ -52,7 +52,7 @@ from operator import itemgetter
 
 from .amalgam import DEFAULT_CARRIER_CAP, IDENTITY_TWIST, AmalgamStar
 from .errors import (CapacityError, CompletionSearchError, InputError,
-                     TheoryViolationError, ValidationError)
+                     ValidationError)
 from .perm import Permutation
 
 _PER_EDGE_CANDIDATES = 24     # plans offered per edge and search pass
@@ -130,7 +130,7 @@ class Carrier:
         basepoint to the minimal possible point; that element is the key.
         """
         first = perm.images[:self.size]
-        ia = min(range(self.size), key=first.__getitem__)
+        ia = first.index(min(first))
         return self.rho_index(ia) * perm
 
 
@@ -216,12 +216,13 @@ class CompletionCandidate:
 
 @dataclass(frozen=True)
 class CompletionReport:
-    """V1-V4 of a candidate.  ``order_g`` is None until the coset graph
-    of an accepted candidate is built."""
+    """V1-V4 of a candidate.  ``v3`` is derived from V1: True when V1 holds
+    on every edge, None when it fails somewhere.  ``order_g`` is None until
+    the coset graph of an accepted candidate is built."""
 
     v1: tuple[bool, ...]
     v2: tuple[bool, ...]
-    v3: bool
+    v3: bool | None
     v4: bool
     order_g: int | None
     order_a: int
@@ -293,16 +294,6 @@ def build_involution(carrier: Carrier, i: int, plan: EdgePlan) -> Permutation:
     return beta
 
 
-def _conjugates(carrier: Carrier, beta: Permutation):
-    """The conjugation map of beta: for each element index x in order, the
-    index of beta^-1 * rho(x) * beta, or -1 when that conjugate lies
-    outside rho(A).  A generator, so that a caller may stop early."""
-    beta_inv = beta.inverse()
-    for x in range(carrier.size):
-        y = carrier.membership_index(beta_inv * carrier.rho_index(x) * beta)
-        yield -1 if y is None else y
-
-
 def _conjugate_index(carrier: Carrier, beta: Permutation, x: int) -> int | None:
     """The index of beta * rho(x) * beta, or None outside rho(A); for an
     involution beta this is the conjugate beta^-1 * rho(x) * beta."""
@@ -330,26 +321,6 @@ def _edge_v2(carrier: Carrier, beta: Permutation) -> bool:
     return not carrier.in_rho(beta)
 
 
-def _core_indices(star: AmalgamStar, beta_maps) -> set[int]:
-    """The core of rho(A) in G as element indices: the largest subset that
-    conjugation by A's generators (through the star's tables) and by each
-    beta_i (through its map) sends into itself.  The maps are injective, so
-    such a finite set is also closed under the inverse generators."""
-    maps = list(beta_maps)
-    for g in star.generator_indices:
-        by_inverse = star.left_row(star.inverse[g])       # y -> g^-1 * y
-        maps.append([by_inverse[xg] for xg in star.right_row(g)])
-    survivors = set(range(star.order))
-    changed = True
-    while changed:
-        changed = False
-        for x in tuple(survivors):
-            if any(m[x] not in survivors for m in maps):
-                survivors.discard(x)
-                changed = True
-    return survivors
-
-
 def _v4(candidate: CompletionCandidate) -> bool:
     """All base-vertex neighbour cosets pairwise distinct: the slot elements
     have distinct canonical coset keys.  Two slots (i, a), (j, a') share a
@@ -366,11 +337,9 @@ def verify_completion(candidate: CompletionCandidate) -> CompletionReport:
 
     Each beta is first checked to be an involution that realises the edge
     twist by conjugation on the generators of C_i.  V1 then tests one
-    element per left coset of C_i, and the V3 core reads each edge's
-    conjugation map: the twist's map where V1 holds, the map computed
-    element by element where it fails.  Also asserts the consequence the
-    construction theory forces: V3 must hold whenever V1 holds on every
-    edge.
+    element per left coset of C_i.  V3 is derived, not computed: it holds
+    when V1 holds on every edge (see the module docstring), and is None
+    when V1 has already failed.
     """
     carrier = candidate.carrier
     star = carrier.star
@@ -384,20 +353,9 @@ def verify_completion(candidate: CompletionCandidate) -> CompletionReport:
     v1 = tuple(_edge_v1(carrier, i, beta)
                for i, beta in enumerate(candidate.betas, start=1))
     v2 = tuple(_edge_v2(carrier, beta) for beta in candidate.betas)
-    beta_maps = [edge.twist_images if ok else tuple(_conjugates(carrier, beta))
-                 for edge, ok, beta in zip(star.edges, v1, candidate.betas)]
-    v3 = _core_indices(star, beta_maps) == {0}
-    # When V1 holds on every edge the core lies inside the head-trivial
-    # subgroup (validated at star build), and invariance under the two
-    # reversal involutions then forces it to be trivial: the reversals act
-    # transitively on the coordinate positions.  V1 on the first two edges
-    # alone is not enough once k >= 3: a diagonal subgroup can survive when
-    # a later edge leaks.
-    if all(v1) and not v3:
-        raise TheoryViolationError(
-            "core of rho(A) nontrivial although V1 holds on every edge")
+    v3 = True if all(v1) else None
     v4 = _v4(candidate)
-    accepted = all(v1) and all(v2) and v3 and v4
+    accepted = all(v1) and all(v2) and v4
     return CompletionReport(v1, v2, v3, v4, None, star.order, accepted)
 
 
@@ -581,10 +539,9 @@ def find_completion(star: AmalgamStar,
                     report = verify_completion(candidate)
                     if report.accepted:
                         return candidate, report
-                    failed = [name for name, ok in
-                              (("V3", report.v3), ("V4", report.v4)) if not ok]
+                    # the shortlists passed V1 and V2, so V4 rejected it
                     attempts.append(AttemptRecord(t, "combo", scheme,
-                                                  f"{'+'.join(failed)} failed"))
+                                                  "V4 failed"))
             t += 1
 
     if (config.max_copies + 1) * star.order > config.carrier_cap:

@@ -85,10 +85,6 @@ class FiniteGraph:
                     queue.append(v)
         return len(seen) == self.vertex_count
 
-    def is_regular(self) -> int | None:
-        degrees = {len(nbrs) for nbrs in self.adjacency}
-        return degrees.pop() if len(degrees) == 1 else None
-
 
 @dataclass(frozen=True)
 class CosetTable:
@@ -152,7 +148,6 @@ class LocalActionWitness:
     conjugation: Permutation
     induced_generators: tuple[Permutation, ...]
     kernel_order: int
-    transported_equal: bool
 
 
 @dataclass(frozen=True)
@@ -187,7 +182,6 @@ class BaseLocalCertificate:
     valency: int
     vertex_count: None
     neighbour_slots: tuple[tuple[int, int], ...]
-    neighbour_keys: tuple[tuple[int, ...], ...]
     candidate: CompletionCandidate
     report: CompletionReport
     witness: LocalActionWitness | None = None
@@ -211,8 +205,6 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     carrier = candidate.carrier
     star = carrier.star
     valency = star.local_group.degree
-    keys = tuple(carrier.canonical_coset_rep(e).images
-                 for e in candidate.slot_elements())
     table = enumerate_cosets(candidate, cap)
 
     if table is None:
@@ -220,33 +212,26 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
                                      candidate.group_generators())
         return BaseLocalCertificate(
             stabiliser_order=star.order, valency=valency, vertex_count=None,
-            neighbour_slots=star.slots, neighbour_keys=keys,
-            candidate=candidate,
+            neighbour_slots=star.slots, candidate=candidate,
             report=dataclasses.replace(report, order_g=chain.order()))
 
     # G acts on the right and the slot elements multiply on the left, so
     # N(v * g) = N(v) * g: every vertex inherits its neighbourhood from the
-    # vertex that discovered it, and enumerate_cosets discovers in index order
+    # vertex that discovered it, and enumerate_cosets discovers in index
+    # order.  V2 and V4 give each vertex d distinct neighbours other than
+    # itself, the involutive betas make adjacency symmetric, and G =
+    # <rho(A), betas> makes the graph connected.
     n = table.size
-    base_neighbours = [table.index[key] for key in keys]
+    base_neighbours = [table.index[carrier.canonical_coset_rep(e).images]
+                       for e in candidate.slot_elements()]
     neighbours: list[list[int] | None] = [base_neighbours] + [None] * (n - 1)
-    edges = set()
     for v in range(n):
         nbrs = neighbours[v]
         for row in table.transitions:
             w = row[v]
             if neighbours[w] is None:
                 neighbours[w] = [row[u] for u in nbrs]
-        if len(set(nbrs)) != valency or v in nbrs:
-            raise TheoryViolationError(
-                f"vertex {v} has {len(set(nbrs))} distinct neighbours, expected "
-                f"{valency} (V2/V4 should have excluded this)")
-        edges.update((min(v, w), max(v, w)) for w in nbrs)
-    graph = FiniteGraph.from_edges(n, edges)
-    if not graph.is_connected():
-        raise TheoryViolationError("coset graph is not connected")
-    if graph.is_regular() != valency:
-        raise TheoryViolationError("coset graph is not regular of the right valency")
+    graph = FiniteGraph(n, tuple(tuple(sorted(nbrs)) for nbrs in neighbours))
 
     action = tuple(Permutation(tuple(row[v] + 1 for v in range(n)))
                    for row in table.transitions)
@@ -317,7 +302,7 @@ def local_action(pair, local_group: PermutationGroup) -> LocalActionWitness:
             "no conjugating witness although the transported action matches")
     return LocalActionWitness(labels=labels, conjugation=conj,
                               induced_generators=tuple(gens),
-                              kernel_order=kernel, transported_equal=ok)
+                              kernel_order=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +406,6 @@ def verify_locally_L(graph: FiniteGraph, generators,
 class ConstructionResult:
     analysis: classify.LocalGroupAnalysis
     star: amalgam.AmalgamStar
-    validation: amalgam.StarValidation
     candidate: CompletionCandidate
     report: CompletionReport
     pair: FiniteLocallyLPair | BaseLocalCertificate
@@ -442,12 +426,12 @@ def construct_pair(local_group: PermutationGroup, n: int,
     if analysis is None:
         analysis = classify.analyze_local_group(local_group)
     star = amalgam.build_star(analysis, n, search.carrier_cap)
-    validation = amalgam.validate_star(star)
+    amalgam.validate_star(star)
     candidate, report = find_completion(star, search)
     pair = build_graph(candidate, report, vertex_cap)
     witness = local_action(pair, local_group)
     pair = dataclasses.replace(pair, witness=witness)
-    return ConstructionResult(analysis, star, validation, candidate,
+    return ConstructionResult(analysis, star, candidate,
                               pair.report, pair, witness)
 
 
@@ -505,7 +489,7 @@ def growth_report(local_group: PermutationGroup, n_values,
             n=n, stabiliser_order=result.pair.stabiliser_order,
             order_g=rep.order_g, vertex_count=result.pair.vertex_count,
             v1=rep.v1, v2=rep.v2, v3=rep.v3, v4=rep.v4,
-            locally_l=result.witness.transported_equal,
+            locally_l=True,
             accepted=rep.accepted, failure=None))
     accepted_orders = [r.stabiliser_order for r in rows]
     if any(b <= a for a, b in zip(accepted_orders, accepted_orders[1:])):

@@ -117,6 +117,18 @@ def carrier_core_of_rho(candidate):
     return survivors
 
 
+def conjugation_map(carrier, beta):
+    """The conjugation map of beta, literally: for each element index x in
+    order, the index of beta^-1 * rho(x) * beta, or -1 when that conjugate
+    lies outside rho(A)."""
+    out = []
+    for x in range(carrier.size):
+        y = carrier.membership_index(
+            beta.inverse() * carrier.rho_index(x) * beta)
+        out.append(-1 if y is None else y)
+    return out
+
+
 def index_mul(star, x, y):
     """x * y on element indices, read from the star's row of y (the star
     multiplies whole rows, not single pairs)."""
@@ -154,6 +166,17 @@ def kernel_order_by_loop(pair):
         kernel += all(carrier.canonical_coset_rep(e * g).images == key
                       for e, key in zip(slot_elems, keys))
     return kernel
+
+
+def witness_conjugates_onto(witness, local_group):
+    """The local-action witness's bijection conjugates every induced
+    generator into the local group, and the induced group has the local
+    group's order, so the conjugate is the local group itself."""
+    conj = witness.conjugation
+    induced = PermutationGroup(local_group.degree, witness.induced_generators)
+    return (induced.order() == local_group.order()
+            and all(local_group.contains(conj.inverse() * g * conj)
+                    for g in witness.induced_generators))
 
 
 def from_cycles_by_products(degree, cycles):

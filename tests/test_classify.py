@@ -3,13 +3,14 @@ import random
 import pytest
 
 from graphrestrict import perm
+from graphrestrict.amalgam import build_star
 from graphrestrict.classify import (NOT_RESTRICTIVE, OUT_OF_SCOPE_TRANSITIVE,
                                     RESTRICTIVE_SEMIREGULAR,
                                     analyze_local_group, restrictive_verdict)
 from graphrestrict.errors import TheoryViolationError
 from graphrestrict.perm import Permutation, PermutationGroup
 
-from conftest import group
+from conftest import group, star_core_by_loop
 
 
 class TestAnalyze:
@@ -77,10 +78,13 @@ class TestAnalyze:
 
     def test_semiprimitive_iff_semiregular_on_random_intransitive_groups(self):
         # the analysis reads the semiprimitive flag of intransitive input off
-        # semiregularity; the enumeration in perm must agree
+        # semiregularity; the enumeration in perm must agree.  Each
+        # non-semiregular group with a small star at n=2 also checks that
+        # the core in A of the intersection of the edge subgroups is 1 x S^2
         rng = random.Random(0)
         seen = set()
         checked = 0
+        cores = 0
         while checked < 40:
             degree = rng.randint(2, 7)
             gens = []
@@ -98,7 +102,14 @@ class TestAnalyze:
             semiregular = perm.predicates(g).is_semiregular
             assert perm.is_semiprimitive(g) == semiregular, g.generators
             seen.add(semiregular)
+            analysis = analyze_local_group(g)
+            s = analysis.stabiliser_orders[0]
+            if not semiregular and g.order() * s ** 2 <= 2000:
+                star = build_star(analysis, 2)
+                assert len(star_core_by_loop(star)) == s ** 2, g.generators
+                cores += 1
         assert seen == {True, False}
+        assert cores
 
     def test_not_restrictive_without_anchor_is_a_theory_violation(
             self, l2, monkeypatch):

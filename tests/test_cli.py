@@ -295,6 +295,25 @@ class TestMaxVerticesFlag:
         assert f"--max-vertices must be at least 1, got {value}" in err
 
 
+class TestHugeN:
+    """The carrier cap is compared with |L| * s^n factor by factor, so a
+    huge n is refused at once instead of building a number of n digits."""
+
+    @pytest.mark.parametrize("n", ["10000", "1000000000"])
+    @pytest.mark.parametrize("argv", [["construct", "--n", "{n}", "--out"],
+                                      ["report", "--n-from", "{n}", "--n-to",
+                                       "{n}"]])
+    def test_exit_2_naming_the_cap(self, files, capsys, argv, n):
+        argv = [a.format(n=n) for a in argv]
+        if argv[0] == "construct":
+            argv = argv + [str(files["dir"] / "huge-n")]
+        start = time.monotonic()
+        assert main([argv[0], files["L1"]] + argv[1:]) == 2
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        assert "cap 'carrier cap' = 10000 exceeded" in err
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

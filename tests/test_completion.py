@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from graphrestrict.errors import (CapacityError, CompletionSearchError,
 from graphrestrict.perm import Permutation, StabiliserChain
 
 from conftest import (ORACLE_STARS, DecodedStar, carrier_core_of_rho,
-                      full_map_contract, full_map_v1, group, index_mul,
+                      conjugation_map, full_map_contract, full_map_v1, group,
                       rho_check_by_loop, v4_by_pairs)
 
 
@@ -270,8 +271,8 @@ class TestVerifyCompletion:
     def test_leaking_third_edge_reports_nontrivial_core(self):
         # with three orbits, V1 on the two reversal edges alone does not
         # confine the core: an identity involution on the third edge leaves
-        # a diagonal subgroup normal in the completed group, and the
-        # verifier must report it as a plain failure, not a theory violation
+        # a diagonal subgroup normal in the completed group.  V1 already
+        # rejects the candidate, so V3 is not derived
         g = group(5, "(1 2)", "(3 4)")
         star = build_star(analyze_local_group(g), 2)
         assert star.k == 3
@@ -282,8 +283,9 @@ class TestVerifyCompletion:
                                      cand.strategy)
         r = verify_completion(broken)
         assert r.v1[0] and r.v1[1] and not r.v1[2]
-        assert r.v3 is False
+        assert r.v3 is None
         assert not r.accepted
+        assert len(carrier_core_of_rho(broken)) > 1
 
     def test_accepted_l0(self, star0):
         candidate, report = find_completion(star0)
@@ -321,39 +323,35 @@ class TestV4:
 
 class TestConjugationMaps:
     def test_map_is_literal_conjugation(self, candidate):
+        # the one-element conjugate that the contract and V1 read agrees
+        # with the literal conjugation map on every element of A
         carrier = candidate.carrier
         for beta in candidate.betas:
-            literal = []
-            for x in range(carrier.size):
-                y = carrier.membership_index(
-                    beta.inverse() * carrier.rho_index(x) * beta)
-                literal.append(-1 if y is None else y)
-            assert list(completion._conjugates(carrier, beta)) == literal
+            single = [completion._conjugate_index(carrier, beta, x)
+                      for x in range(carrier.size)]
+            assert ([-1 if y is None else y for y in single]
+                    == conjugation_map(carrier, beta))
 
     def test_core_matches_carrier_oracle(self, candidate):
-        carrier = candidate.carrier
-        maps = [tuple(completion._conjugates(carrier, beta))
-                for beta in candidate.betas]
-        core = completion._core_indices(carrier.star, maps)
-        assert core == carrier_core_of_rho(candidate)
+        # V3 is derived: True exactly when V1 holds on every edge, and then
+        # the core recomputed on the carrier is trivial
+        report = verify_completion(candidate)
+        if all(report.v1):
+            assert report.v3 is True
+            assert carrier_core_of_rho(candidate) == {0}
+        else:
+            assert report.v3 is None
 
     def test_leaking_third_edge_core_is_nontrivial(self):
+        # the core is confined to C_i on each edge where V1 holds, here the
+        # two reversal edges, and V1 failing on the third edge lets a
+        # nontrivial part of C_1 & C_2 survive
         cand = CANDIDATES["leaking-third-edge"]()
-        maps = [tuple(completion._conjugates(cand.carrier, beta))
-                for beta in cand.betas]
-        assert len(completion._core_indices(cand.carrier.star, maps)) > 1
-
-    def test_core_is_closed_under_conjugation_by_a(self):
-        # A = S3 x S3^2 is nonabelian: a map that keeps the identity and one
-        # non-central x survives the beta maps alone, but a conjugate of x
-        # by a generator of A falls outside it
-        star = build_star(analyze_local_group(group(4, "(1 2)", "(1 2 3)")), 2)
-        x = next(x for x in range(star.order)
-                 if any(index_mul(star, x, g) != index_mul(star, g, x)
-                        for g in star.generator_indices))
-        keeps_x = [-1] * star.order
-        keeps_x[0], keeps_x[x] = 0, x
-        assert completion._core_indices(star, [keeps_x]) == {0}
+        star = cand.carrier.star
+        core = carrier_core_of_rho(cand)
+        assert len(core) > 1
+        assert core <= (set(star.edge(1).subgroup_indices)
+                        & set(star.edge(2).subgroup_indices))
 
     def test_swapped_betas_break_the_contract(self, star0):
         cand, _ = find_completion(star0)
@@ -479,7 +477,7 @@ class TestGeneratorChecks:
             for i, beta in built_plans(carrier):
                 v1 = completion._edge_v1(carrier, i, beta)
                 assert v1 == full_map_v1(
-                    star, i, completion._conjugates(carrier, beta))
+                    star, i, conjugation_map(carrier, beta))
                 outcomes.add(v1)
         assert outcomes == {True, False}
 
@@ -505,7 +503,7 @@ class TestGeneratorChecks:
         for i in range(1, star.k + 1):
             for beta in betas:
                 full = full_map_contract(
-                    star, i, completion._conjugates(carrier, beta))
+                    star, i, conjugation_map(carrier, beta))
                 trial = list(cand.betas)
                 trial[i - 1] = beta
                 try:
@@ -519,3 +517,29 @@ class TestGeneratorChecks:
                 assert raised == (not full)
                 outcomes.add(raised)
         assert outcomes == {True, False}
+
+
+class TestV3Theorem:
+    """V3 is derived from V1: every combination of built involutions that
+    satisfies the contract and V1 on every edge has a trivial core, by the
+    carrier-level oracle."""
+
+    @pytest.mark.parametrize("name", sorted(GENERATOR_CHECK_STARS))
+    def test_v1_everywhere_forces_trivial_core(self, name):
+        star = generator_check_star(name)
+        checked = 0
+        for t in (1, 2, 3):
+            carrier = Carrier(star, t)
+            per_edge = [[] for _ in range(star.k)]
+            for i, beta in built_plans(carrier):
+                conj = conjugation_map(carrier, beta)
+                if full_map_contract(star, i, conj) and full_map_v1(star, i,
+                                                                    conj):
+                    per_edge[i - 1].append(beta)
+            strategy = completion.CompletionStrategy(t, (), 0, "v3-theorem")
+            for betas in itertools.islice(itertools.product(*per_edge), 64):
+                cand = CompletionCandidate(carrier, betas, strategy)
+                assert carrier_core_of_rho(cand) == {0}
+                assert verify_completion(cand).v3 is True
+                checked += 1
+        assert checked

@@ -19,7 +19,8 @@ from graphrestrict.errors import (CapacityError, InputError,
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
 from conftest import (carrier_neighbourhoods, coset_key_failure,
-                      graph6_pair_loop, group, kernel_order_by_loop)
+                      graph6_pair_loop, group, kernel_order_by_loop,
+                      witness_conjugates_onto)
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,7 @@ ORDER_CASES = {
     "l0-n4": ((3, "(1 2)"), 4), "l0-n5": ((3, "(1 2)"), 5),
     "l1-n2": ((5, "(1 2 3)(4 5)"), 2), "l1-n3": ((5, "(1 2 3)(4 5)"), 3),
     "two-fixed-points-n3": ((4, "(1 2)"), 3),
+    "three-orbits-n2": ((5, "(1 2)", "(3 4)"), 2),
 }
 
 
@@ -94,7 +96,7 @@ class TestBuildGraph:
         assert isinstance(pair, FiniteLocallyLPair)
         assert pair.valency == 3
         assert pair.stabiliser_order == 8
-        assert pair.graph.is_regular() == 3
+        assert {len(a) for a in pair.graph.adjacency} == {3}
         assert pair.graph.is_connected()
 
     def test_l0_n3(self):
@@ -145,7 +147,8 @@ class TestBuildGraph:
 
 
 # accepted constructions whose |G| is cross-checked against a stabiliser
-# chain of G: L0 at n = 2..5, L1 at n = 2 and 3, <(1 2)> on 4 points at n = 3
+# chain of G: L0 at n = 2..5, L1 at n = 2 and 3, <(1 2)> on 4 points at n = 3,
+# <(1 2), (3 4)> on 5 points at n = 2
 class TestOrderOfG:
     """build_graph reads |G| off the coset count in explicit mode; a
     stabiliser chain of G is the independent check."""
@@ -195,7 +198,7 @@ class TestOrderOfG:
 class TestLocalAction:
     def test_l0_witness(self, result0):
         w = result0.witness
-        assert w.transported_equal
+        assert witness_conjugates_onto(w, group(3, "(1 2)"))
         assert w.kernel_order == 4
         by_edge = {}
         for (edge, _), label in zip(result0.pair.neighbour_slots, w.labels):
@@ -204,7 +207,7 @@ class TestLocalAction:
 
     def test_l1_witness(self, result1):
         w = result1.witness
-        assert w.transported_equal
+        assert witness_conjugates_onto(w, group(5, "(1 2 3)(4 5)"))
         assert w.kernel_order == 9
         by_edge = {}
         for (edge, _), label in zip(result1.pair.neighbour_slots, w.labels):
@@ -225,6 +228,21 @@ class TestLocalAction:
         w = result0.witness
         induced = PermutationGroup(3, w.induced_generators)
         assert induced.order() == 2  # |A| / kernel = 8/4
+
+
+class TestLoopClosure:
+    """build_graph trusts V1-V4 for loops, valency, symmetry and
+    connectivity; the independent verifier closes the loop on every
+    constructed pair."""
+
+    @pytest.mark.parametrize("name", sorted(ORDER_CASES))
+    def test_constructed_pair_verifies(self, name):
+        pair = constructed(name).pair
+        cert = verify_locally_L(pair.graph, pair.action_generators,
+                                group(*ORDER_CASES[name][0]))
+        assert cert.vertex_transitive
+        assert cert.locally_l
+        assert cert.stabiliser_order == pair.stabiliser_order
 
 
 class TestVerifyLocallyL:
@@ -322,7 +340,7 @@ class TestOtherFamilies:
         assert res.pair.stabiliser_order == 6 * 6 ** 2
         assert res.pair.valency == 4
         assert res.witness.kernel_order == 36
-        assert res.witness.transported_equal
+        assert witness_conjugates_onto(res.witness, local)
 
     def test_local_action_group_accessor(self, result0):
         induced = result0.pair.local_action_group()
@@ -342,7 +360,7 @@ class TestOtherFamilies:
         assert res.pair.stabiliser_order == local.order() * s ** 2
         assert res.pair.valency == degree
         assert res.witness.kernel_order == s ** 2
-        assert res.witness.transported_equal
+        assert witness_conjugates_onto(res.witness, local)
         cert = verify_locally_L(res.pair.graph, res.pair.action_generators,
                                 local)
         assert cert.locally_l
