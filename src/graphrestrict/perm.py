@@ -20,11 +20,21 @@ compares ``images`` with a cached ``(1, ..., m)``.  The chain builds each
 inverse transversal element as a product of the inverses it already has,
 never by inverting a permutation point by point, and rebuilds a level's
 orbit only when its generators have changed.
+
+The chain sifts each Schreier generator on base images: the deeper levels
+are passed by index lookups, and a product is formed only for a new strong
+generator or to compare the generator with the product of the transversal
+elements on its path, which one level scan keeps in a memo keyed by the
+path.  The memo is used only when the deeper levels' group is no larger
+than the scanned orbit, so it never holds more permutations than the
+level's transversal.  The Schreier generators of the edges that built the
+orbit are the identity by construction and are skipped.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
@@ -218,7 +228,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
 
 
 class _ChainLevel:
-    __slots__ = ("point", "transversal", "inverse_transversal", "gens")
+    __slots__ = ("point", "transversal", "inverse_transversal", "gens", "tree")
 
     def __init__(self, point: int, degree: int):
         self.point = point
@@ -227,6 +237,9 @@ class _ChainLevel:
         self.transversal = {point: ident}
         self.inverse_transversal = {point: ident}
         self.gens = None    # the generators the orbit was last built from
+        # the (p, j) pairs where gens[j] first reached its image of p in the
+        # orbit search, so that transversal[p] * gens[j] is stored as is
+        self.tree = None
 
 
 class StabiliserChain:
@@ -282,15 +295,17 @@ class StabiliserChain:
         ident = Permutation.identity(self.degree)
         transversal = lev.transversal = {lev.point: ident}
         inverse_transversal = lev.inverse_transversal = {lev.point: ident}
+        tree = lev.tree = set()
         queue = [lev.point]
         for p in queue:     # breadth first: the list grows while it is read
             u = transversal[p]
             u_inv = inverse_transversal[p]
-            for s, s_inv in zip(gens, gens_inv):
+            for j, (s, s_inv) in enumerate(zip(gens, gens_inv)):
                 q = s.images[p - 1]
                 if q not in transversal:
                     transversal[q] = u * s
                     inverse_transversal[q] = s_inv * u_inv    # (u s)^-1
+                    tree.add((p, j))
                     queue.append(q)
 
     def _sift(self, g: Permutation, from_level: int = 0):
@@ -305,9 +320,67 @@ class StabiliserChain:
             h = h * inv
         return h, len(self.levels)
 
+    def _sift_schreier(self, i: int, u: Permutation, s: Permutation, q: int,
+                       memo: dict | None):
+        """Sift the Schreier generator ``x = u s t_q^-1`` of level ``i``
+        through the deeper levels.  Return None when it sifts to the
+        identity, else ``(residue, level)`` exactly as ``_sift(x, i + 1)``.
+
+        The sift follows the base points by lookups: the image of ``b_l``
+        under ``x`` and the inverse transversal elements chosen so far.  A
+        level that misses has a residue moving ``b_l`` off its orbit, which
+        is not the identity.  When every level passes, the residue is the
+        identity iff ``x`` is ``T``, the product of the forward transversal
+        elements on the path, deepest first.  ``memo`` keeps ``T`` by path;
+        without it the residue is computed by products, as ``_sift`` does.
+        """
+        t_inv = self.levels[i].inverse_transversal[q]
+        ui, si, ti = u.images, s.images, t_inv.images
+        path = []       # the point each deeper level's sift passed through
+        chosen = []     # the inverse transversal element taken there
+        for l in range(i + 1, len(self.levels)):
+            img = ti[si[ui[self.levels[l].point - 1] - 1] - 1]
+            for v in chosen:
+                img = v.images[img - 1]
+            inv = self.levels[l].inverse_transversal.get(img)
+            if inv is None:
+                h = u * s * t_inv
+                for v in chosen:
+                    h = h * v
+                return h, l
+            path.append(img)
+            chosen.append(inv)
+        us = u * s
+        if us.images == self.levels[i].transversal[q].images:
+            return None     # x is the identity
+        if memo is None:
+            residue, l = self._sift(us * t_inv, i + 1)
+            return None if residue.is_identity() else (residue, l)
+        key = tuple(path)
+        target = memo.get(key)
+        if target is None:
+            target = Permutation.identity(self.degree)
+            for deep, img in reversed(list(zip(self.levels[i + 1:], path))):
+                target = target * deep.transversal[img]
+            memo[key] = target
+        x = us * t_inv
+        if x.images == target.images:
+            return None
+        for v in chosen:
+            x = x * v
+        return x, len(self.levels)
+
     def _complete(self) -> None:
         """Deterministic Schreier-Sims: make every level's Schreier generators
-        sift to the identity through the deeper levels."""
+        sift to the identity through the deeper levels.
+
+        A level's scan skips the (point, generator) edges of its orbit's
+        spanning tree, whose Schreier generators are the identity, and sifts
+        the others with ``_sift_schreier``.  Its memo of path products lives
+        for one scan, and only when the product of the deeper orbit lengths
+        is at most this level's orbit length, which bounds the memo by the
+        transversal; otherwise every sift that passes multiplies as
+        ``_sift`` does.  The chain is the one the product sift builds."""
         for i in range(len(self.levels)):
             self._rebuild_orbit(i)
         i = len(self.levels) - 1
@@ -315,25 +388,27 @@ class StabiliserChain:
             self._rebuild_orbit(i)
             lev = self.levels[i]
             gens = lev.gens
+            tree = lev.tree
+            # one memo entry per path, that is per element of the deeper
+            # levels' group
+            deeper = math.prod(len(d.transversal) for d in self.levels[i + 1:])
+            memo = {} if deeper <= len(lev.transversal) else None
             new_level = None
             for p in sorted(lev.transversal):
                 u = lev.transversal[p]
-                for s in gens:
-                    q = s.images[p - 1]
-                    us = u * s
-                    # the Schreier generator u s t_q^-1 is trivial iff u s = t_q
-                    if us.images == lev.transversal[q].images:
+                for j, s in enumerate(gens):
+                    if (p, j) in tree:  # u s = t_q: the Schreier generator is 1
                         continue
-                    residue, j = self._sift(us * lev.inverse_transversal[q], i + 1)
-                    if residue.is_identity():
+                    sifted = self._sift_schreier(i, u, s, s.images[p - 1], memo)
+                    if sifted is None:
                         continue
+                    residue, new_level = sifted
                     self.strong_gens.append(residue)
-                    if j == len(self.levels):
+                    if new_level == len(self.levels):
                         for r in range(1, self.degree + 1):
                             if residue.images[r - 1] != r:
                                 self.levels.append(_ChainLevel(r, self.degree))
                                 break
-                    new_level = j
                     break
                 if new_level is not None:
                     break
@@ -343,6 +418,8 @@ class StabiliserChain:
                 i = new_level
             else:
                 i -= 1
+        for lev in self.levels:
+            lev.tree = None     # only the scans read it
 
     # -- queries --------------------------------------------------------
 
@@ -455,13 +532,13 @@ class PermutationGroup:
 def orbits(group: PermutationGroup) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of {1..degree}: each part sorted ascending, parts
     ordered by minimal element."""
-    remaining = set(range(1, group.degree + 1))
+    seen = set()
     parts = []
-    while remaining:
-        p = min(remaining)
-        orb = group.orbit(p)
-        parts.append(orb)
-        remaining.difference_update(orb)
+    for p in range(1, group.degree + 1):
+        if p not in seen:   # the least point of an orbit not yet listed
+            orb = group.orbit(p)
+            parts.append(orb)
+            seen.update(orb)
     return tuple(parts)
 
 
@@ -488,12 +565,13 @@ class GroupPredicates:
 
 
 def predicates(group: PermutationGroup) -> GroupPredicates:
-    """Transitivity and semiregularity, by the definitions: one orbit, and
-    every point stabiliser trivial."""
-    transitive = len(orbits(group)) == 1
-    semiregular = all(point_stabiliser(group, p).order() == 1
-                      for p in range(1, group.degree + 1))
-    return GroupPredicates(transitive, semiregular)
+    """Transitivity and semiregularity from the orbits: one orbit, and every
+    orbit of length ``|L|``, which by orbit-stabiliser
+    (``|L_p| = |L| / |p^L|``) is every point stabiliser trivial."""
+    parts = orbits(group)
+    order = group.order()
+    return GroupPredicates(len(parts) == 1,
+                           all(len(part) == order for part in parts))
 
 
 def normal_closure(group: PermutationGroup, element: Permutation) -> PermutationGroup:

@@ -196,6 +196,67 @@ class TestChainMatchesReferenceKernel:
         assert chain.base[:len(prefix)] == prefix
 
 
+# levels that must take each branch of the sift, by case: the orbit lengths
+# are [1536, 2, 9, 3] and [108, 6, 4, 2, 2, 2, 2, 2]
+SIFT_BRANCHES = {
+    ("l1-n2-vertices", "first"): {"memo": {0}, "no memo": {1}, "miss": {1}},
+    ("l1-n2-carrier", "none"): {"no memo": {1}, "miss": {0}},
+}
+
+
+class TestSiftSchreier:
+    """The base-image sift of ``_sift_schreier`` against ``_sift``, which
+    multiplies at every level: same residue and level, or both trivial."""
+
+    @pytest.mark.parametrize("name,where", CHAIN_CASES,
+                             ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
+    def test_matches_product_sift(self, name, where, monkeypatch):
+        gens = tuple(CHAIN_GROUPS[name][0]())
+        degree = gens[0].degree
+        prefix = base_prefix(where, degree)
+        original = StabiliserChain._sift_schreier
+        seen = {"memo": set(), "no memo": set(), "miss": set()}
+
+        def checked(chain, i, u, s, q, memo):
+            got = original(chain, i, u, s, q, memo)
+            x = u * s * chain.levels[i].inverse_transversal[q]
+            residue, level = chain._sift(x, i + 1)
+            if residue.is_identity():
+                assert got is None
+            else:
+                assert got is not None
+                assert (got[0].images, got[1]) == (residue.images, level)
+            if memo is not None:
+                assert len(memo) <= len(chain.levels[i].transversal)
+            seen["no memo" if memo is None else "memo"].add(i)
+            if level < len(chain.levels):
+                seen["miss"].add(i)
+            return got
+
+        monkeypatch.setattr(StabiliserChain, "_sift_schreier", checked)
+        StabiliserChain(degree, gens, base_prefix=prefix)
+        assert seen["memo"] | seen["no memo"]
+        for branch, levels in SIFT_BRANCHES.get((name, where), {}).items():
+            assert levels <= seen[branch], branch
+
+    def test_product_count(self, monkeypatch):
+        # the l1-n2-vertices chain with prefix (1,), as verify builds it,
+        # took 36,908 products when every Schreier generator was sifted by
+        # products; a regression back to that fails here
+        gens = tuple(CHAIN_GROUPS["l1-n2-vertices"][0]())
+        products = 0
+        original = Permutation.__mul__
+
+        def counting(a, b):
+            nonlocal products
+            products += 1
+            return original(a, b)
+
+        monkeypatch.setattr(Permutation, "__mul__", counting)
+        StabiliserChain(gens[0].degree, gens, base_prefix=(1,))
+        assert products <= 0.6 * 36_908
+
+
 class TestOrbits:
     def test_l0(self, l0):
         assert perm.orbits(l0) == ((1, 2), (3,))
@@ -300,11 +361,30 @@ class TestPredicates:
         assert (pr.is_transitive, pr.is_semiregular) == (True, True)
 
     def test_semiregular_matches_stabiliser_orders(self, l0, l1, l2, l3):
-        for g in (l0, l1, l2, l3):
+        rng = random.Random(20261018)
+        randoms = []
+        for _ in range(40):
+            d = rng.randint(1, 8)
+            randoms.append(PermutationGroup(d, tuple(
+                Permutation.from_cycles(d, [rng.sample(range(1, d + 1),
+                                                       rng.randint(0, d))])
+                for _ in range(rng.randint(0, 2)))))
+        for g in (l0, l1, l2, l3, *randoms):
             expected = all(
                 perm.point_stabiliser(g, p).order() == 1
                 for p in range(1, g.degree + 1))
             assert perm.predicates(g).is_semiregular == expected
+
+    @pytest.mark.parametrize("degree,cycle,semiregular",
+                             [(600, 600, True), (401, 400, False)])
+    def test_long_cycle_is_fast(self, degree, cycle, semiregular):
+        g = PermutationGroup(degree, (Permutation.from_cycles(
+            degree, [list(range(1, cycle + 1))]),))
+        start = time.perf_counter()
+        pr = perm.predicates(g)
+        assert time.perf_counter() - start < 1.0
+        assert (pr.is_transitive, pr.is_semiregular) == (degree == cycle,
+                                                          semiregular)
 
 
 class TestNormalClosure:
