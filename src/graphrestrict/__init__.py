@@ -21,16 +21,15 @@ from .cosetgraph import (FiniteGraph, FiniteLocallyLPair, GrowthTable,
 from .errors import (CapacityError, CompletionSearchError, GraphRestrictError,
                      InputError, NotEnumeratedError, ParseError,
                      TheoryViolationError, ValidationError)
-from .perm import (Permutation, PermutationGroup, StabiliserChain, contains,
-                   core, is_semiprimitive, normal_closure, orbits,
-                   parse_permutation, permutation_isomorphic,
-                   point_stabiliser, predicates)
+from .perm import (Permutation, PermutationGroup, StabiliserChain,
+                   is_semiprimitive, orbits, parse_permutation,
+                   permutation_isomorphic, point_stabiliser, predicates)
 
 __all__ = [
     "__version__",
     "Permutation", "PermutationGroup", "StabiliserChain",
-    "parse_permutation", "orbits", "contains", "core", "normal_closure",
-    "point_stabiliser", "predicates", "is_semiprimitive",
+    "parse_permutation", "orbits", "point_stabiliser", "predicates",
+    "is_semiprimitive",
     "permutation_isomorphic",
     "LocalGroupAnalysis", "analyze_local_group", "restrictive_verdict",
     "AmalgamStar", "build_star", "validate_star",

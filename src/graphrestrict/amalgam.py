@@ -29,6 +29,10 @@ transversals throughout.
 
 Each C_i is the direct product L_{r_i} x S^n, so it is generated by the
 generators of L_{r_i} in the head and A's generators in the tail slots.
+These point stabilisers are built here, where their generators are read:
+S once per analysis (``LocalGroupAnalysis.anchor_stabiliser``, which is
+L_{r_1}) and L_{r_i} by each other edge; the analysis itself carries only
+their orders.
 ``validate_star`` checks each twist on element indices against those
 generators.  The core in A of the intersection of the C_i is 1 x S^n for
 every star, so it is not checked at run time: its head part is the core in
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import classify
+from . import classify, perm
 from .errors import CapacityError, InputError, TheoryViolationError, ValidationError
 from .perm import PermutationGroup
 
@@ -212,10 +216,11 @@ class AmalgamStar:
         if self.order // len(members) != orbit_len:
             raise ValidationError("index identity |A:C_i| = |L:L_i|", f"edge {i}")
         # C_i = L_{r_i} x S^n: the generators of L_{r_i} lifted to the
-        # head, then the tail generators of A
+        # head, then the tail generators of A; L_{r_1} is S
+        stabiliser = (self.analysis.anchor_stabiliser if i == 1
+                      else perm.point_stabiliser(self.local_group, rep))
         generators = tuple(
-            self._head_index[g] * ts
-            for g in self.analysis.stabilisers[i - 1].generators
+            self._head_index[g] * ts for g in stabiliser.generators
         ) + self.generator_indices[len(self.local_group.generators):]
         twist = {1: FULL_REVERSAL, 2: TAIL_REVERSAL}.get(i, IDENTITY_TWIST)
         twist_images = [-1] * self.order
@@ -251,7 +256,7 @@ def build_star(analysis: classify.LocalGroupAnalysis, n: int,
         raise InputError(f"n must be at least 2, got {n}")
     # |L| * s^n one factor at a time: s > 1, so the first product above the
     # cap is reached after at most log2(cap) steps, whatever n is
-    s = analysis.anchor_stabiliser.order()
+    s = analysis.stabiliser_orders[0]
     total = analysis.source.order()
     for _ in range(n):
         total *= s

@@ -1,17 +1,22 @@
-"""Classify a local group: orbit representatives, stabilisers, verdict.
+"""Classify a local group: orbit representatives, stabiliser orders, verdict.
 
 An intransitive permutation group is graph-restrictive exactly when it is
 semiregular; transitive input is accepted but flagged as outside this tool's
-scope.  For the non-semiregular intransitive case the analysis records the
-data the downstream construction consumes: one representative per orbit, with
-the first representative chosen so that its point stabiliser has maximal
-order (ties broken by smallest point) - this maximises the growth rate of the
+scope.  Everything the verdict needs is read off the orbits: by
+orbit-stabiliser a point stabiliser has order ``|L| / |orbit|``, so ``L`` is
+semiregular exactly when every orbit has length ``|L|``.  For the
+non-semiregular intransitive case the analysis records the data the
+downstream construction consumes: one representative per orbit, with the
+first representative chosen so that its point stabiliser has maximal order
+(ties broken by smallest point) - this maximises the growth rate of the
 constructed vertex stabilisers, and the choice is recorded so certificates
-are reproducible.
+are reproducible.  The only stabiliser built here is the anchor's, on first
+use by the star.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import perm
@@ -35,7 +40,6 @@ class LocalGroupAnalysis:
     source: PermutationGroup
     orbit_parts: tuple[tuple[int, ...], ...]
     orbit_reps: tuple[int, ...]
-    stabilisers: tuple[PermutationGroup, ...]
     stabiliser_orders: tuple[int, ...]
     k: int
     flags: AnalysisFlags
@@ -46,38 +50,30 @@ class LocalGroupAnalysis:
         """The first orbit representative."""
         return self.orbit_reps[0]
 
-    @property
+    @functools.cached_property
     def anchor_stabiliser(self) -> PermutationGroup:
-        return self.stabilisers[0]
+        """The anchor's point stabiliser, built once per analysis."""
+        return perm.point_stabiliser(self.source, self.anchor)
 
 
-def analyze_local_group(group: PermutationGroup,
-                        semiprimitive_cap: int = perm.DEFAULT_ELEMENT_CAP
-                        ) -> LocalGroupAnalysis:
+def analyze_local_group(group: PermutationGroup) -> LocalGroupAnalysis:
     """Full analysis of a local group; every input classifies."""
     parts = perm.orbits(group)
     k = len(parts)
     n = group.order()
 
-    # Stabiliser order is constant on an orbit, so ranking points by
-    # |group| / |orbit| ranks orbits; pick the best point, smallest on ties.
-    best_point = None
-    best_order = -1
-    for part in parts:
-        stab_order = n // len(part)
-        if stab_order > best_order:
-            best_order = stab_order
-            best_point = part[0]
-    reps = [best_point]
-    reps.extend(part[0] for part in parts
-                if best_point not in part)
+    # Stabiliser order is constant on an orbit, |group| / |orbit|, so the
+    # anchor is the least point of the first orbit of least length; the
+    # other orbits follow in order of their least points.
+    orders = [n // len(part) for part in parts]
+    best = orders.index(max(orders))
+    ranked = [best] + [i for i in range(k) if i != best]
 
-    stabilisers = tuple(perm.point_stabiliser(group, p) for p in reps)
     preds = perm.predicates(group)
-    if n > semiprimitive_cap:
+    if n > perm.DEFAULT_ELEMENT_CAP:
         semiprimitive = None
     elif preds.is_transitive:
-        semiprimitive = perm.is_semiprimitive(group, semiprimitive_cap)
+        semiprimitive = perm.is_semiprimitive(group)
     else:
         # the group is a normal intransitive subgroup of itself, so it is
         # semiprimitive exactly when it is semiregular
@@ -94,9 +90,8 @@ def analyze_local_group(group: PermutationGroup,
     analysis = LocalGroupAnalysis(
         source=group,
         orbit_parts=parts,
-        orbit_reps=tuple(reps),
-        stabilisers=stabilisers,
-        stabiliser_orders=tuple(s.order() for s in stabilisers),
+        orbit_reps=tuple(parts[i][0] for i in ranked),
+        stabiliser_orders=tuple(orders[i] for i in ranked),
         k=k,
         flags=flags,
         verdict=verdict,

@@ -466,7 +466,12 @@ def growth_report(local_group: PermutationGroup, n_values,
                   vertex_cap: int = DEFAULT_VERTEX_CAP) -> GrowthTable:
     """One certified construction per n; failed rows are recorded and the
     remaining rows still attempted.  The stabiliser column is exactly
-    |L| * s^n, hence strictly increasing."""
+    |L| * s^n, hence strictly increasing.
+
+    A cap that one n exceeds is exceeded by every larger n, whose star is
+    larger, so a row failing on a cap is the table's last.  A range whose
+    first n exceeds a cap is refused with that CapacityError, as
+    ``construct_pair`` refuses the n alone."""
     analysis = classify.analyze_local_group(local_group)
     if analysis.verdict != classify.NOT_RESTRICTIVE:
         raise InputError("growth report requires an intransitive "
@@ -478,11 +483,16 @@ def growth_report(local_group: PermutationGroup, n_values,
         try:
             result = construct_pair(local_group, n, search, vertex_cap,
                                     analysis=analysis)
-        except (CompletionSearchError, InputError, ValidationError) as exc:
+        except (CapacityError, CompletionSearchError, InputError,
+                ValidationError) as exc:
+            if isinstance(exc, CapacityError) and not rows:
+                raise
             rows.append(GrowthRow(n, base * ratio ** n, None, None,
                                   None, None, None, None,
                                   locally_l=False, accepted=False,
                                   failure=str(exc).splitlines()[0]))
+            if isinstance(exc, CapacityError):
+                break
             continue
         rep = result.report
         rows.append(GrowthRow(

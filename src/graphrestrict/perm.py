@@ -28,7 +28,8 @@ elements on its path, which one level scan keeps in a memo keyed by the
 path.  The memo is used only when the deeper levels' group is no larger
 than the scanned orbit, so it never holds more permutations than the
 level's transversal.  The Schreier generators of the edges that built the
-orbit are the identity by construction and are skipped.
+orbit, and of their reverse edges under an involution, are the identity by
+construction and are skipped.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import CapacityError, InputError, ParseError
 
@@ -237,8 +238,10 @@ class _ChainLevel:
         self.transversal = {point: ident}
         self.inverse_transversal = {point: ident}
         self.gens = None    # the generators the orbit was last built from
-        # the (p, j) pairs where gens[j] first reached its image of p in the
-        # orbit search, so that transversal[p] * gens[j] is stored as is
+        # the (p, j) pairs whose Schreier generator is 1 by construction:
+        # gens[j] first reached its image of p in the orbit search, so that
+        # transversal[p] * gens[j] is stored as is, or the reverse of such
+        # an edge when gens[j] is an involution
         self.tree = None
 
 
@@ -292,6 +295,7 @@ class StabiliserChain:
             return
         lev.gens = gens
         gens_inv = [s.inverse() for s in gens]
+        involutions = [s.images == s_inv.images for s, s_inv in zip(gens, gens_inv)]
         ident = Permutation.identity(self.degree)
         transversal = lev.transversal = {lev.point: ident}
         inverse_transversal = lev.inverse_transversal = {lev.point: ident}
@@ -306,6 +310,8 @@ class StabiliserChain:
                     transversal[q] = u * s
                     inverse_transversal[q] = s_inv * u_inv    # (u s)^-1
                     tree.add((p, j))
+                    if involutions[j]:  # t_q s = u s s = t_p
+                        tree.add((q, j))
                     queue.append(q)
 
     def _sift(self, g: Permutation, from_level: int = 0):
@@ -331,8 +337,8 @@ class StabiliserChain:
         level that misses has a residue moving ``b_l`` off its orbit, which
         is not the identity.  When every level passes, the residue is the
         identity iff ``x`` is ``T``, the product of the forward transversal
-        elements on the path, deepest first.  ``memo`` keeps ``T`` by path;
-        without it the residue is computed by products, as ``_sift`` does.
+        elements on the path, deepest first.  ``memo``, when given, keeps
+        ``T`` by path.
         """
         t_inv = self.levels[i].inverse_transversal[q]
         ui, si, ti = u.images, s.images, t_inv.images
@@ -353,16 +359,14 @@ class StabiliserChain:
         us = u * s
         if us.images == self.levels[i].transversal[q].images:
             return None     # x is the identity
-        if memo is None:
-            residue, l = self._sift(us * t_inv, i + 1)
-            return None if residue.is_identity() else (residue, l)
         key = tuple(path)
-        target = memo.get(key)
+        target = None if memo is None else memo.get(key)
         if target is None:
             target = Permutation.identity(self.degree)
             for deep, img in reversed(list(zip(self.levels[i + 1:], path))):
                 target = target * deep.transversal[img]
-            memo[key] = target
+            if memo is not None:
+                memo[key] = target
         x = us * t_inv
         if x.images == target.images:
             return None
@@ -375,12 +379,13 @@ class StabiliserChain:
         sift to the identity through the deeper levels.
 
         A level's scan skips the (point, generator) edges of its orbit's
-        spanning tree, whose Schreier generators are the identity, and sifts
-        the others with ``_sift_schreier``.  Its memo of path products lives
-        for one scan, and only when the product of the deeper orbit lengths
-        is at most this level's orbit length, which bounds the memo by the
-        transversal; otherwise every sift that passes multiplies as
-        ``_sift`` does.  The chain is the one the product sift builds."""
+        spanning tree and the reverse edges of involutions, whose Schreier
+        generators are the identity, and sifts the others with
+        ``_sift_schreier``.  Its memo of path products lives for one scan,
+        and only when the product of the deeper orbit lengths is at most
+        this level's orbit length, which bounds the memo by the
+        transversal; otherwise each path product is formed and dropped.
+        The chain is the one the product sift builds."""
         for i in range(len(self.levels)):
             self._rebuild_orbit(i)
         i = len(self.levels) - 1
@@ -397,7 +402,7 @@ class StabiliserChain:
             for p in sorted(lev.transversal):
                 u = lev.transversal[p]
                 for j, s in enumerate(gens):
-                    if (p, j) in tree:  # u s = t_q: the Schreier generator is 1
+                    if (p, j) in tree:  # the Schreier generator is 1
                         continue
                     sifted = self._sift_schreier(i, u, s, s.images[p - 1], memo)
                     if sifted is None:
@@ -467,10 +472,6 @@ class PermutationGroup:
         self._chain: StabiliserChain | None = None
         self._elements: tuple[Permutation, ...] | None = None
 
-    @classmethod
-    def trivial(cls, degree: int) -> "PermutationGroup":
-        return cls(degree, ())
-
     def chain(self) -> StabiliserChain:
         if self._chain is None:
             self._chain = StabiliserChain(self.degree, self.generators)
@@ -503,17 +504,18 @@ class PermutationGroup:
                                                     f"> {cap}")
                             nxt.append(y)
                 frontier = nxt
-            self._elements = tuple(sorted(known))
+            self._elements = tuple(sorted(known, key=attrgetter("images")))
         return self._elements
 
     def orbit(self, point: int) -> tuple[int, ...]:
         if not 1 <= point <= self.degree:
             raise InputError(f"point {point} out of range 1..{self.degree}")
+        gens = [s.images for s in self.generators]
         seen = {point}
         queue = [point]
         for p in queue:     # breadth first: the list grows while it is read
-            for s in self.generators:
-                q = s.apply(p)
+            for images in gens:
+                q = images[p - 1]
                 if q not in seen:
                     seen.add(q)
                     queue.append(q)
@@ -540,10 +542,6 @@ def orbits(group: PermutationGroup) -> tuple[tuple[int, ...], ...]:
             parts.append(orb)
             seen.update(orb)
     return tuple(parts)
-
-
-def contains(group: PermutationGroup, perm: Permutation) -> bool:
-    return group.contains(perm)
 
 
 def point_stabiliser(group: PermutationGroup, point: int) -> PermutationGroup:
@@ -574,56 +572,21 @@ def predicates(group: PermutationGroup) -> GroupPredicates:
                            all(len(part) == order for part in parts))
 
 
-def normal_closure(group: PermutationGroup, element: Permutation) -> PermutationGroup:
-    """Smallest normal subgroup of ``group`` containing ``element``: close the
-    generating set under conjugation by the group's generators."""
-    if not group.contains(element):
-        raise InputError("element is not a member of the group")
-    if element.is_identity():
-        return PermutationGroup.trivial(group.degree)
-    closure = [element]
+def _conjugacy_class(group: PermutationGroup,
+                     element: Permutation) -> tuple[Permutation, ...]:
+    """The conjugates of a member ``element`` of ``group``: its closure
+    under conjugation by the generators.  They generate its normal
+    closure."""
+    by = [(s.inverse(), s) for s in group.generators]
+    conjugates = [element]
     seen = {element}
-    for x in closure:   # breadth first: the list grows while it is read
-        for s in group.generators:
-            y = x.conjugate(s)
+    for x in conjugates:    # breadth first: the list grows while it is read
+        for s_inv, s in by:
+            y = s_inv * x * s
             if y not in seen:
                 seen.add(y)
-                closure.append(y)
-    return PermutationGroup(group.degree, tuple(closure))
-
-
-def core(group: PermutationGroup, subgroup: PermutationGroup,
-         cap: int = DEFAULT_ELEMENT_CAP) -> PermutationGroup:
-    """Largest normal subgroup of ``group`` contained in ``subgroup``.
-
-    Computed as the kernel of the action of ``group`` on the right cosets of
-    ``subgroup``: an element lies in the kernel iff every transversal
-    representative conjugates it back into ``subgroup``.
-    """
-    if group.degree != subgroup.degree:
-        raise InputError("degree mismatch between group and subgroup")
-    for g in subgroup.generators:
-        if not group.contains(g):
-            raise InputError("subgroup is not contained in group")
-    sub_elements = subgroup.elements(cap)
-    sub_set = set(sub_elements)
-
-    def coset_key(x: Permutation) -> Permutation:
-        return min(h * x for h in sub_elements)
-
-    # transversal of right cosets, found by orbiting the trivial coset
-    reps = [coset_key(group.identity())]
-    keys = {reps[0]}
-    for r in reps:      # breadth first: the list grows while it is read
-        for s in group.generators:
-            key = coset_key(r * s)
-            if key not in keys:
-                keys.add(key)
-                reps.append(key)
-    kernel = [x for x in sub_elements
-              if all(r * x * r.inverse() in sub_set for r in reps)]
-    kernel = [x for x in kernel if not x.is_identity()]
-    return PermutationGroup(group.degree, tuple(kernel))
+                conjugates.append(y)
+    return tuple(conjugates)
 
 
 def is_semiprimitive(group: PermutationGroup, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
@@ -633,15 +596,19 @@ def is_semiprimitive(group: PermutationGroup, cap: int = DEFAULT_ELEMENT_CAP) ->
     transitive normal closure.  A normal subgroup violating semiprimitivity
     contains such an element whose closure stays inside it, hence is
     intransitive; conversely an intransitive closure of such an element is
-    itself a normal, intransitive, non-semiregular subgroup.
+    itself a normal, intransitive, non-semiregular subgroup.  Conjugates
+    share their normal closure, so one element per conjugacy class is
+    tested.
     """
     if group.order() > cap:
         raise CapacityError("semiprimitivity enumeration cap", cap, group.order())
+    seen = set()
     for x in group.elements(cap):
-        if x.is_identity() or not x.fixed_points():
+        if x in seen or x.is_identity() or not x.fixed_points():
             continue
-        closure = normal_closure(group, x)
-        if len(orbits(closure)) != 1:
+        conjugates = _conjugacy_class(group, x)
+        seen.update(conjugates)
+        if len(orbits(PermutationGroup(group.degree, conjugates))) != 1:
             return False
     return True
 

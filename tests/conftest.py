@@ -82,13 +82,30 @@ def brute_elements(degree, gens):
     return known
 
 
-def brute_core(group_elements, sub_elements):
-    """Literal intersection of all conjugates of the subgroup."""
-    core = set(sub_elements)
-    for g in group_elements:
-        g_inv = tuple_inv(g)
-        core &= {tuple_mul(tuple_mul(g_inv, h), g) for h in sub_elements}
-    return core
+def semiprimitive_by_elements(degree, gens):
+    """Semiprimitivity tested element by element: every non-identity element
+    with a fixed point must have a transitive normal closure, here the
+    closure of the element under conjugation by the generators."""
+    raw = [as_tuple(g) for g in gens]
+    for x in brute_elements(degree, gens):
+        if x == tuple(range(degree)) or all(x[p] != p for p in range(degree)):
+            continue
+        closure = [x]
+        seen = {x}
+        for y in closure:
+            for g in raw:
+                z = tuple_mul(tuple_mul(tuple_inv(g), y), g)
+                if z not in seen:
+                    seen.add(z)
+                    closure.append(z)
+        reached = [0]
+        for p in reached:
+            for z in closure:
+                if z[p] not in reached:
+                    reached.append(z[p])
+        if len(reached) != degree:
+            return False
+    return True
 
 
 def carrier_core_of_rho(candidate):

@@ -71,10 +71,35 @@ class TestAnalyze:
             assert not a.flags.transitive
             assert a.flags.semiprimitive == a.flags.semiregular
 
-    def test_semiprimitive_flag_none_beyond_cap(self, l1):
-        a = analyze_local_group(l1, semiprimitive_cap=2)
+    def test_semiprimitive_flag_none_beyond_cap(self):
+        # S9 on 10 points, order 362,880 > perm.DEFAULT_ELEMENT_CAP
+        g = group(10, "(1 2 3 4 5 6 7 8 9)", "(1 2)")
+        assert g.order() > perm.DEFAULT_ELEMENT_CAP
+        a = analyze_local_group(g)
         assert a.flags.semiprimitive is None
         assert a.verdict == NOT_RESTRICTIVE
+        assert a.orbit_reps == (10, 1)
+        assert a.stabiliser_orders == (362_880, 40_320)
+
+    def test_stabiliser_orders_match_point_stabilisers(self):
+        # the orders are read off the orbit lengths; the chains of the
+        # point stabilisers must agree, and the anchor's is built once
+        rng = random.Random(12)
+        for _ in range(40):
+            degree = rng.randint(1, 7)
+            gens = []
+            for _ in range(rng.randint(0, 2)):
+                support = rng.sample(range(1, degree + 1), rng.randint(1, degree))
+                images = list(range(1, degree + 1))
+                for p, q in zip(support, rng.sample(support, len(support))):
+                    images[p - 1] = q
+                gens.append(Permutation(images))
+            g = PermutationGroup(degree, tuple(gens))
+            a = analyze_local_group(g)
+            assert a.stabiliser_orders == tuple(
+                perm.point_stabiliser(g, rep).order() for rep in a.orbit_reps)
+            assert a.anchor_stabiliser is a.anchor_stabiliser
+            assert a.anchor_stabiliser.order() == a.stabiliser_orders[0]
 
     def test_semiprimitive_iff_semiregular_on_random_intransitive_groups(self):
         # the analysis reads the semiprimitive flag of intransitive input off

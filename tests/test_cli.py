@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +78,28 @@ class TestClassifyCommand:
 
     def test_missing_file_exit_2(self, files):
         assert main(["classify", str(files["dir"] / "nope.grp")]) == 2
+
+
+class TestClassifyScale:
+    """classify reads stabiliser orders off the orbit lengths and tests
+    semiprimitivity once per conjugacy class, so a large degree or a large
+    transitive group finishes in well under 2 s, start-up included."""
+
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    @pytest.mark.parametrize("text, expected", [
+        ("degree 100000\n(1 2)\n", "2*2^n"),
+        ("degree 8\n(1 2 3 4 5 6 7 8)\n(1 2)\n", "semiprimitive: True"),
+    ], ids=["transposition-on-100000-points", "S8"])
+    def test_under_two_seconds(self, tmp_path, text, expected):
+        grp = tmp_path / "group.grp"
+        grp.write_text(text)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [self.SRC, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "graphrestrict", "classify", str(grp)],
+            capture_output=True, text=True, env=env, timeout=2, check=True)
+        assert expected in done.stdout
 
 
 class TestConstructCommand:
@@ -271,6 +297,23 @@ class TestReportCommand:
                      "--n-to", "2"]) == 3
         out = capsys.readouterr().out
         assert "FAILED" in out
+
+    def test_carrier_cap_row(self, files, capsys, monkeypatch):
+        # |A| = 2 * 2^n exceeds a carrier cap of 64 at n = 6; that row fails
+        # naming the cap, and the rows before it are the single-n reports
+        monkeypatch.setenv(cli.CAPS_ENV_VAR, "carrier=64")
+        assert main(["report", files["L0"], "--n-from", "2", "--n-to", "6",
+                     "--json"]) == 3
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["n"] for r in rows] == [2, 3, 4, 5, 6]
+        for row in rows[:-1]:
+            n = str(row["n"])
+            assert main(["report", files["L0"], "--n-from", n, "--n-to", n,
+                         "--json"]) == (0 if row["accepted"] else 3)
+            assert json.loads(capsys.readouterr().out)["rows"] == [row]
+        assert not rows[-1]["accepted"]
+        assert rows[-1]["failure"] == ("cap 'carrier cap' = 64 exceeded "
+                                       "(needed at least 128)")
 
     @pytest.mark.parametrize("caps", ["vertice=10", "copies=0", "copies=-1",
                                       "carrier=0", "attempts=x"])

@@ -315,6 +315,23 @@ class TestGrowthReport:
         assert all(not r.accepted for r in table.rows)
         assert all(r.failure for r in table.rows)
 
+    def test_capacity_row_ends_the_table(self, l0):
+        # |A| = 2 * 2^n exceeds a carrier cap of 64 at n = 6, and so does
+        # every larger n
+        search = SearchConfig(carrier_cap=64)
+        table = growth_report(l0, range(2, 10), search)
+        assert [r.n for r in table.rows] == [2, 3, 4, 5, 6]
+        for row in table.rows[:-1]:
+            assert growth_report(l0, [row.n], search).rows == (row,)
+        last = table.rows[-1]
+        assert not last.accepted and last.stabiliser_order == 128
+        assert last.failure == ("cap 'carrier cap' = 64 exceeded "
+                                "(needed at least 128)")
+
+    def test_range_starting_beyond_a_cap_is_refused(self, l0):
+        with pytest.raises(CapacityError, match="'carrier cap' = 64"):
+            growth_report(l0, range(6, 8), SearchConfig(carrier_cap=64))
+
 
 class TestOtherFamilies:
     def test_two_fixed_points_identity_twist_edge(self):

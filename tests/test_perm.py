@@ -11,10 +11,10 @@ from graphrestrict.errors import CapacityError, InputError, ParseError
 from graphrestrict.perm import (Permutation, PermutationGroup,
                                 StabiliserChain, parse_permutation)
 
-from conftest import (ReferenceChain, as_tuple, brute_core, brute_elements,
+from conftest import (ReferenceChain, as_tuple, brute_elements,
                       chain_snapshot, from_cycles_by_products, group,
                       reference_inverse, reference_is_identity, reference_mul,
-                      tuple_inv, tuple_mul)
+                      semiprimitive_by_elements, tuple_inv, tuple_mul)
 
 
 def random_permutation(rng, degree):
@@ -387,70 +387,29 @@ class TestPredicates:
                                                           semiregular)
 
 
+def normal_closure(g, x):
+    """The subgroup generated by the conjugacy class of ``x``, which
+    ``is_semiprimitive`` computes."""
+    return PermutationGroup(g.degree, perm._conjugacy_class(g, x))
+
+
 class TestNormalClosure:
     def test_three_cycle_in_s3(self, s3):
-        assert perm.normal_closure(s3, parse_permutation("(1 2 3)", 3)).order() == 3
+        assert normal_closure(s3, parse_permutation("(1 2 3)", 3)).order() == 3
 
     def test_transposition_in_s3(self, s3):
-        assert perm.normal_closure(s3, parse_permutation("(1 2)", 3)).order() == 6
+        assert normal_closure(s3, parse_permutation("(1 2)", 3)).order() == 6
 
     def test_identity(self, s3):
-        assert perm.normal_closure(s3, Permutation.identity(3)).order() == 1
-
-    def test_non_member_rejected(self, l1):
-        with pytest.raises(InputError):
-            perm.normal_closure(l1, parse_permutation("(1 2)", 5))
+        assert normal_closure(s3, Permutation.identity(3)).order() == 1
 
     def test_is_normal_and_contains_element(self, s3):
         x = parse_permutation("(1 2 3)", 3)
-        n = perm.normal_closure(s3, x)
+        n = normal_closure(s3, x)
         assert n.contains(x)
         for g in s3.elements():
             for h in n.elements():
                 assert n.contains(h.conjugate(g))
-
-
-class TestCore:
-    def test_transposition_subgroup_of_s3(self, s3):
-        h = group(3, "(1 2)")
-        assert perm.core(s3, h).order() == 1
-
-    def test_core_of_whole_group(self, s3):
-        assert perm.core(s3, s3).order() == 6
-
-    def test_core_of_trivial_intersection(self, l0):
-        triv = PermutationGroup(3)
-        assert perm.core(l0, triv).order() == 1
-
-    def test_not_a_subgroup(self, l0, s3):
-        with pytest.raises(InputError):
-            perm.core(l0, s3)
-
-    def test_oracle_agreement(self):
-        rng = random.Random(424242)
-        for _ in range(12):
-            d = rng.randint(2, 6)
-            gens = []
-            for _ in range(2):
-                images = list(range(1, d + 1))
-                rng.shuffle(images)
-                gens.append(Permutation(images))
-            g = PermutationGroup(d, tuple(gens))
-            h = perm.point_stabiliser(g, 1)
-            result = perm.core(g, h)
-            oracle = brute_core(brute_elements(d, gens),
-                                brute_elements(d, h.generators))
-            assert result.order() == len(oracle)
-            assert all(result.contains(Permutation(tuple(i + 1 for i in x)))
-                       for x in oracle)
-
-    def test_core_is_normal_and_maximal(self, s3):
-        h = group(3, "(1 2 3)")
-        k = perm.core(s3, h)
-        assert k.order() == 3  # the 3-cycle subgroup is normal in S3
-        for g in s3.elements():
-            for x in k.elements():
-                assert k.contains(x.conjugate(g))
 
 
 class TestSemiprimitivity:
@@ -466,6 +425,30 @@ class TestSemiprimitivity:
     def test_cap_error(self, s3):
         with pytest.raises(CapacityError):
             perm.is_semiprimitive(s3, cap=2)
+
+    def test_matches_element_by_element_oracle(self):
+        # one class per test against one closure per element, on seeded
+        # transitive groups and on S3-S6, A4 and D4 (not semiprimitive: its
+        # Klein four-subgroup containing (1 3) is normal and has two orbits)
+        named = [group(d, "(1 2)", "(" + " ".join(map(str, range(1, d + 1))) + ")")
+                 for d in range(3, 7)]
+        named += [group(4, "(1 2 3)", "(2 3 4)"), group(4, "(1 2 3 4)", "(1 3)")]
+        rng = random.Random(2012)
+        seeded = []
+        while len(seeded) < 40:
+            degree = rng.randint(2, 6)
+            gens = tuple(random_permutation(rng, degree)
+                         for _ in range(rng.randint(1, 2)))
+            g = PermutationGroup(degree, gens)
+            if len(perm.orbits(g)) == 1:
+                seeded.append(g)
+        seen = set()
+        for g in named + seeded:
+            expected = semiprimitive_by_elements(g.degree, g.generators)
+            assert perm.is_semiprimitive(g) is expected, g
+            seen.add(expected)
+        assert perm.is_semiprimitive(named[-1]) is False
+        assert seen == {True, False}
 
 
 class TestPermutationIsomorphic:
