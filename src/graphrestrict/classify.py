@@ -69,7 +69,7 @@ def analyze_local_group(group: PermutationGroup) -> LocalGroupAnalysis:
     best = orders.index(max(orders))
     ranked = [best] + [i for i in range(k) if i != best]
 
-    preds = perm.predicates(group)
+    preds = perm.predicates(parts, n)
     if n > perm.DEFAULT_ELEMENT_CAP:
         semiprimitive = None
     elif preds.is_transitive:

@@ -337,8 +337,9 @@ def verify_locally_L(graph: FiniteGraph, generators,
         if g.degree != n:
             raise InputError(f"generator {idx + 1} acts on {g.degree} points, "
                              f"graph has {n} vertices")
+        images = g.images
         for u, v in graph.edges():
-            gu, gv = g.apply(u + 1) - 1, g.apply(v + 1) - 1
+            gu, gv = images[u] - 1, images[v] - 1
             if gu not in graph.adjacency[gv]:
                 raise InputError(
                     f"generator {idx + 1} ({g.cycle_string()}) is not an "
@@ -360,7 +361,7 @@ def verify_locally_L(graph: FiniteGraph, generators,
     slot_of = {v: j + 1 for j, v in enumerate(neighbours)}
     induced = []
     for g in stab_gens:
-        images = [slot_of[g.apply(v + 1) - 1] for v in neighbours]
+        images = [slot_of[g.images[v] - 1] for v in neighbours]
         induced.append(Permutation(images) if valency else None)
     induced_group = PermutationGroup(valency, tuple(induced)) if valency else None
 
@@ -380,7 +381,8 @@ def verify_locally_L(graph: FiniteGraph, generators,
                       "isomorphic to the local group")
 
     bound_ok = None
-    if perm.predicates(local_group).is_semiregular:
+    if perm.predicates(perm.orbits(local_group),
+                       local_group.order()).is_semiregular:
         bound_ok = stab_order <= valency
         if not bound_ok:
             detail = (detail + "; " if detail else "") + (

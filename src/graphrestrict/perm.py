@@ -16,20 +16,25 @@ produces an identical chain.
 The primitives run at C speed.  ``images`` stays 1-based; a product looks
 the points of the first factor up in the second factor's images padded with
 a leading 0, through one ``operator.itemgetter`` call.  An identity test
-compares ``images`` with a cached ``(1, ..., m)``.  The chain builds each
-inverse transversal element as a product of the inverses it already has,
-never by inverting a permutation point by point, and rebuilds a level's
-orbit only when its generators have changed.
+compares ``images`` with a cached ``(1, ..., m)``.
 
-The chain sifts each Schreier generator on base images: the deeper levels
-are passed by index lookups, and a product is formed only for a new strong
-generator or to compare the generator with the product of the transversal
-elements on its path, which one level scan keeps in a memo keyed by the
-path.  The memo is used only when the deeper levels' group is no larger
-than the scanned orbit, so it never holds more permutations than the
-level's transversal.  The Schreier generators of the edges that built the
-orbit, and of their reverse edges under an involution, are the identity by
-construction and are skipped.
+Each chain level keeps its forward transversal and a Schreier tree, one
+edge ``t_q = t_p * gens[j]`` per orbit point, with the image tuples of its
+generators' inverses; a preimage under ``t_q`` walks ``q``'s tree path to
+the root, so no transversal element's inverse is stored.  A level's orbit
+is rebuilt only when its generators have changed, and a rebuild multiplies
+out only the points whose tree edge or parent element changed.
+
+The chain sifts each Schreier generator ``u s t_q^-1`` on base images: the
+deeper base points' images are mapped back along one tree path per level.
+Besides ``u s``, a product is formed only to compare ``u s`` with ``T t_q``,
+where ``T`` is the product of the transversal elements on the sift's path,
+or for a new strong generator, the only residue the sift inverts.  One level
+scan keeps ``T`` in a memo keyed by the path, used only when the deeper
+levels' group is no larger than the scanned orbit, so it never holds more
+permutations than the level's transversal.  The Schreier generators of the
+tree edges, and of their reverse edges under an involution, are the
+identity by construction and are skipped.
 """
 
 from __future__ import annotations
@@ -229,20 +234,28 @@ def parse_permutation(text: str, degree: int) -> Permutation:
 
 
 class _ChainLevel:
-    __slots__ = ("point", "transversal", "inverse_transversal", "gens", "tree")
+    __slots__ = ("point", "transversal", "edge", "gens", "inverses")
 
     def __init__(self, point: int, degree: int):
         self.point = point
-        # orbit point -> representative u with point^u == orbit point
-        ident = Permutation.identity(degree)
-        self.transversal = {point: ident}
-        self.inverse_transversal = {point: ident}
+        # orbit point q -> representative t_q with point^t_q == q, in the
+        # breadth-first order of the orbit search
+        self.transversal = {point: Permutation.identity(degree)}
+        # the Schreier tree: q -> (p, j) where t_q = t_p * gens[j]; every
+        # orbit point but the root has an edge
+        self.edge = {}
         self.gens = None    # the generators the orbit was last built from
-        # the (p, j) pairs whose Schreier generator is 1 by construction:
-        # gens[j] first reached its image of p in the orbit search, so that
-        # transversal[p] * gens[j] is stored as is, or the reverse of such
-        # an edge when gens[j] is an involution
-        self.tree = None
+        self.inverses = []  # the image tuples of the inverses of gens
+
+    def preimages(self, q: int, points: list) -> list:
+        """The preimages of ``points`` under ``transversal[q]``, by walking
+        q's tree path to the root: ``t_q^-1 = gens[j]^-1 * t_p^-1``."""
+        edge, inverses, root = self.edge, self.inverses, self.point
+        while points and q != root:
+            q, j = edge[q]
+            inv = inverses[j]
+            points = [inv[x - 1] for x in points]
+        return points
 
 
 class StabiliserChain:
@@ -289,97 +302,114 @@ class StabiliserChain:
                 if all(s.images[p - 1] == p for p in pts)]
 
     def _rebuild_orbit(self, i: int) -> None:
+        """Rebuild level i's orbit, tree and transversal breadth first.
+
+        A point keeps its old element when its tree edge, the generator on
+        it and its parent's element are all unchanged; only the other
+        points are multiplied.  Each old element leaves the old transversal
+        when its point is settled, so the two are never held in full at
+        once."""
         lev = self.levels[i]
         gens = self._level_gens(i)
         if gens == lev.gens:    # same generators, same orbit and transversals
             return
+        old_gens, old_edge, old = lev.gens or [], lev.edge, lev.transversal
+        lev.inverses = [
+            lev.inverses[j] if j < len(old_gens) and old_gens[j] is s
+            else s.inverse().images
+            for j, s in enumerate(gens)]
         lev.gens = gens
-        gens_inv = [s.inverse() for s in gens]
-        involutions = [s.images == s_inv.images for s, s_inv in zip(gens, gens_inv)]
-        ident = Permutation.identity(self.degree)
-        transversal = lev.transversal = {lev.point: ident}
-        inverse_transversal = lev.inverse_transversal = {lev.point: ident}
-        tree = lev.tree = set()
+        transversal = lev.transversal = {lev.point: old.pop(lev.point)}
+        edge = lev.edge = {}
+        kept = {lev.point}      # the points whose old element is kept
         queue = [lev.point]
         for p in queue:     # breadth first: the list grows while it is read
             u = transversal[p]
-            u_inv = inverse_transversal[p]
-            for j, (s, s_inv) in enumerate(zip(gens, gens_inv)):
+            for j, s in enumerate(gens):
                 q = s.images[p - 1]
-                if q not in transversal:
+                if q in transversal:
+                    continue
+                old_u = old.pop(q, None)
+                old_p, old_j = old_edge.get(q, (None, None))
+                if p in kept and old_p == p and old_gens[old_j] is s:
+                    transversal[q] = old_u
+                    kept.add(q)
+                else:
                     transversal[q] = u * s
-                    inverse_transversal[q] = s_inv * u_inv    # (u s)^-1
-                    tree.add((p, j))
-                    if involutions[j]:  # t_q s = u s s = t_p
-                        tree.add((q, j))
-                    queue.append(q)
+                edge[q] = (p, j)
+                queue.append(q)
 
-    def _sift(self, g: Permutation, from_level: int = 0):
-        """Return (residue, level) where sifting stopped."""
-        h = g
-        for i in range(from_level, len(self.levels)):
-            lev = self.levels[i]
-            img = h.images[lev.point - 1]
-            inv = lev.inverse_transversal.get(img)
-            if inv is None:
-                return h, i
-            h = h * inv
-        return h, len(self.levels)
+    def _sift_base_images(self, i: int, images: list) -> list:
+        """Sift some ``x`` from level ``i`` on base images alone:
+        ``images[k]`` is the image of ``base[i + k]`` under ``x``.  Return
+        the path, the orbit point at which each level was passed; the sift
+        stopped at level ``i + len(path)``, whose orbit misses its image
+        unless every level was passed.  Each level maps the images still to
+        be placed back along one tree path."""
+        path = []
+        for lev in self.levels[i:]:
+            img = images[0]
+            if img not in lev.transversal:
+                break
+            path.append(img)
+            images = lev.preimages(img, images[1:])
+        return path
+
+    def _path_product(self, i: int, path: list) -> Permutation:
+        """The transversal elements on a sift path from level ``i``
+        multiplied deepest first: the element whose sift follows ``path``
+        to the identity."""
+        factors = [lev.transversal[img] for lev, img in zip(self.levels[i:], path)]
+        out = Permutation.identity(self.degree)
+        for t in reversed(factors):
+            out = out * t
+        return out
 
     def _sift_schreier(self, i: int, u: Permutation, s: Permutation, q: int,
                        memo: dict | None):
         """Sift the Schreier generator ``x = u s t_q^-1`` of level ``i``
         through the deeper levels.  Return None when it sifts to the
-        identity, else ``(residue, level)`` exactly as ``_sift(x, i + 1)``.
+        identity, else ``(residue, level)``: ``x`` times the inverses of the
+        transversal elements the sift passed, and the level where it
+        stopped (``len(self.levels)`` when it passed them all).
 
-        The sift follows the base points by lookups: the image of ``b_l``
-        under ``x`` and the inverse transversal elements chosen so far.  A
-        level that misses has a residue moving ``b_l`` off its orbit, which
-        is not the identity.  When every level passes, the residue is the
-        identity iff ``x`` is ``T``, the product of the forward transversal
-        elements on the path, deepest first.  ``memo``, when given, keeps
-        ``T`` by path.
+        ``x`` is the identity when ``u s`` is ``t_q``.  Otherwise the
+        deeper base points' images under ``x`` are those under ``u s``
+        mapped back along q's tree path, and ``_sift_base_images`` sifts
+        them.  A level that misses has a residue moving its base point off
+        its orbit, which is not the identity.  When every level passes, the
+        residue is the identity iff ``u s`` is ``T t_q``, where ``T`` is the
+        path product; ``memo``, when given, keeps ``T`` by path.  The
+        residue is formed, with the one inverse it needs, only when it is a
+        new strong generator.
         """
-        t_inv = self.levels[i].inverse_transversal[q]
-        ui, si, ti = u.images, s.images, t_inv.images
-        path = []       # the point each deeper level's sift passed through
-        chosen = []     # the inverse transversal element taken there
-        for l in range(i + 1, len(self.levels)):
-            img = ti[si[ui[self.levels[l].point - 1] - 1] - 1]
-            for v in chosen:
-                img = v.images[img - 1]
-            inv = self.levels[l].inverse_transversal.get(img)
-            if inv is None:
-                h = u * s * t_inv
-                for v in chosen:
-                    h = h * v
-                return h, l
-            path.append(img)
-            chosen.append(inv)
+        t_q = self.levels[i].transversal[q]
         us = u * s
-        if us.images == self.levels[i].transversal[q].images:
+        if us.images == t_q.images:
             return None     # x is the identity
-        key = tuple(path)
-        target = None if memo is None else memo.get(key)
-        if target is None:
-            target = Permutation.identity(self.degree)
-            for deep, img in reversed(list(zip(self.levels[i + 1:], path))):
-                target = target * deep.transversal[img]
-            if memo is not None:
-                memo[key] = target
-        x = us * t_inv
-        if x.images == target.images:
-            return None
-        for v in chosen:
-            x = x * v
-        return x, len(self.levels)
+        deeper = self.levels[i + 1:]
+        images = [us.images[lev.point - 1] for lev in deeper]
+        path = self._sift_base_images(i + 1, self.levels[i].preimages(q, images))
+        if len(path) < len(deeper):
+            passed = self._path_product(i + 1, path) * t_q
+        else:
+            key = tuple(path)
+            target = None if memo is None else memo.get(key)
+            if target is None:
+                target = self._path_product(i + 1, path)
+                if memo is not None:
+                    memo[key] = target
+            passed = target * t_q
+            if us.images == passed.images:
+                return None
+        return us * passed.inverse(), i + 1 + len(path)
 
     def _complete(self) -> None:
         """Deterministic Schreier-Sims: make every level's Schreier generators
         sift to the identity through the deeper levels.
 
-        A level's scan skips the (point, generator) edges of its orbit's
-        spanning tree and the reverse edges of involutions, whose Schreier
+        A level's scan skips the (point, generator) edges of its Schreier
+        tree and the reverse edges of involutions, whose Schreier
         generators are the identity, and sifts the others with
         ``_sift_schreier``.  Its memo of path products lives for one scan,
         and only when the product of the deeper orbit lengths is at most
@@ -393,7 +423,14 @@ class StabiliserChain:
             self._rebuild_orbit(i)
             lev = self.levels[i]
             gens = lev.gens
-            tree = lev.tree
+            # the (p, j) pairs whose Schreier generator is 1 by construction:
+            # the tree edges, t_p * gens[j] = t_q, and their reverse edges
+            # when gens[j] is an involution, t_q * gens[j] = t_p
+            involutions = {j for j, s in enumerate(gens)
+                           if s.images == lev.inverses[j]}
+            tree = set(lev.edge.values())
+            tree.update((q, j) for q, (_, j) in lev.edge.items()
+                        if j in involutions)
             # one memo entry per path, that is per element of the deeper
             # levels' group
             deeper = math.prod(len(d.transversal) for d in self.levels[i + 1:])
@@ -423,8 +460,6 @@ class StabiliserChain:
                 i = new_level
             else:
                 i -= 1
-        for lev in self.levels:
-            lev.tree = None     # only the scans read it
 
     # -- queries --------------------------------------------------------
 
@@ -441,8 +476,10 @@ class StabiliserChain:
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             return False
-        residue, _ = self._sift(g)
-        return residue.is_identity()
+        path = self._sift_base_images(
+            0, [g.images[lev.point - 1] for lev in self.levels])
+        return (len(path) == len(self.levels)
+                and g.images == self._path_product(0, path).images)
 
     def stabiliser_generators(self) -> list[Permutation]:
         """Strong generators fixing the first base point; they generate the
@@ -562,12 +599,11 @@ class GroupPredicates:
     is_semiregular: bool
 
 
-def predicates(group: PermutationGroup) -> GroupPredicates:
-    """Transitivity and semiregularity from the orbits: one orbit, and every
-    orbit of length ``|L|``, which by orbit-stabiliser
-    (``|L_p| = |L| / |p^L|``) is every point stabiliser trivial."""
-    parts = orbits(group)
-    order = group.order()
+def predicates(parts, order: int) -> GroupPredicates:
+    """Transitivity and semiregularity of a group ``L`` from its orbit
+    ``parts`` and its ``order``: one orbit, and every orbit of length
+    ``|L|``, which by orbit-stabiliser (``|L_p| = |L| / |p^L|``) is every
+    point stabiliser trivial."""
     return GroupPredicates(len(parts) == 1,
                            all(len(part) == order for part in parts))
 

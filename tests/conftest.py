@@ -379,8 +379,9 @@ class DecodedStar:
 # --- reference Schreier-Sims kernel ----------------------------------------
 # The permutation primitives the stabiliser chain used to run on: products
 # point by point, identity tests by enumeration, and every inverse
-# transversal element inverted point by point.  The chain built on them must
-# be bit-identical to perm.StabiliserChain.
+# transversal element inverted point by point and sifted by products.  The
+# chain built on them must be bit-identical to perm.StabiliserChain, which
+# keeps a Schreier tree in place of the inverse transversal.
 
 
 def reference_mul(a: Permutation, b: Permutation) -> Permutation:
@@ -406,6 +407,7 @@ class ReferenceLevel:
         ident = Permutation.identity(degree)
         self.transversal = {point: ident}
         self.inverse_transversal = {point: ident}
+        self.edge = {}
 
 
 class ReferenceChain:
@@ -446,27 +448,23 @@ class ReferenceChain:
         ident = Permutation.identity(self.degree)
         lev.transversal = {lev.point: ident}
         lev.inverse_transversal = {lev.point: ident}
+        lev.edge = {}
         queue = [lev.point]
         while queue:
             p = queue.pop(0)
             u = lev.transversal[p]
-            for s in gens:
+            for j, s in enumerate(gens):
                 q = s.images[p - 1]
                 if q not in lev.transversal:
                     rep = reference_mul(u, s)
                     lev.transversal[q] = rep
                     lev.inverse_transversal[q] = reference_inverse(rep)
+                    lev.edge[q] = (p, j)
                     queue.append(q)
 
     def _sift(self, g, from_level):
-        h = g
-        for i in range(from_level, len(self.levels)):
-            lev = self.levels[i]
-            inv = lev.inverse_transversal.get(h.images[lev.point - 1])
-            if inv is None:
-                return h, i
-            h = reference_mul(h, inv)
-        return h, len(self.levels)
+        return product_sift(self.levels, g, from_level,
+                            lambda lev, q: lev.inverse_transversal[q])
 
     def _complete(self):
         for i in range(len(self.levels)):
@@ -503,13 +501,28 @@ class ReferenceChain:
                 i -= 1
 
 
+def product_sift(levels, g, from_level, inverse):
+    """Sift ``g`` by products from ``levels[from_level]``: at each level
+    multiply by ``inverse(level, q)``, the inverse of the transversal
+    element at the image ``q`` of its base point.  Return (residue, level)
+    where the sift stopped."""
+    h = g
+    for i in range(from_level, len(levels)):
+        lev = levels[i]
+        img = h.images[lev.point - 1]
+        if img not in lev.transversal:
+            return h, i
+        h = reference_mul(h, inverse(lev, img))
+    return h, len(levels)
+
+
 def chain_snapshot(chain):
-    """Base, strong generators, and each level's transversal and inverse
-    transversal in insertion order, all as raw image tuples."""
+    """Base, strong generators, and each level's transversal and Schreier
+    tree in insertion order, the permutations as raw image tuples."""
     return (chain.base,
             [g.images for g in chain.strong_gens],
             [([(q, u.images) for q, u in lev.transversal.items()],
-              [(q, u.images) for q, u in lev.inverse_transversal.items()])
+              list(lev.edge.items()))
              for lev in chain.levels])
 
 

@@ -124,7 +124,8 @@ class TestAnalyze:
             if len(perm.orbits(g)) == 1:
                 continue
             checked += 1
-            semiregular = perm.predicates(g).is_semiregular
+            semiregular = perm.predicates(perm.orbits(g),
+                                          g.order()).is_semiregular
             assert perm.is_semiprimitive(g) == semiregular, g.generators
             seen.add(semiregular)
             analysis = analyze_local_group(g)
@@ -140,8 +141,9 @@ class TestAnalyze:
             self, l2, monkeypatch):
         # the NOT_RESTRICTIVE preconditions must survive python -O: make the
         # semiregular l2 look non-semiregular, so its anchor stabiliser is 1
-        monkeypatch.setattr(perm, "predicates",
-                            lambda g: perm.GroupPredicates(False, False))
+        monkeypatch.setattr(
+            perm, "predicates",
+            lambda parts, order: perm.GroupPredicates(False, False))
         with pytest.raises(TheoryViolationError, match="anchor stabiliser"):
             analyze_local_group(l2)
 

@@ -13,7 +13,7 @@ from graphrestrict.perm import (Permutation, PermutationGroup,
 
 from conftest import (ReferenceChain, as_tuple, brute_elements,
                       chain_snapshot, from_cycles_by_products, group,
-                      reference_inverse, reference_is_identity, reference_mul,
+                      product_sift, reference_inverse, reference_is_identity, reference_mul,
                       semiprimitive_by_elements, tuple_inv, tuple_mul)
 
 
@@ -196,6 +196,38 @@ class TestChainMatchesReferenceKernel:
         assert chain.base[:len(prefix)] == prefix
 
 
+class TestSchreierTree:
+    """Every preimage the chain takes by walking a Schreier tree, and every
+    inverse it forms, against the point-by-point inverse."""
+
+    @pytest.mark.parametrize("name,where", CHAIN_CASES,
+                             ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
+    def test_preimages_and_inverses(self, name, where, monkeypatch):
+        gens = tuple(CHAIN_GROUPS[name][0]())
+        degree = gens[0].degree
+        original = Permutation.inverse
+        formed = []
+
+        def checked(g):
+            got = original(g)
+            assert got.images == reference_inverse(g).images
+            formed.append(got)
+            return got
+
+        monkeypatch.setattr(Permutation, "inverse", checked)
+        chain = StabiliserChain(degree, gens,
+                                base_prefix=base_prefix(where, degree))
+        assert formed     # the inverse generators, at least
+        points = list(range(1, degree + 1))
+        for lev in chain.levels:
+            for q, t in lev.transversal.items():
+                if q != lev.point:
+                    p, j = lev.edge[q]
+                    assert t.images == (lev.transversal[p] * lev.gens[j]).images
+                assert (lev.preimages(q, points)
+                        == list(reference_inverse(t).images))
+
+
 # levels that must take each branch of the sift, by case: the orbit lengths
 # are [1536, 2, 9, 3] and [108, 6, 4, 2, 2, 2, 2, 2]
 SIFT_BRANCHES = {
@@ -205,8 +237,9 @@ SIFT_BRANCHES = {
 
 
 class TestSiftSchreier:
-    """The base-image sift of ``_sift_schreier`` against ``_sift``, which
-    multiplies at every level: same residue and level, or both trivial."""
+    """The base-image sift of ``_sift_schreier`` against the product sift,
+    which multiplies at every level by an inverse formed point by point:
+    same residue and level, or both trivial."""
 
     @pytest.mark.parametrize("name,where", CHAIN_CASES,
                              ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
@@ -216,11 +249,18 @@ class TestSiftSchreier:
         prefix = base_prefix(where, degree)
         original = StabiliserChain._sift_schreier
         seen = {"memo": set(), "no memo": set(), "miss": set()}
+        inverses = {}   # by image tuple: each is formed point by point once
+
+        def inverse(lev, q):
+            t = lev.transversal[q]
+            if t.images not in inverses:
+                inverses[t.images] = reference_inverse(t)
+            return inverses[t.images]
 
         def checked(chain, i, u, s, q, memo):
             got = original(chain, i, u, s, q, memo)
-            x = u * s * chain.levels[i].inverse_transversal[q]
-            residue, level = chain._sift(x, i + 1)
+            x = u * s * inverse(chain.levels[i], q)
+            residue, level = product_sift(chain.levels, x, i + 1, inverse)
             if residue.is_identity():
                 assert got is None
             else:
@@ -242,7 +282,9 @@ class TestSiftSchreier:
     def test_product_count(self, monkeypatch):
         # the l1-n2-vertices chain with prefix (1,), as verify builds it,
         # took 36,908 products when every Schreier generator was sifted by
-        # products; a regression back to that fails here
+        # products, and 18,355 when every rebuild multiplied out its whole
+        # transversal; it takes 14,291 now that a rebuild multiplies only
+        # the points whose tree edge or parent changed
         gens = tuple(CHAIN_GROUPS["l1-n2-vertices"][0]())
         products = 0
         original = Permutation.__mul__
@@ -254,7 +296,7 @@ class TestSiftSchreier:
 
         monkeypatch.setattr(Permutation, "__mul__", counting)
         StabiliserChain(gens[0].degree, gens, base_prefix=(1,))
-        assert products <= 0.6 * 36_908
+        assert products <= 15_000
 
 
 class TestOrbits:
@@ -347,17 +389,21 @@ class TestPointStabiliser:
             assert all(st.contains(x) for x in fixing)
 
 
+def group_predicates(g):
+    return perm.predicates(perm.orbits(g), g.order())
+
+
 class TestPredicates:
     def test_l2(self, l2):
-        pr = perm.predicates(l2)
+        pr = group_predicates(l2)
         assert (pr.is_transitive, pr.is_semiregular) == (False, True)
 
     def test_l0(self, l0):
-        pr = perm.predicates(l0)
+        pr = group_predicates(l0)
         assert (pr.is_transitive, pr.is_semiregular) == (False, False)
 
     def test_l3(self, l3):
-        pr = perm.predicates(l3)
+        pr = group_predicates(l3)
         assert (pr.is_transitive, pr.is_semiregular) == (True, True)
 
     def test_semiregular_matches_stabiliser_orders(self, l0, l1, l2, l3):
@@ -373,7 +419,7 @@ class TestPredicates:
             expected = all(
                 perm.point_stabiliser(g, p).order() == 1
                 for p in range(1, g.degree + 1))
-            assert perm.predicates(g).is_semiregular == expected
+            assert group_predicates(g).is_semiregular == expected
 
     @pytest.mark.parametrize("degree,cycle,semiregular",
                              [(600, 600, True), (401, 400, False)])
@@ -381,7 +427,7 @@ class TestPredicates:
         g = PermutationGroup(degree, (Permutation.from_cycles(
             degree, [list(range(1, cycle + 1))]),))
         start = time.perf_counter()
-        pr = perm.predicates(g)
+        pr = group_predicates(g)
         assert time.perf_counter() - start < 1.0
         assert (pr.is_transitive, pr.is_semiregular) == (degree == cycle,
                                                           semiregular)
