@@ -20,10 +20,12 @@ constructor.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import amalgam, classify, perm
 from .completion import (CompletionCandidate, CompletionReport, SearchConfig,
@@ -34,6 +36,7 @@ from .errors import (CapacityError, CompletionSearchError, InputError,
 from .perm import Permutation, PermutationGroup
 
 DEFAULT_VERTEX_CAP = 1_000_000
+DEFAULT_EXPORT_CAP = 1 << 28        # bytes in one exported graph file
 
 
 @dataclass(frozen=True)
@@ -103,33 +106,74 @@ def enumerate_cosets(candidate: CompletionCandidate,
                      cap: int = DEFAULT_VERTEX_CAP) -> CosetTable | None:
     """Enumerate the cosets of rho(A) in G, or None when they exceed ``cap``.
 
-    Each coset is keyed by the image array of its canonical representative
+    Each coset is keyed by the image tuple of its canonical representative
     (the unique coset element sending the basepoint to the least possible
     point).  The key is sound because rho(A) is regular on copy 1: the
     elements of a coset send the basepoint to pairwise distinct points, so
     exactly one of them sends it to the least, and an element lies in one
     coset only.  The breadth-first orbit stops as soon as it finds coset
     ``cap + 1``.
+
+    The key tuple is also the representative the search multiplies, and it
+    is dropped once its vertex is processed.  For vertex v one
+    ``itemgetter(0, *key)`` applied to a generator's images, padded with a
+    leading 0, gives ``h = rep * g`` with that padding in place; the least
+    of ``h``'s first |A| images names the ``x`` with ``rho(x) * h`` the
+    canonical representative, whose images are read off ``h`` by one more
+    itemgetter.  Each key is hashed once, by ``dict.setdefault``.
+
+    Entries closed by generator order need no product at all.  A generator
+    g of order m on the carrier (the order of its element of A, read off the
+    basepoint's cycle since rho(A) is regular on copy 1, or 2 for a beta,
+    which verify_completion checks is an involution) satisfies g^m = 1, so
+    a coset w = u * g^(m-1) has w * g = u * g^m = u.  The search records,
+    for each coset w it reaches by g before w is processed, the root u and
+    the step count with w = u * g^steps (w's one g-preimage extends its own
+    record, or is the root with no steps), and fills w's entry with u
+    when steps = m - 1.  That holds whether the cycle of u under g has
+    length m or a proper divisor of m, since only g^m = 1 is used; the root
+    is already numbered, so the numbering and every entry are those of the
+    product for each pair.
     """
     carrier = candidate.carrier
-    generators = candidate.group_generators()
-    start = carrier.canonical_coset_rep(Permutation.identity(carrier.degree))
-    reps = [start]
-    index = {start.images: 0}
-    transitions: list[list[int]] = [[] for _ in generators]
+    size = carrier.size
+    padded = [(0,) + g.images for g in candidate.group_generators()]
+    orders = []
+    for g in carrier.rho_generators:
+        images, m, p = g.images, 1, g.images[0]
+        while p != 1:
+            p, m = images[p - 1], m + 1
+        orders.append(m)
+    orders += [2] * len(candidate.betas)
+    # the identity sends the basepoint to 1, so it is the base coset's key
+    start = Permutation.identity(carrier.degree).images
+    index = {start: 0}
+    queue = collections.deque([start])
+    transitions: list[list[int]] = [[] for _ in padded]
+    # per generator g: w -> (u, steps) with w = u * g^steps, w unprocessed
+    pending: list[dict[int, tuple[int, int]]] = [{} for _ in padded]
     # breadth-first in index order: vertex v fills entry v of every row
     v = 0
-    while v < len(reps):
-        for gi, g in enumerate(generators):
-            target = carrier.canonical_coset_rep(reps[v] * g)
-            ti = index.get(target.images)
-            if ti is None:
-                ti = len(reps)
-                if ti >= cap:
+    while queue:
+        times = itemgetter(0, *queue.popleft())
+        for g, row, m, chains in zip(padded, transitions, orders, pending):
+            root, steps = chains.pop(v, (v, 0))
+            if steps == m - 1:
+                row.append(root)
+                continue
+            h = times(g)
+            first = h[1:size + 1]
+            rho = carrier.rho_index(first.index(min(first)))
+            key = itemgetter(*rho.images)(h)
+            n = len(index)
+            w = index.setdefault(key, n)
+            if w == n:
+                if n >= cap:
                     return None
-                reps.append(target)
-                index[target.images] = ti
-            transitions[gi].append(ti)
+                queue.append(key)
+            if w > v:
+                chains[w] = (root, steps + 1)
+            row.append(w)
         v += 1
     return CosetTable(index, tuple(tuple(row) for row in transitions))
 
@@ -233,7 +277,8 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
                 neighbours[w] = [row[u] for u in nbrs]
     graph = FiniteGraph(n, tuple(tuple(sorted(nbrs)) for nbrs in neighbours))
 
-    action = tuple(Permutation(tuple(row[v] + 1 for v in range(n)))
+    # each row is G's action on the cosets, so a bijection by construction
+    action = tuple(Permutation._raw(tuple(w + 1 for w in row))
                    for row in table.transitions)
     return FiniteLocallyLPair(
         graph=graph, action_generators=action, base_vertex=0,
@@ -532,6 +577,18 @@ def _graph6_bytes(n: int) -> bytes:
         return bytes([126, 126] + [((n >> s) & 63) + 63
                                    for s in (30, 24, 18, 12, 6, 0)])
     raise InputError("graph too large for the graph6 format")
+
+
+def export_sizes(vertex_count: int, valency: int) -> dict[str, int]:
+    """Byte sizes of the exports of a ``valency``-regular graph, known
+    before any is built: exact for ``graph6``, whose data is one bit per
+    vertex pair, and upper bounds for the text formats, whose ids have at
+    most the digits of the largest."""
+    n = vertex_count
+    width = len(str(max(n - 1, 0)))
+    return {"edge-list": n * valency // 2 * (2 * width + 2),
+            "adjacency-list": n * (width + 2 + valency * (width + 1)),
+            "graph6": len(_graph6_bytes(n)) + -(-(n * (n - 1)) // 12)}
 
 
 def export_graph(graph, fmt: str):

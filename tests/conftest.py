@@ -321,6 +321,28 @@ def carrier_neighbourhoods(candidate, table):
             for v in range(table.size)]
 
 
+def enumerate_cosets_by_products(candidate):
+    """The coset table by two full products per (vertex, generator) pair:
+    the canonical representative of ``rep * g`` for every pair, in
+    breadth-first order.  Returns ``(list(index.items()), transitions)``."""
+    carrier = candidate.carrier
+    generators = candidate.group_generators()
+    start = carrier.canonical_coset_rep(Permutation.identity(carrier.degree))
+    reps = [start]
+    index = {start.images: 0}
+    transitions = [[] for _ in generators]
+    for rep in reps:        # breadth first: the list grows while it is read
+        for gi, g in enumerate(generators):
+            target = carrier.canonical_coset_rep(rep * g)
+            ti = index.get(target.images)
+            if ti is None:
+                ti = len(reps)
+                reps.append(target)
+                index[target.images] = ti
+            transitions[gi].append(ti)
+    return list(index.items()), tuple(tuple(row) for row in transitions)
+
+
 # L0 at n=2..4, L1 at n=2, and a k=3 star with an identity twist on edge 3:
 # the stars every all-of-A oracle runs on
 ORACLE_STARS = {"L0-n2": ((3, "(1 2)"), 2), "L0-n3": ((3, "(1 2)"), 3),

@@ -316,12 +316,34 @@ class TestReportCommand:
                                        "(needed at least 128)")
 
     @pytest.mark.parametrize("caps", ["vertice=10", "copies=0", "copies=-1",
-                                      "carrier=0", "attempts=x"])
+                                      "carrier=0", "attempts=x", "export=0"])
     def test_bad_caps_exit_2(self, files, capsys, monkeypatch, caps):
         monkeypatch.setenv(cli.CAPS_ENV_VAR, caps)
         assert main(["report", files["L0"], "--n-from", "2",
                      "--n-to", "2"]) == 2
         assert cli.CAPS_ENV_VAR in capsys.readouterr().err
+
+
+class TestExportCap:
+    """Export sizes follow from the vertex count and valency, so an
+    oversized graph is refused before any file is written."""
+
+    def test_oversized_export_exit_2_writes_nothing(self, files, capsys,
+                                                    monkeypatch):
+        # L0 n=2 has 24 vertices: 46 bytes of graph6, more in the text files
+        monkeypatch.setenv(cli.CAPS_ENV_VAR, "export=40")
+        out_dir = files["dir"] / "capped"
+        assert main(["construct", files["L0"], "--n", "2",
+                     "--out", str(out_dir)]) == 2
+        assert "cap 'export' = 40 exceeded" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_export_cap_admits_the_exports(self, files, monkeypatch):
+        monkeypatch.setenv(cli.CAPS_ENV_VAR, "export=1000")
+        out_dir = files["dir"] / "admitted"
+        assert main(["construct", files["L0"], "--n", "2",
+                     "--out", str(out_dir)]) == 0
+        assert (out_dir / "graph.g6").stat().st_size <= 1000
 
 
 class TestMaxVerticesFlag:

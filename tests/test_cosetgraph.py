@@ -10,17 +10,17 @@ from graphrestrict.completion import SearchConfig, find_completion
 from graphrestrict.cosetgraph import (BaseLocalCertificate, FiniteGraph,
                                       FiniteLocallyLPair, build_graph,
                                       construct_pair, enumerate_cosets,
-                                      export_graph, growth_report,
-                                      local_action, parse_graph,
-                                      verify_locally_L)
+                                      export_graph, export_sizes,
+                                      growth_report, local_action,
+                                      parse_graph, verify_locally_L)
 from graphrestrict.errors import (CapacityError, InputError,
                                   NotEnumeratedError, ParseError,
                                   TheoryViolationError)
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
 from conftest import (carrier_neighbourhoods, coset_key_failure,
-                      graph6_pair_loop, group, kernel_order_by_loop,
-                      witness_conjugates_onto)
+                      enumerate_cosets_by_products, graph6_pair_loop, group,
+                      kernel_order_by_loop, witness_conjugates_onto)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,26 @@ class TestEnumerateCosets:
         result = constructed(name)
         table = enumerate_cosets(result.candidate)
         assert coset_key_failure(result.candidate, table) is None
+
+    @pytest.mark.parametrize("name", sorted(ORDER_CASES))
+    def test_matches_product_oracle(self, name):
+        candidate = constructed(name).candidate
+        table = enumerate_cosets(candidate)
+        assert (list(table.index.items()), table.transitions) == \
+            enumerate_cosets_by_products(candidate)
+
+    def test_order_closure_skips_canonicalisations(self, monkeypatch):
+        # L1 n=3: 4096 cosets and 6 generators give 24,576 entries; those
+        # closed by generator order (5,566 of them) canonicalise nothing
+        candidate = constructed("l1-n3").candidate
+        carrier = candidate.carrier
+        calls = []
+        rho_index = carrier.rho_index
+        monkeypatch.setattr(carrier, "rho_index",
+                            lambda x: calls.append(x) or rho_index(x))
+        table = enumerate_cosets(candidate)
+        assert table.size * len(table.transitions) == 24_576
+        assert len(calls) <= 19_100
 
     def test_key_oracle_sees_uncanonical_keys(self, result0, monkeypatch):
         carrier = result0.candidate.carrier
@@ -414,6 +434,20 @@ class TestExports:
         data = export_graph(path, "graph6")
         assert data[0] == 126
         assert parse_graph(data) == path
+
+    @pytest.mark.parametrize("name", ["result0", "result1"])
+    def test_export_sizes_bound_the_exports(self, name, request):
+        pair = request.getfixturevalue(name).pair
+        sizes = export_sizes(pair.vertex_count, pair.valency)
+        assert sizes["graph6"] == len(export_graph(pair.graph, "graph6"))
+        for fmt in ("edge-list", "adjacency-list"):
+            assert sizes[fmt] >= len(export_graph(pair.graph, fmt))
+
+    def test_export_sizes_graph6_formula(self):
+        # L1 n=4 (40,960 vertices) at about 140 MB, and the 294,912 vertices
+        # of <(1 2)> on 10 points at n=2 at about 7.2 GB
+        assert export_sizes(40_960, 5)["graph6"] == 4 + 139_806_720
+        assert export_sizes(294_912, 10)["graph6"] == 8 + 7_247_732_736
 
     def test_implicit_export_refused(self, result0):
         implicit = build_graph(result0.candidate, result0.report, cap=1)
