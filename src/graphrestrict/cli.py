@@ -21,12 +21,12 @@ negative, 2 input error, 3 search exhaustion.
 
 Caps may be overridden through the single environment variable
 ``GRAPHRESTRICT_CAPS`` (comma-separated ``name=value`` entries with names
-``vertices``, ``carrier``, ``copies``, ``attempts``, ``export``, each at
-least 1); command-line flags take precedence.  Every command refuses a
-group file of degree above ``vertices``, and ``verify`` a graph of more
-vertices, before it builds anything from them.  ``construct`` refuses a
-graph whose export would exceed ``export`` bytes in one file before it
-writes any file.
+``vertices``, ``carrier``, ``copies``, ``attempts``, each at least 1);
+command-line flags take precedence.  Every command refuses a group file
+of degree above ``vertices``, and ``verify`` a graph of more vertices,
+before it builds anything from them.  ``construct`` refuses a graph with
+an export file of more than ``cosetgraph.DEFAULT_EXPORT_CAP`` bytes
+before it writes any file.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .perm import PermutationGroup
 
 CERTIFICATE_SCHEMA = "graphrestrict.certificate/1"
 CAPS_ENV_VAR = "GRAPHRESTRICT_CAPS"
-CAP_NAMES = ("vertices", "carrier", "copies", "attempts", "export")
+CAP_NAMES = ("vertices", "carrier", "copies", "attempts")
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -249,9 +249,9 @@ def cmd_construct(args) -> int:
     graph_files = None
     if result.explicit:
         pair: FiniteLocallyLPair = result.pair
-        export_cap = _caps_from_env().get("export",
-                                          cosetgraph.DEFAULT_EXPORT_CAP)
+        export_cap = cosetgraph.DEFAULT_EXPORT_CAP
         sizes = cosetgraph.export_sizes(pair.vertex_count, pair.valency)
+        sizes["graph6"] += 1            # the file ends in a newline
         for fmt, size in sizes.items():
             if size > export_cap:
                 raise CapacityError("export", export_cap,
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide graph-restrictiveness for intransitive permutation "
                     "groups and construct certified finite locally-L pairs.",
         epilog=f"Cap overrides: set {CAPS_ENV_VAR}=vertices=...,carrier=...,"
-               "copies=...,attempts=...,export=... (flags take precedence).")
+               "copies=...,attempts=... (flags take precedence).")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

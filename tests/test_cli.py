@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from graphrestrict import cli
+from graphrestrict import cli, cosetgraph
 from graphrestrict.cli import main, parse_group_spec
 from graphrestrict.errors import ParseError
 
@@ -316,7 +316,7 @@ class TestReportCommand:
                                        "(needed at least 128)")
 
     @pytest.mark.parametrize("caps", ["vertice=10", "copies=0", "copies=-1",
-                                      "carrier=0", "attempts=x", "export=0"])
+                                      "carrier=0", "attempts=x"])
     def test_bad_caps_exit_2(self, files, capsys, monkeypatch, caps):
         monkeypatch.setenv(cli.CAPS_ENV_VAR, caps)
         assert main(["report", files["L0"], "--n-from", "2",
@@ -330,8 +330,8 @@ class TestExportCap:
 
     def test_oversized_export_exit_2_writes_nothing(self, files, capsys,
                                                     monkeypatch):
-        # L0 n=2 has 24 vertices: 46 bytes of graph6, more in the text files
-        monkeypatch.setenv(cli.CAPS_ENV_VAR, "export=40")
+        # L0 n=2 has 24 vertices: a 48-byte graph6 file, larger text files
+        monkeypatch.setattr(cosetgraph, "DEFAULT_EXPORT_CAP", 40)
         out_dir = files["dir"] / "capped"
         assert main(["construct", files["L0"], "--n", "2",
                      "--out", str(out_dir)]) == 2
@@ -339,11 +339,30 @@ class TestExportCap:
         assert list(out_dir.iterdir()) == []
 
     def test_export_cap_admits_the_exports(self, files, monkeypatch):
-        monkeypatch.setenv(cli.CAPS_ENV_VAR, "export=1000")
+        monkeypatch.setattr(cosetgraph, "DEFAULT_EXPORT_CAP", 1000)
         out_dir = files["dir"] / "admitted"
         assert main(["construct", files["L0"], "--n", "2",
                      "--out", str(out_dir)]) == 0
         assert (out_dir / "graph.g6").stat().st_size <= 1000
+
+    def test_cap_counts_the_graph6_newline(self, files, capsys, monkeypatch):
+        # L1 n=2 has 1536 vertices of valency 5; graph6 is its largest
+        # export, and its file is the export plus a newline
+        sizes = cosetgraph.export_sizes(1536, 5)
+        g6 = sizes["graph6"]
+        assert max(sizes.values()) == g6
+        monkeypatch.setattr(cosetgraph, "DEFAULT_EXPORT_CAP", g6)
+        out_dir = files["dir"] / "at-export-size"
+        assert main(["construct", files["L1"], "--n", "2",
+                     "--out", str(out_dir)]) == 2
+        assert (f"cap 'export' = {g6} exceeded (needed {g6 + 1} bytes of "
+                f"graph6)") in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+        monkeypatch.setattr(cosetgraph, "DEFAULT_EXPORT_CAP", g6 + 1)
+        out_dir = files["dir"] / "at-file-size"
+        assert main(["construct", files["L1"], "--n", "2",
+                     "--out", str(out_dir)]) == 0
+        assert (out_dir / "graph.g6").stat().st_size == g6 + 1
 
 
 class TestMaxVerticesFlag:
