@@ -14,7 +14,7 @@ from .amalgam import AmalgamStar, build_star, local_model, validate_star
 from .completion import (Carrier, CompletionCandidate, CompletionReport,
                          SearchConfig, build_involution, find_completion,
                          verify_completion)
-from .cosetgraph import (FiniteGraph, FiniteLocallyLPair, GrowthTable,
+from .cosetgraph import (FiniteGraph, GrowthTable, LocallyLPair,
                          build_graph, construct_pair, enumerate_cosets,
                          export_graph, growth_report, local_action,
                          parse_graph, verify_locally_L)
@@ -37,7 +37,7 @@ __all__ = [
     "SearchConfig", "CompletionCandidate", "CompletionReport",
     "Carrier", "build_involution", "verify_completion",
     "find_completion",
-    "FiniteGraph", "FiniteLocallyLPair", "GrowthTable", "enumerate_cosets",
+    "FiniteGraph", "LocallyLPair", "GrowthTable", "enumerate_cosets",
     "build_graph", "local_action", "verify_locally_L", "growth_report",
     "construct_pair", "export_graph", "parse_graph",
     "GraphRestrictError", "InputError", "ParseError", "CapacityError",

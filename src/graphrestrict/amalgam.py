@@ -65,7 +65,6 @@ class EdgeData:
     twist: str                       # FULL_REVERSAL, TAIL_REVERSAL or IDENTITY_TWIST
     subgroup_indices: tuple[int, ...]          # element indices of C_i
     subgroup_generators: tuple[int, ...]       # L_{r_i}'s in the head, then A's tail ones
-    subgroup_order: int
     coset_index: int                           # |A : C_i| = orbit length of r_i
     right_transversal: tuple[int, ...]         # element index per right coset
     right_coset_points: tuple[int, ...]        # image of r_i labelling each right coset
@@ -168,10 +167,6 @@ class AmalgamStar:
             raise InputError(f"edge index {i} out of range 1..{len(self.edges)}")
         return self.edges[i - 1]
 
-    def right_coset_point(self, i: int, x: int) -> int:
-        """Key of the right coset C_i * x: the image of r_i under the head."""
-        return self._heads[x // self.tail_size].apply(self.edge(i).orbit_rep)
-
     def left_coset_point(self, i: int, x: int) -> int:
         """Key of the left coset x * C_i: the image of r_i under the inverse head."""
         head_inv = self._heads[self._head_inv[x // self.tail_size]]
@@ -232,7 +227,6 @@ class AmalgamStar:
             twist=twist,
             subgroup_indices=members,
             subgroup_generators=generators,
-            subgroup_order=len(members),
             coset_index=orbit_len,
             right_transversal=tuple(right_seen.values()),
             right_coset_points=tuple(right_seen),
@@ -294,32 +288,20 @@ def validate_star(star: AmalgamStar) -> None:
                                       f"edge {edge.index}")
 
 
-@dataclass(frozen=True)
-class LocalModel:
-    """The neighbourhood of the base vertex, seen from inside A.
+def local_model(star: AmalgamStar) -> tuple[int, ...]:
+    """The radius-1 model of the base vertex: ``labels[j]``, the point of
+    the local group's domain attached to slot ``j`` of ``star.slots``,
+    checked to be a bijection onto the domain.
 
-    Slots are the right cosets of the C_i, ordered by (edge, transversal
-    order); ``labels[j]`` is the point of the local group's domain attached
-    to slot ``j``.  The slot action of an element of A is right
+    The slots are the right cosets of the C_i, ordered by (edge,
+    transversal order).  The slot action of an element of A is right
     multiplication on cosets, and its kernel is exactly the head-trivial
     subgroup 1 x S^n (``cosetgraph.local_action`` checks its order).
     """
-
-    slots: tuple[tuple[int, int], ...]   # (edge index, rep element index)
-    labels: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.slots)
-
-
-def local_model(star: AmalgamStar) -> LocalModel:
-    """Build the radius-1 model of the base vertex and check that its labels
-    are a bijection onto the local group's domain."""
     labels = [p for edge in star.edges for p in edge.right_coset_points]
     degree = star.local_group.degree
     if sorted(labels) != list(range(1, degree + 1)):
         raise TheoryViolationError(
             "the coset labelling is not a bijection onto the domain; "
             "this indicates a bug, not an input condition")
-    return LocalModel(star.slots, tuple(labels))
+    return tuple(labels)

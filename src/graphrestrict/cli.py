@@ -40,7 +40,7 @@ from pathlib import Path
 from . import __version__
 from . import amalgam, classify, cosetgraph, perm
 from .completion import SearchConfig
-from .cosetgraph import DEFAULT_VERTEX_CAP, FiniteLocallyLPair
+from .cosetgraph import DEFAULT_VERTEX_CAP
 from .errors import (CapacityError, CompletionSearchError,
                      GraphRestrictError, InputError, ParseError)
 from .perm import PermutationGroup
@@ -185,20 +185,20 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _certificate(group, result, graph_files) -> dict:
-    pair = result.pair
-    witness = result.witness
+def _certificate(group, pair, graph_files) -> dict:
+    witness = pair.witness
+    candidate = pair.candidate
     cert = {
         "schema": CERTIFICATE_SCHEMA,
         "tool_version": __version__,
         "input": _group_dict(group),
-        "analysis": _analysis_dict(result.analysis),
-        "n": result.star.n,
-        "strategy": result.candidate.strategy.descriptor(),
-        "carrier": {"points": result.candidate.carrier.degree,
-                    "copies": result.candidate.carrier.t},
-        "beta": [list(b.images) for b in result.candidate.betas],
-        "verification": result.report.as_dict(),
+        "analysis": _analysis_dict(pair.star.analysis),
+        "n": pair.star.n,
+        "strategy": candidate.strategy.descriptor(),
+        "carrier": {"points": candidate.carrier.degree,
+                    "copies": candidate.carrier.t},
+        "beta": [list(b.images) for b in candidate.betas],
+        "verification": pair.report.as_dict(),
         "graph": {
             "vertices": pair.vertex_count if pair.vertex_count is not None
                         else "implicit",
@@ -240,15 +240,14 @@ def cmd_construct(args) -> int:
         raise InputError(f"output directory not writable: {exc}") from None
 
     try:
-        result = cosetgraph.construct_pair(group, args.n, search, vertex_cap,
-                                           analysis=analysis)
+        pair = cosetgraph.construct_pair(group, args.n, search, vertex_cap,
+                                         analysis=analysis)
     except CompletionSearchError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_EXHAUSTED
 
     graph_files = None
-    if result.explicit:
-        pair: FiniteLocallyLPair = result.pair
+    if pair.graph is not None:
         export_cap = cosetgraph.DEFAULT_EXPORT_CAP
         sizes = cosetgraph.export_sizes(pair.vertex_count, pair.valency)
         sizes["graph6"] += 1            # the file ends in a newline
@@ -264,19 +263,21 @@ def cmd_construct(args) -> int:
             cosetgraph.export_graph(pair.graph, "edge-list"))
         (out_dir / "graph.adjlist").write_text(
             cosetgraph.export_graph(pair.graph, "adjacency-list"))
-        (out_dir / "graph.g6").write_bytes(
-            cosetgraph.export_graph(pair.graph, "graph6") + b"\n")
+        # the export is one buffer of up to the export bound: the newline
+        # goes in a write of its own rather than a copy of the buffer
+        with open(out_dir / "graph.g6", "wb") as f:
+            f.write(cosetgraph.export_graph(pair.graph, "graph6"))
+            f.write(b"\n")
         lines = [f"degree {pair.graph.vertex_count}"]
         lines += [" ".join(str(q) for q in g.images)
                   for g in pair.action_generators]
         (out_dir / "group.gens").write_text("\n".join(lines) + "\n")
 
-    cert = _certificate(group, result, graph_files)
+    cert = _certificate(group, pair, graph_files)
     (out_dir / "certificate.json").write_text(_dump_json(cert))
 
-    pair = result.pair
     vertices = pair.vertex_count if pair.vertex_count is not None else "implicit"
-    print(f"accepted completion: |G| = {result.report.order_g}, "
+    print(f"accepted completion: |G| = {pair.report.order_g}, "
           f"stabiliser order {pair.stabiliser_order}, valency {pair.valency}, "
           f"vertices {vertices}")
     print(f"certificate: {out_dir / 'certificate.json'}")

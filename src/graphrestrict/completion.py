@@ -123,15 +123,18 @@ class Carrier:
     def in_rho(self, perm: Permutation) -> bool:
         return self.membership_index(perm) is not None
 
-    def canonical_coset_rep(self, perm: Permutation) -> Permutation:
-        """Canonical representative of the right coset rho(A) * perm.
+    def coset_key(self, padded: tuple[int, ...]) -> tuple[int, ...]:
+        """Key of the right coset rho(A) * h, given h's images padded with a
+        leading 0: the images of its canonical representative.
 
         rho(A) is regular on copy 1, so exactly one coset element sends the
         basepoint to the minimal possible point; that element is the key.
+        The least of h's first |A| images names the x with rho(x) * h that
+        element, whose images are read off the padded ones.
         """
-        first = perm.images[:self.size]
-        ia = first.index(min(first))
-        return self.rho_index(ia) * perm
+        first = padded[1:self.size + 1]
+        rho = self.rho_index(first.index(min(first)))
+        return itemgetter(*rho.images)(padded)
 
 
 def rho_closure(carrier: Carrier, generators) -> int:
@@ -212,6 +215,13 @@ class CompletionCandidate:
         carrier = self.carrier
         return [self.betas[i - 1] * carrier.rho_index(a)
                 for i, a in carrier.star.slots]
+
+    def slot_keys(self) -> list[tuple[int, ...]]:
+        """The coset keys of the slot elements, in slot order: V4 asks
+        that they are distinct, and the coset graph numbers the base
+        vertex's neighbours by them."""
+        key = self.carrier.coset_key
+        return [key((0,) + e.images) for e in self.slot_elements()]
 
 
 @dataclass(frozen=True)
@@ -326,10 +336,7 @@ def _v4(candidate: CompletionCandidate) -> bool:
     have distinct canonical coset keys.  Two slots (i, a), (j, a') share a
     coset exactly when beta_i * rho(a a'^-1) * beta_j^-1 lies in rho(A), and
     each beta is an involution (checked before V4 runs)."""
-    carrier = candidate.carrier
-    keys = {carrier.canonical_coset_rep(e).images
-            for e in candidate.slot_elements()}
-    return len(keys) == len(carrier.star.slots)
+    return len(set(candidate.slot_keys())) == len(candidate.carrier.star.slots)
 
 
 def verify_completion(candidate: CompletionCandidate) -> CompletionReport:

@@ -5,11 +5,16 @@ the neighbours of a coset are the cosets reached through the edge
 involutions, ``rho(A) * beta_i * rho(a) * x`` over the edge transversals.
 The conditions V1-V4 of the completion make the graph simple, connected,
 vertex-transitive and regular of valency equal to the local group's degree,
-with vertex stabiliser isomorphic to A.
+with vertex stabiliser isomorphic to A.  The graph is fixed by its
+transition table: ``enumerate_cosets`` numbers the cosets by their keys
+(``Carrier.coset_key``) and records G's action on them.
 
-When the vertex count exceeds the enumeration cap the graph is kept
-implicit: the base vertex's neighbourhood and local action are still fully
-certified (the action is vertex-transitive by construction, so base-vertex
+``construct_pair`` returns one ``LocallyLPair``: the candidate, its report
+with the order of G, the certified local action of the base vertex, and
+the graph with G's generators as vertex permutations.  When the vertex
+count exceeds the enumeration cap the graph is kept implicit (None): the
+base vertex's neighbourhood and local action are still fully certified
+(the action is vertex-transitive by construction, so base-vertex
 certification transports everywhere), but exports are disabled.
 
 ``verify_locally_L`` is the independent verifier: it takes any graph with a
@@ -117,10 +122,9 @@ def enumerate_cosets(candidate: CompletionCandidate,
     The key tuple is also the representative the search multiplies, and it
     is dropped once its vertex is processed.  For vertex v one
     ``itemgetter(0, *key)`` applied to a generator's images, padded with a
-    leading 0, gives ``h = rep * g`` with that padding in place; the least
-    of ``h``'s first |A| images names the ``x`` with ``rho(x) * h`` the
-    canonical representative, whose images are read off ``h`` by one more
-    itemgetter.  Each key is hashed once, by ``dict.setdefault``.
+    leading 0, gives ``h = rep * g`` with that padding in place, and
+    ``Carrier.coset_key`` reads the key of its coset off ``h``.  Each key
+    is hashed once, by ``dict.setdefault``.
 
     Entries closed by generator order need no product at all.  A generator
     g of order m on the carrier (the order of its element of A, read off the
@@ -136,7 +140,7 @@ def enumerate_cosets(candidate: CompletionCandidate,
     product for each pair.
     """
     carrier = candidate.carrier
-    size = carrier.size
+    coset_key = carrier.coset_key
     padded = [(0,) + g.images for g in candidate.group_generators()]
     orders = []
     for g in carrier.rho_generators:
@@ -161,10 +165,7 @@ def enumerate_cosets(candidate: CompletionCandidate,
             if steps == m - 1:
                 row.append(root)
                 continue
-            h = times(g)
-            first = h[1:size + 1]
-            rho = carrier.rho_index(first.index(min(first)))
-            key = itemgetter(*rho.images)(h)
+            key = coset_key(times(g))
             n = len(index)
             w = index.setdefault(key, n)
             if w == n:
@@ -195,69 +196,63 @@ class LocalActionWitness:
 
 
 @dataclass(frozen=True)
-class FiniteLocallyLPair:
-    """An explicit certified pair: the graph, the acting group, and the data
-    of its base vertex."""
+class LocallyLPair:
+    """A certified locally-L pair: the coset graph of the completed group G
+    on the right cosets of rho(A), certified at the base coset, vertex 0.
 
-    graph: FiniteGraph
-    action_generators: tuple[Permutation, ...]   # vertex permutations, 1-based
-    base_vertex: int
-    stabiliser_order: int
-    valency: int
-    vertex_count: int
-    neighbour_slots: tuple[tuple[int, int], ...]  # (edge, transversal element idx)
-    base_neighbours: tuple[int, ...]              # vertex ids, slot order
+    ``report`` carries the order of G and ``witness`` the certified local
+    action of the base vertex.  ``graph`` and ``action_generators`` (G's
+    generators as 1-based vertex permutations) are None in implicit mode,
+    when the cosets exceed the vertex cap.  The base vertex's stabiliser
+    is rho(A) and its neighbours are the star's slots, so the rest is read
+    off the star.
+    """
+
     candidate: CompletionCandidate
     report: CompletionReport
-    witness: LocalActionWitness | None = None
+    witness: LocalActionWitness
+    graph: FiniteGraph | None = None
+    action_generators: tuple[Permutation, ...] | None = None
 
-    def local_action_group(self) -> PermutationGroup:
-        """The stabiliser's induced action on the base neighbour slots."""
-        if self.witness is None:
-            raise InputError("local action has not been certified yet")
-        return PermutationGroup(self.valency, self.witness.induced_generators)
+    @property
+    def star(self) -> amalgam.AmalgamStar:
+        return self.candidate.carrier.star
 
+    @property
+    def stabiliser_order(self) -> int:
+        return self.star.order
 
-@dataclass(frozen=True)
-class BaseLocalCertificate:
-    """The implicit form: base-vertex data only, exports disabled."""
+    @property
+    def valency(self) -> int:
+        return self.star.local_group.degree
 
-    stabiliser_order: int
-    valency: int
-    vertex_count: None
-    neighbour_slots: tuple[tuple[int, int], ...]
-    candidate: CompletionCandidate
-    report: CompletionReport
-    witness: LocalActionWitness | None = None
+    @property
+    def vertex_count(self) -> int | None:
+        return None if self.graph is None else self.graph.vertex_count
 
 
 def build_graph(candidate: CompletionCandidate, report: CompletionReport,
-                cap: int = DEFAULT_VERTEX_CAP):
-    """The coset graph of an accepted completion, explicit when it fits.
+                witness: LocalActionWitness,
+                cap: int = DEFAULT_VERTEX_CAP) -> LocallyLPair:
+    """The pair of an accepted completion and its certified local action,
+    with the coset graph when it has at most ``cap`` vertices.
 
-    Explicit mode returns a FiniteLocallyLPair with the full graph and the
-    acting group as vertex permutations; implicit mode returns a
-    BaseLocalCertificate carrying the base vertex's certified data only.
-    Either way the returned ``report`` carries the order of G.  The
-    stabiliser of the base coset in G is rho(A), so in explicit mode
-    ``|G| = |A| * V`` for the V cosets enumerated; only in implicit mode,
-    where the coset count stays unknown, does a stabiliser chain of G
-    compute it.
+    The returned ``report`` carries the order of G.  The stabiliser of the
+    base coset in G is rho(A), so in explicit mode ``|G| = |A| * V`` for
+    the V cosets enumerated; only in implicit mode, where the coset count
+    stays unknown, does a stabiliser chain of G compute it.
     """
     if not report.accepted:
         raise InputError("completion was not accepted; cannot build the graph")
     carrier = candidate.carrier
-    star = carrier.star
-    valency = star.local_group.degree
     table = enumerate_cosets(candidate, cap)
 
     if table is None:
         chain = perm.StabiliserChain(carrier.degree,
                                      candidate.group_generators())
-        return BaseLocalCertificate(
-            stabiliser_order=star.order, valency=valency, vertex_count=None,
-            neighbour_slots=star.slots, candidate=candidate,
-            report=dataclasses.replace(report, order_g=chain.order()))
+        return LocallyLPair(
+            candidate, dataclasses.replace(report, order_g=chain.order()),
+            witness)
 
     # G acts on the right and the slot elements multiply on the left, so
     # N(v * g) = N(v) * g: every vertex inherits its neighbourhood from the
@@ -266,8 +261,7 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     # itself, the involutive betas make adjacency symmetric, and G =
     # <rho(A), betas> makes the graph connected.
     n = table.size
-    base_neighbours = [table.index[carrier.canonical_coset_rep(e).images]
-                       for e in candidate.slot_elements()]
+    base_neighbours = [table.index[key] for key in candidate.slot_keys()]
     neighbours: list[list[int] | None] = [base_neighbours] + [None] * (n - 1)
     for v in range(n):
         nbrs = neighbours[v]
@@ -280,40 +274,35 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     # each row is G's action on the cosets, so a bijection by construction
     action = tuple(Permutation._raw(tuple(w + 1 for w in row))
                    for row in table.transitions)
-    return FiniteLocallyLPair(
-        graph=graph, action_generators=action, base_vertex=0,
-        stabiliser_order=star.order, valency=valency, vertex_count=n,
-        neighbour_slots=star.slots, base_neighbours=tuple(base_neighbours),
-        candidate=candidate,
-        report=dataclasses.replace(report, order_g=star.order * n))
+    return LocallyLPair(
+        candidate, dataclasses.replace(report, order_g=carrier.size * n),
+        witness, graph, action)
 
 
-def local_action(pair, local_group: PermutationGroup) -> LocalActionWitness:
+def local_action(candidate: CompletionCandidate,
+                 local_group: PermutationGroup) -> LocalActionWitness:
     """Certify the base vertex's neighbourhood action against the local group.
 
     The induced permutation of the neighbour slots under each generator of
-    the vertex stabiliser is computed from coset identities on the carrier
+    the vertex stabiliser is computed from coset keys on the carrier
     (independent of the labelling theory); the slot labels come from the
     radius-1 model.  The transported action must equal the local group
     exactly as a permutation set, and a conjugating witness bijection is
     found independently.
     """
-    candidate: CompletionCandidate = pair.candidate
     carrier = candidate.carrier
     star = carrier.star
     if star.local_group.degree != local_group.degree:
         raise InputError("local group degree mismatch")
     slot_elems = candidate.slot_elements()
     # distinct by V4, which accepted the candidate on these same keys
-    key_to_slot = {carrier.canonical_coset_rep(e).images: j
-                   for j, e in enumerate(slot_elems)}
+    key_to_slot = {key: j for j, key in enumerate(candidate.slot_keys())}
 
     def induced(element_index: int) -> Permutation:
         g = carrier.rho_index(element_index)
         images = []
         for e in slot_elems:
-            key = carrier.canonical_coset_rep(e * g).images
-            j = key_to_slot.get(key)
+            j = key_to_slot.get(carrier.coset_key((0,) + (e * g).images))
             if j is None:
                 raise TheoryViolationError(
                     "stabiliser element moved a base neighbour outside the "
@@ -323,7 +312,7 @@ def local_action(pair, local_group: PermutationGroup) -> LocalActionWitness:
 
     gens = [induced(g) for g in carrier.generator_indices]
 
-    labels = amalgam.local_model(star).labels
+    labels = amalgam.local_model(star)
     label_perm = Permutation(labels)  # slot j+1 -> domain point labels[j]
     transported = [label_perm.inverse() * g * label_perm for g in gens]
     ok = all(local_group.contains(t) for t in transported)
@@ -449,37 +438,20 @@ def verify_locally_L(graph: FiniteGraph, generators,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
-    analysis: classify.LocalGroupAnalysis
-    star: amalgam.AmalgamStar
-    candidate: CompletionCandidate
-    report: CompletionReport
-    pair: FiniteLocallyLPair | BaseLocalCertificate
-    witness: LocalActionWitness
-
-    @property
-    def explicit(self) -> bool:
-        return isinstance(self.pair, FiniteLocallyLPair)
-
-
 def construct_pair(local_group: PermutationGroup, n: int,
                    search: SearchConfig = SearchConfig(),
                    vertex_cap: int = DEFAULT_VERTEX_CAP,
                    analysis: classify.LocalGroupAnalysis | None = None
-                   ) -> ConstructionResult:
+                   ) -> LocallyLPair:
     """Full pipeline: analyse, build and validate the star, find a
-    completion, build the graph, certify the local action."""
+    completion, certify the local action, build the graph."""
     if analysis is None:
         analysis = classify.analyze_local_group(local_group)
     star = amalgam.build_star(analysis, n, search.carrier_cap)
     amalgam.validate_star(star)
     candidate, report = find_completion(star, search)
-    pair = build_graph(candidate, report, vertex_cap)
-    witness = local_action(pair, local_group)
-    pair = dataclasses.replace(pair, witness=witness)
-    return ConstructionResult(analysis, star, candidate,
-                              pair.report, pair, witness)
+    witness = local_action(candidate, local_group)
+    return build_graph(candidate, report, witness, vertex_cap)
 
 
 @dataclass(frozen=True)
@@ -503,10 +475,6 @@ class GrowthTable:
     growth_ratio: int
     rows: tuple[GrowthRow, ...]
 
-    @property
-    def all_accepted(self) -> bool:
-        return all(r.accepted for r in self.rows)
-
 
 def growth_report(local_group: PermutationGroup, n_values,
                   search: SearchConfig = SearchConfig(),
@@ -518,7 +486,12 @@ def growth_report(local_group: PermutationGroup, n_values,
     A cap that one n exceeds is exceeded by every larger n, whose star is
     larger, so a row failing on a cap is the table's last.  A range whose
     first n exceeds a cap is refused with that CapacityError, as
-    ``construct_pair`` refuses the n alone."""
+    ``construct_pair`` refuses the n alone, and an n below 2 is refused
+    with an InputError before any row is built."""
+    n_values = list(n_values)
+    for n in n_values:
+        if n < 2:
+            raise InputError(f"n must be at least 2, got {n}")
     analysis = classify.analyze_local_group(local_group)
     if analysis.verdict != classify.NOT_RESTRICTIVE:
         raise InputError("growth report requires an intransitive "
@@ -528,8 +501,8 @@ def growth_report(local_group: PermutationGroup, n_values,
     rows = []
     for n in n_values:
         try:
-            result = construct_pair(local_group, n, search, vertex_cap,
-                                    analysis=analysis)
+            pair = construct_pair(local_group, n, search, vertex_cap,
+                                  analysis=analysis)
         except (CapacityError, CompletionSearchError, InputError,
                 ValidationError) as exc:
             if isinstance(exc, CapacityError) and not rows:
@@ -541,10 +514,10 @@ def growth_report(local_group: PermutationGroup, n_values,
             if isinstance(exc, CapacityError):
                 break
             continue
-        rep = result.report
+        rep = pair.report
         rows.append(GrowthRow(
-            n=n, stabiliser_order=result.pair.stabiliser_order,
-            order_g=rep.order_g, vertex_count=result.pair.vertex_count,
+            n=n, stabiliser_order=pair.stabiliser_order,
+            order_g=rep.order_g, vertex_count=pair.vertex_count,
             v1=rep.v1, v2=rep.v2, v3=rep.v3, v4=rep.v4,
             locally_l=True,
             accepted=rep.accepted, failure=None))
@@ -595,12 +568,13 @@ def export_graph(graph, fmt: str):
     """Byte-exact exports: ``edge-list`` (sorted "u v" lines),
     ``adjacency-list`` ("v: n1 n2 ..."), or ``graph6``.
 
-    Accepts a FiniteGraph or an explicit pair; an implicit base-local
-    certificate has no enumerated graph and raises NotEnumeratedError.
+    Accepts a FiniteGraph or a pair; an implicit pair has no enumerated
+    graph and raises NotEnumeratedError.  The graph6 export is built in one
+    buffer, header included, and returned as that bytearray.
     """
-    if isinstance(graph, BaseLocalCertificate):
-        raise NotEnumeratedError("graph")
-    if isinstance(graph, FiniteLocallyLPair):
+    if isinstance(graph, LocallyLPair):
+        if graph.graph is None:
+            raise NotEnumeratedError("graph")
         graph = graph.graph
     if fmt == "edge-list":
         return "".join(f"{u} {v}\n" for u, v in sorted(graph.edges()))
@@ -609,11 +583,14 @@ def export_graph(graph, fmt: str):
                        for v, nbrs in enumerate(graph.adjacency))
     if fmt == "graph6":
         n = graph.vertex_count
-        data = bytearray(b"?" * -(-(n * (n - 1) // 2) // 6))
+        header = _graph6_bytes(n)
+        data = bytearray(b"?") * (len(header) + -(-(n * (n - 1) // 2) // 6))
+        data[:len(header)] = header
+        start = 6 * len(header)            # the first data bit
         for row, col in graph.edges():     # each pair once: add sets the bit
-            k = col * (col - 1) // 2 + row
+            k = start + col * (col - 1) // 2 + row
             data[k // 6] += 32 >> (k % 6)
-        return _graph6_bytes(n) + data
+        return data
     raise InputError(f"unknown graph format {fmt!r}")
 
 
@@ -673,7 +650,7 @@ def parse_graph(text_or_bytes, vertex_cap: int | None = None) -> FiniteGraph:
     The vertex count is the largest vertex id plus one (graph6 states it);
     a count above ``vertex_cap`` raises CapacityError before the graph is
     built."""
-    if isinstance(text_or_bytes, bytes):
+    if isinstance(text_or_bytes, (bytes, bytearray)):
         try:
             text = text_or_bytes.decode("ascii")
         except UnicodeDecodeError:

@@ -168,19 +168,27 @@ def full_map_contract(star, i, conjugates):
                for c in edge.subgroup_indices)
 
 
-def kernel_order_by_loop(pair):
+def canonical_coset_rep(carrier, perm):
+    """Canonical representative of the right coset rho(A) * perm, by one
+    full product: rho(A) is regular on copy 1, so exactly one coset element
+    sends the basepoint to the least point.  The product oracle for
+    ``Carrier.coset_key``."""
+    first = perm.images[:carrier.size]
+    return carrier.rho_index(first.index(min(first))) * perm
+
+
+def kernel_order_by_loop(candidate):
     """Order of the kernel of the base vertex's slot action, by moving every
     neighbour coset by every element of rho(A) on the carrier and counting
     the elements that fix them all."""
-    candidate = pair.candidate
     carrier = candidate.carrier
     slot_elems = [candidate.betas[i - 1] * carrier.rho_index(a)
                   for i, a in carrier.star.slots]
-    keys = [carrier.canonical_coset_rep(e).images for e in slot_elems]
+    keys = [canonical_coset_rep(carrier, e).images for e in slot_elems]
     kernel = 0
     for x in range(carrier.size):
         g = carrier.rho_index(x)
-        kernel += all(carrier.canonical_coset_rep(e * g).images == key
+        kernel += all(canonical_coset_rep(carrier, e * g).images == key
                       for e, key in zip(slot_elems, keys))
     return kernel
 
@@ -230,12 +238,14 @@ def rho_check_by_loop(carrier):
 def slot_kernel_by_loop(star, labels):
     """The element indices of A that fix every neighbour slot of the base
     vertex: x fixes slot (i, rep) when rep * x lies in the right coset of
-    C_i labelled by the slot's point."""
+    C_i labelled by the slot's point, the image of r_i under the head."""
+    heads = star.local_group.elements()
     kernel = list(range(star.order))
     for (i, rep), label in zip(star.slots, labels):
         rep_times = star.left_row(rep)       # a -> rep * a
+        r = star.edge(i).orbit_rep
         kernel = [a for a in kernel
-                  if star.right_coset_point(i, rep_times[a]) == label]
+                  if heads[rep_times[a] // star.tail_size].apply(r) == label]
     return kernel
 
 
@@ -287,10 +297,11 @@ def star_core_by_loop(star):
 
 
 def coset_key_failure(candidate, table, pairs=1000, seed=0):
-    """The canonical coset keys of an enumerated table on seeded random
-    pairs of cosets: a coset's key is unchanged by left multiplication with
-    rho(A), and two keys are equal exactly when the quotient of their
-    representatives lies in rho(A).  Returns the first failure, or None."""
+    """``Carrier.coset_key`` against the keys of an enumerated table, on
+    seeded random pairs of cosets: a coset's key is unchanged by left
+    multiplication with rho(A), and two keys are equal exactly when the
+    quotient of their representatives lies in rho(A).  Returns the first
+    failure, or None."""
     carrier = candidate.carrier
     reps = [Permutation(key) for key in table.index]
     rng = random.Random(seed)
@@ -299,7 +310,7 @@ def coset_key_failure(candidate, table, pairs=1000, seed=0):
         x = reps[rng.randrange(n)]
         y = reps[rng.randrange(n)]
         shifted = carrier.rho_index(rng.randrange(carrier.size)) * x
-        if carrier.canonical_coset_rep(shifted).images != x.images:
+        if carrier.coset_key((0,) + shifted.images) != x.images:
             return "same coset produced different keys"
         if (x.images == y.images) != carrier.in_rho(x * y.inverse()):
             return "key equality disagrees with membership"
@@ -316,7 +327,7 @@ def carrier_neighbourhoods(candidate, table):
                   for i in range(1, star.k + 1)
                   for a in star.edge(i).right_transversal]
     reps = {v: Permutation(key) for key, v in table.index.items()}
-    return [[table.index[carrier.canonical_coset_rep(e * reps[v]).images]
+    return [[table.index[canonical_coset_rep(carrier, e * reps[v]).images]
              for e in slot_elems]
             for v in range(table.size)]
 
@@ -327,13 +338,13 @@ def enumerate_cosets_by_products(candidate):
     breadth-first order.  Returns ``(list(index.items()), transitions)``."""
     carrier = candidate.carrier
     generators = candidate.group_generators()
-    start = carrier.canonical_coset_rep(Permutation.identity(carrier.degree))
+    start = canonical_coset_rep(carrier, Permutation.identity(carrier.degree))
     reps = [start]
     index = {start.images: 0}
     transitions = [[] for _ in generators]
     for rep in reps:        # breadth first: the list grows while it is read
         for gi, g in enumerate(generators):
-            target = carrier.canonical_coset_rep(rep * g)
+            target = canonical_coset_rep(carrier, rep * g)
             ti = index.get(target.images)
             if ti is None:
                 ti = len(reps)

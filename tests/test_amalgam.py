@@ -56,26 +56,25 @@ def with_twist_images(star, i, images):
     return broken
 
 
-def slot_action(dec, star, model, x):
+def slot_action(dec, star, labels, x):
     """Slot j -> the slot of its right coset times element index x, keyed
     by the coset's head image of r_i, read through the decoded algebra."""
     slot_of = {(i, label): j
-               for j, ((i, _), label) in enumerate(zip(model.slots,
-                                                        model.labels))}
+               for j, ((i, _), label) in enumerate(zip(star.slots, labels))}
     return [slot_of[(i, dec.elements[index_mul(star, rep, x)][0].apply(
                 star.edge(i).orbit_rep))]
-            for i, rep in model.slots]
+            for i, rep in star.slots]
 
 
 class TestBuildStar:
     def test_l0_sizes(self, star0):
         assert star0.order == 8
-        assert [e.subgroup_order for e in star0.edges] == [8, 4]
+        assert [len(e.subgroup_indices) for e in star0.edges] == [8, 4]
         assert [e.coset_index for e in star0.edges] == [1, 2]
 
     def test_l1_sizes(self, star1):
         assert star1.order == 54
-        assert [e.subgroup_order for e in star1.edges] == [27, 18]
+        assert [len(e.subgroup_indices) for e in star1.edges] == [27, 18]
 
     def test_order_identity(self, star0, star1):
         for star in (star0, star1):
@@ -243,10 +242,10 @@ class TestValidateStar:
 
 class TestLocalModel:
     def test_l0_model(self, star0):
-        model = local_model(star0)
-        assert model.size == 3
+        labels = local_model(star0)
+        assert len(labels) == len(star0.slots) == 3
         by_edge = {}
-        for (edge, _), label in zip(model.slots, model.labels):
+        for (edge, _), label in zip(star0.slots, labels):
             by_edge.setdefault(edge, set()).add(label)
         assert by_edge == {1: {3}, 2: {1, 2}}
 
@@ -254,30 +253,30 @@ class TestLocalModel:
         assert construct_pair(l0, 2).witness.kernel_order == 4
 
     def test_l1_model(self, star1, l1):
-        model = local_model(star1)
-        assert model.size == 5
+        labels = local_model(star1)
+        assert len(labels) == len(star1.slots) == 5
         assert construct_pair(l1, 2).witness.kernel_order == 9
         by_edge = {}
-        for (edge, _), label in zip(model.slots, model.labels):
+        for (edge, _), label in zip(star1.slots, labels):
             by_edge.setdefault(edge, set()).add(label)
         assert by_edge == {1: {4, 5}, 2: {1, 2, 3}}
 
     def test_head_acts_as_local_group(self, star0):
-        model = local_model(star0)
+        labels = local_model(star0)
         dec = DecodedStar(star0)
         x = dec.index[(s(star0), (ident(star0), ident(star0)))]
-        act = slot_action(dec, star0, model, x)
+        act = slot_action(dec, star0, labels, x)
         # transported through the labels, the action must be the head itself
-        for j, label in enumerate(model.labels):
-            assert model.labels[act[j]] == s(star0).apply(label)
+        for j, label in enumerate(labels):
+            assert labels[act[j]] == s(star0).apply(label)
 
     def test_whole_group_factors_through_head(self, star1):
-        model = local_model(star1)
+        labels = local_model(star1)
         dec = DecodedStar(star1)
         for x, (head, _) in enumerate(dec.elements):
-            act = slot_action(dec, star1, model, x)
-            for j, label in enumerate(model.labels):
-                assert model.labels[act[j]] == head.apply(label)
+            act = slot_action(dec, star1, labels, x)
+            for j, label in enumerate(labels):
+                assert labels[act[j]] == head.apply(label)
 
 
 @pytest.fixture(scope="module", params=sorted(ORACLE_STARS))
@@ -289,7 +288,7 @@ def oracle_star(request):
 class TestSlotKernel:
     def test_kernel_is_head_trivial_subgroup(self, oracle_star):
         star = oracle_star
-        kernel = slot_kernel_by_loop(star, local_model(star).labels)
+        kernel = slot_kernel_by_loop(star, local_model(star))
         assert kernel == list(range(star.tail_size))
         witness = construct_pair(star.local_group, star.n).witness
         assert witness.kernel_order == len(kernel)

@@ -287,6 +287,14 @@ class TestReportCommand:
         assert main(["report", files["L0"], "--n-from", "3",
                      "--n-to", "2"]) == 0
 
+    @pytest.mark.parametrize("n_from", ["-1", "1"])
+    def test_n_below_two_exit_2_prints_no_row(self, files, capsys, n_from):
+        assert main(["report", files["L0"], "--n-from", n_from,
+                     "--n-to", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n must be at least 2" in captured.err
+
     def test_wrong_verdict_exit_2(self, files):
         assert main(["report", files["L2"], "--n-from", "2",
                      "--n-to", "3"]) == 2

@@ -10,14 +10,14 @@ from graphrestrict.completion import (Carrier, CompletionCandidate, EdgePlan,
                                       SearchConfig, build_involution,
                                       find_completion, rho_closure,
                                       verify_completion)
-from graphrestrict.cosetgraph import build_graph
+from graphrestrict.cosetgraph import build_graph, local_action
 from graphrestrict.errors import (CapacityError, CompletionSearchError,
                                   InputError, ValidationError)
 from graphrestrict.perm import Permutation, StabiliserChain
 
-from conftest import (ORACLE_STARS, DecodedStar, carrier_core_of_rho,
-                      conjugation_map, full_map_contract, full_map_v1, group,
-                      rho_check_by_loop, v4_by_pairs)
+from conftest import (ORACLE_STARS, DecodedStar, canonical_coset_rep,
+                      carrier_core_of_rho, conjugation_map, full_map_contract,
+                      full_map_v1, group, rho_check_by_loop, v4_by_pairs)
 
 
 @pytest.fixture
@@ -289,7 +289,8 @@ class TestVerifyCompletion:
 
     def test_accepted_l0(self, star0):
         candidate, report = find_completion(star0)
-        report = build_graph(candidate, report).report
+        witness = local_action(candidate, star0.local_group)
+        report = build_graph(candidate, report, witness).report
         assert report.accepted
         assert all(report.v1) and all(report.v2) and report.v3 and report.v4
         assert report.order_a == 8
@@ -300,9 +301,9 @@ class TestVerifyCompletion:
         carrier = candidate.carrier
         for i, beta in enumerate(candidate.betas, start=1):
             edge = star0.edge(i)
-            keys = {carrier.canonical_coset_rep(
-                beta * carrier.rho_index(a)).images
-                for a in edge.right_transversal}
+            keys = {canonical_coset_rep(carrier,
+                                        beta * carrier.rho_index(a)).images
+                    for a in edge.right_transversal}
             assert len(keys) == edge.coset_index
 
 
@@ -411,7 +412,8 @@ class TestFindCompletion:
     def test_core_pruning_matches_enumeration(self, star0):
         # independent check of the V3 computation on a small accepted group
         candidate, report = find_completion(star0)
-        report = build_graph(candidate, report).report
+        witness = local_action(candidate, star0.local_group)
+        report = build_graph(candidate, report, witness).report
         carrier = candidate.carrier
         gens = candidate.group_generators()
         elements = {Permutation.identity(carrier.degree)}

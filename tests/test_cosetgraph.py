@@ -7,20 +7,21 @@ import pytest
 
 from graphrestrict import perm
 from graphrestrict.completion import SearchConfig, find_completion
-from graphrestrict.cosetgraph import (BaseLocalCertificate, FiniteGraph,
-                                      FiniteLocallyLPair, build_graph,
-                                      construct_pair, enumerate_cosets,
-                                      export_graph, export_sizes,
-                                      growth_report, local_action,
-                                      parse_graph, verify_locally_L)
+from graphrestrict.cosetgraph import (FiniteGraph, LocallyLPair,
+                                      build_graph, construct_pair,
+                                      enumerate_cosets, export_graph,
+                                      export_sizes, growth_report,
+                                      local_action, parse_graph,
+                                      verify_locally_L)
 from graphrestrict.errors import (CapacityError, InputError,
                                   NotEnumeratedError, ParseError,
                                   TheoryViolationError)
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
-from conftest import (carrier_neighbourhoods, coset_key_failure,
-                      enumerate_cosets_by_products, graph6_pair_loop, group,
-                      kernel_order_by_loop, witness_conjugates_onto)
+from conftest import (canonical_coset_rep, carrier_neighbourhoods,
+                      coset_key_failure, enumerate_cosets_by_products,
+                      graph6_pair_loop, group, kernel_order_by_loop,
+                      witness_conjugates_onto)
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +65,9 @@ class TestEnumerateCosets:
 
     def test_base_coset_is_zero(self, result0):
         table = enumerate_cosets(result0.candidate)
-        ident = Permutation.identity(result0.candidate.carrier.degree)
-        key = result0.candidate.carrier.canonical_coset_rep(ident).images
-        assert table.index[key] == 0
+        carrier = result0.candidate.carrier
+        ident = Permutation.identity(carrier.degree)
+        assert table.index[canonical_coset_rep(carrier, ident).images] == 0
 
     @pytest.mark.parametrize("name", sorted(ORDER_CASES))
     def test_keys_match_membership(self, name):
@@ -97,7 +98,7 @@ class TestEnumerateCosets:
     def test_key_oracle_sees_uncanonical_keys(self, result0, monkeypatch):
         carrier = result0.candidate.carrier
         table = enumerate_cosets(result0.candidate)
-        monkeypatch.setattr(carrier, "canonical_coset_rep", lambda perm: perm)
+        monkeypatch.setattr(carrier, "coset_key", lambda padded: padded[1:])
         assert coset_key_failure(result0.candidate, table) == \
             "same coset produced different keys"
 
@@ -112,8 +113,8 @@ class TestEnumerateCosets:
 
 class TestBuildGraph:
     def test_l0_pair(self, result0):
-        pair = result0.pair
-        assert isinstance(pair, FiniteLocallyLPair)
+        pair = result0
+        assert isinstance(pair, LocallyLPair)
         assert pair.valency == 3
         assert pair.stabiliser_order == 8
         assert {len(a) for a in pair.graph.adjacency} == {3}
@@ -121,49 +122,51 @@ class TestBuildGraph:
 
     def test_l0_n3(self):
         res = construct_pair(group(3, "(1 2)"), 3)
-        assert res.pair.stabiliser_order == 16
-        assert res.pair.valency == 3
+        assert res.stabiliser_order == 16
+        assert res.valency == 3
 
     def test_l1_pair(self, result1):
-        assert result1.pair.valency == 5
-        assert result1.pair.stabiliser_order == 54
+        assert result1.valency == 5
+        assert result1.stabiliser_order == 54
 
     @pytest.mark.parametrize("name", ["result0", "result1"])
     def test_adjacency_matches_carrier_oracle(self, name, request):
         result = request.getfixturevalue(name)
         table = enumerate_cosets(result.candidate)
         oracle = carrier_neighbourhoods(result.candidate, table)
-        assert result.pair.graph.adjacency == tuple(
+        assert result.graph.adjacency == tuple(
             tuple(sorted(set(nbrs))) for nbrs in oracle)
-        assert list(result.pair.base_neighbours) == oracle[0]
+        assert len(set(oracle[0])) == result.valency
 
     def test_orbit_stabiliser_identity(self, result0):
-        pair = result0.pair
+        pair = result0
         assert pair.stabiliser_order * pair.vertex_count == result0.report.order_g
 
     def test_action_generators_are_automorphisms(self, result0):
-        pair = result0.pair
+        pair = result0
         for g in pair.action_generators:
             for u, v in pair.graph.edges():
                 gu, gv = g.apply(u + 1) - 1, g.apply(v + 1) - 1
                 assert gu in pair.graph.adjacency[gv]
 
     def test_implicit_mode(self, result0):
-        implicit = build_graph(result0.candidate, result0.report, cap=1)
-        assert isinstance(implicit, BaseLocalCertificate)
+        implicit = build_graph(result0.candidate, result0.report,
+                               result0.witness, cap=1)
+        assert implicit.graph is None and implicit.action_generators is None
         assert implicit.vertex_count is None
         assert implicit.valency == 3
         assert implicit.stabiliser_order == 8
-        # the base certificate still certifies the local action
-        witness = local_action(implicit, group(3, "(1 2)"))
-        assert witness.kernel_order == 4
+        assert implicit.report == result0.report
+        # the base vertex's local action is certified from the candidate
+        witness = local_action(implicit.candidate, group(3, "(1 2)"))
+        assert witness == implicit.witness and witness.kernel_order == 4
 
     def test_rejected_completion_refused(self, result0):
         import dataclasses
         bad_report = dataclasses.replace(result0.report, v4=False,
                                          accepted=False)
         with pytest.raises(InputError):
-            build_graph(result0.candidate, bad_report)
+            build_graph(result0.candidate, bad_report, result0.witness)
 
 
 # accepted constructions whose |G| is cross-checked against a stabiliser
@@ -186,8 +189,9 @@ class TestOrderOfG:
         result = constructed(name)
         implicit = build_graph(result.candidate,
                                dataclasses.replace(result.report,
-                                                   order_g=None), cap=1)
-        assert isinstance(implicit, BaseLocalCertificate)
+                                                   order_g=None),
+                               result.witness, cap=1)
+        assert implicit.graph is None
         assert implicit.report.order_g == result.report.order_g
 
     def test_search_reports_no_order(self, result0):
@@ -211,7 +215,9 @@ class TestOrderOfG:
 
         monkeypatch.setattr(perm.StabiliserChain, "__init__", counting_init)
         candidate, report = find_completion(star)
-        build_graph(candidate, report, **({} if cap is None else {"cap": cap}))
+        witness = local_action(candidate, star.local_group)
+        build_graph(candidate, report, witness,
+                    **({} if cap is None else {"cap": cap}))
         assert degrees.count(degree) == chains
 
 
@@ -221,7 +227,7 @@ class TestLocalAction:
         assert witness_conjugates_onto(w, group(3, "(1 2)"))
         assert w.kernel_order == 4
         by_edge = {}
-        for (edge, _), label in zip(result0.pair.neighbour_slots, w.labels):
+        for (edge, _), label in zip(result0.star.slots, w.labels):
             by_edge.setdefault(edge, set()).add(label)
         assert by_edge == {1: {3}, 2: {1, 2}}
 
@@ -230,19 +236,22 @@ class TestLocalAction:
         assert witness_conjugates_onto(w, group(5, "(1 2 3)(4 5)"))
         assert w.kernel_order == 9
         by_edge = {}
-        for (edge, _), label in zip(result1.pair.neighbour_slots, w.labels):
+        for (edge, _), label in zip(result1.star.slots, w.labels):
             by_edge.setdefault(edge, set()).add(label)
         assert {len(v) for v in by_edge.values()} == {2, 3}
 
     @pytest.mark.parametrize("name", sorted(ORDER_CASES))
     def test_kernel_order_matches_loop(self, name):
         result = constructed(name)
-        assert result.witness.kernel_order == kernel_order_by_loop(result.pair)
+        assert result.witness.kernel_order == \
+            kernel_order_by_loop(result.candidate)
 
     def test_implicit_kernel_order_matches_loop(self, result1):
-        implicit = build_graph(result1.candidate, result1.report, cap=1)
-        assert local_action(implicit, group(5, "(1 2 3)(4 5)")).kernel_order \
-            == kernel_order_by_loop(implicit) == 9
+        implicit = build_graph(result1.candidate, result1.report,
+                               result1.witness, cap=1)
+        assert local_action(implicit.candidate,
+                            group(5, "(1 2 3)(4 5)")).kernel_order \
+            == kernel_order_by_loop(implicit.candidate) == 9
 
     def test_induced_group_order(self, result0):
         w = result0.witness
@@ -257,7 +266,7 @@ class TestLoopClosure:
 
     @pytest.mark.parametrize("name", sorted(ORDER_CASES))
     def test_constructed_pair_verifies(self, name):
-        pair = constructed(name).pair
+        pair = constructed(name)
         cert = verify_locally_L(pair.graph, pair.action_generators,
                                 group(*ORDER_CASES[name][0]))
         assert cert.vertex_transitive
@@ -290,7 +299,7 @@ class TestVerifyLocallyL:
             verify_locally_L(hexagon(), (bad,), PermutationGroup(2))
 
     def test_loop_closure_on_constructed_pair(self, result0):
-        pair = result0.pair
+        pair = result0
         cert = verify_locally_L(pair.graph, pair.action_generators,
                                 group(3, "(1 2)"))
         assert cert.locally_l
@@ -315,9 +324,9 @@ class TestVerifyLocallyL:
 
 class TestGrowthReport:
     def test_l0_column(self, l0):
-        table = growth_report(l0, range(2, 5))
+        table = growth_report(l0, iter(range(2, 5)))   # read only once
         assert [r.stabiliser_order for r in table.rows] == [8, 16, 32]
-        assert table.all_accepted
+        assert all(r.accepted for r in table.rows)
         assert table.growth_ratio == 2
         for a, b in zip(table.rows, table.rows[1:]):
             assert b.stabiliser_order == a.stabiliser_order * 2
@@ -325,6 +334,16 @@ class TestGrowthReport:
     def test_empty_range(self, l0):
         table = growth_report(l0, range(2, 2))
         assert table.rows == ()
+
+    @pytest.mark.parametrize("n_values", [range(-1, 3), [3, 1], iter([2, 0])])
+    def test_n_below_two_refused(self, l0, n_values, monkeypatch):
+        # refused before any row is built, even after a valid n
+        built = []
+        monkeypatch.setattr("graphrestrict.cosetgraph.construct_pair",
+                            lambda *args, **kwargs: built.append(args))
+        with pytest.raises(InputError, match="n must be at least 2"):
+            growth_report(l0, n_values)
+        assert built == []
 
     def test_wrong_verdict(self, l2):
         with pytest.raises(InputError):
@@ -359,11 +378,11 @@ class TestOtherFamilies:
         # completion needs the second copy from the start
         local = group(4, "(1 2)")
         res = construct_pair(local, 2)
-        assert res.analysis.orbit_reps == (3, 1, 4)
+        assert res.star.analysis.orbit_reps == (3, 1, 4)
         assert res.candidate.strategy.t == 2
-        assert res.pair.stabiliser_order == 8
-        assert res.pair.valency == 4
-        cert = verify_locally_L(res.pair.graph, res.pair.action_generators,
+        assert res.stabiliser_order == 8
+        assert res.valency == 4
+        cert = verify_locally_L(res.graph, res.action_generators,
                                 local)
         assert cert.locally_l and cert.stabiliser_order == 8
 
@@ -372,15 +391,16 @@ class TestOtherFamilies:
         # stabiliser is the whole nonabelian group of order 6
         local = group(4, "(1 2)", "(1 2 3)")
         res = construct_pair(local, 2)
-        assert res.analysis.orbit_reps == (4, 1)
-        assert res.analysis.stabiliser_orders == (6, 2)
-        assert res.pair.stabiliser_order == 6 * 6 ** 2
-        assert res.pair.valency == 4
+        assert res.star.analysis.orbit_reps == (4, 1)
+        assert res.star.analysis.stabiliser_orders == (6, 2)
+        assert res.stabiliser_order == 6 * 6 ** 2
+        assert res.valency == 4
         assert res.witness.kernel_order == 36
         assert witness_conjugates_onto(res.witness, local)
 
-    def test_local_action_group_accessor(self, result0):
-        induced = result0.pair.local_action_group()
+    def test_induced_generators_act_on_the_slots(self, result0):
+        induced = PermutationGroup(result0.valency,
+                                   result0.witness.induced_generators)
         assert induced.degree == 3
         assert induced.order() == 2
 
@@ -392,16 +412,16 @@ class TestOtherFamilies:
     def test_pipeline_battery(self, degree, gens):
         local = group(degree, *gens)
         res = construct_pair(local, 2)
-        s = res.analysis.stabiliser_orders[0]
+        s = res.star.analysis.stabiliser_orders[0]
         assert res.report.accepted
-        assert res.pair.stabiliser_order == local.order() * s ** 2
-        assert res.pair.valency == degree
+        assert res.stabiliser_order == local.order() * s ** 2
+        assert res.valency == degree
         assert res.witness.kernel_order == s ** 2
         assert witness_conjugates_onto(res.witness, local)
-        cert = verify_locally_L(res.pair.graph, res.pair.action_generators,
+        cert = verify_locally_L(res.graph, res.action_generators,
                                 local)
         assert cert.locally_l
-        assert cert.stabiliser_order == res.pair.stabiliser_order
+        assert cert.stabiliser_order == res.stabiliser_order
 
 
 class TestExports:
@@ -418,15 +438,15 @@ class TestExports:
         assert export_graph(e, "adjacency-list") == "0: 1\n1: 0\n"
 
     def test_graph6_round_trip(self, result0):
-        g = result0.pair.graph
+        g = result0.graph
         assert parse_graph(export_graph(g, "graph6")) == g
 
     def test_edge_list_round_trip(self, result0):
-        g = result0.pair.graph
+        g = result0.graph
         assert parse_graph(export_graph(g, "edge-list")) == g
 
     def test_adjacency_round_trip(self, result0):
-        g = result0.pair.graph
+        g = result0.graph
         assert parse_graph(export_graph(g, "adjacency-list")) == g
 
     def test_graph6_large_order_prefix(self):
@@ -437,7 +457,7 @@ class TestExports:
 
     @pytest.mark.parametrize("name", ["result0", "result1"])
     def test_export_sizes_bound_the_exports(self, name, request):
-        pair = request.getfixturevalue(name).pair
+        pair = request.getfixturevalue(name)
         sizes = export_sizes(pair.vertex_count, pair.valency)
         assert sizes["graph6"] == len(export_graph(pair.graph, "graph6"))
         for fmt in ("edge-list", "adjacency-list"):
@@ -450,13 +470,14 @@ class TestExports:
         assert export_sizes(294_912, 10)["graph6"] == 8 + 7_247_732_736
 
     def test_implicit_export_refused(self, result0):
-        implicit = build_graph(result0.candidate, result0.report, cap=1)
+        implicit = build_graph(result0.candidate, result0.report,
+                               result0.witness, cap=1)
         with pytest.raises(NotEnumeratedError):
             export_graph(implicit, "edge-list")
 
     def test_unknown_format(self, result0):
         with pytest.raises(InputError):
-            export_graph(result0.pair.graph, "dot")
+            export_graph(result0.graph, "dot")
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
@@ -485,7 +506,7 @@ class TestExports:
 
     def test_graph6_matches_networkx(self, result0):
         nx = pytest.importorskip("networkx")
-        graphs = [result0.pair.graph, hexagon(),
+        graphs = [result0.graph, hexagon(),
                   FiniteGraph.from_edges(63, [(i, i + 1) for i in range(62)]),
                   FiniteGraph.from_edges(1, []),
                   FiniteGraph.from_edges(7, [(0, 6), (2, 5), (3, 4)])]
@@ -520,12 +541,12 @@ def graph6_cases():
 
 class TestGraph6:
     def test_export_matches_pair_loop(self, result0, result1):
-        for g in graph6_cases() + [result0.pair.graph, result1.pair.graph]:
+        for g in graph6_cases() + [result0.graph, result1.graph]:
             assert export_graph(g, "graph6") == graph6_pair_loop(g)
 
     def test_export_matches_networkx(self, result0):
         nx = pytest.importorskip("networkx")
-        for g in graph6_cases() + [result0.pair.graph]:
+        for g in graph6_cases() + [result0.graph]:
             theirs = nx.Graph()
             theirs.add_nodes_from(range(g.vertex_count))
             theirs.add_edges_from(g.edges())
@@ -533,7 +554,7 @@ class TestGraph6:
                 theirs, header=False)
 
     def test_parse_round_trip(self, result1):
-        for g in graph6_cases() + [result1.pair.graph]:
+        for g in graph6_cases() + [result1.graph]:
             assert parse_graph(export_graph(g, "graph6")) == g
             assert parse_graph(b">>graph6<<" + graph6_pair_loop(g)) == g
 
@@ -598,7 +619,7 @@ class TestVerifierChecks:
         # the chain based at vertex 0 holds full transversals of degree n;
         # it must be dead before group.order() builds the second chain of
         # that degree, so that the two are never alive at once
-        n = result0.pair.vertex_count
+        n = result0.vertex_count
         real_chain = perm.StabiliserChain
         built = []
 
@@ -611,8 +632,8 @@ class TestVerifierChecks:
             return chain
 
         monkeypatch.setattr(perm, "StabiliserChain", tracked_chain)
-        cert = verify_locally_L(result0.pair.graph,
-                                result0.pair.action_generators,
+        cert = verify_locally_L(result0.graph,
+                                result0.action_generators,
                                 group(3, "(1 2)"))
         assert cert.locally_l
         assert len(built) == 2 and n > cert.valency

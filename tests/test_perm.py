@@ -153,14 +153,14 @@ def _pair(local, n):
 # point or at the points given.  The degree-1536 group runs only with
 # verify's prefix: its reference chain alone takes seconds.
 CHAIN_GROUPS = {
-    "l0-n2-vertices": (lambda: _pair(L0, 2).pair.action_generators, "none first"),
-    "l0-n3-vertices": (lambda: _pair(L0, 3).pair.action_generators, "none first"),
-    "l0-n4-vertices": (lambda: _pair(L0, 4).pair.action_generators, "none first"),
+    "l0-n2-vertices": (lambda: _pair(L0, 2).action_generators, "none first"),
+    "l0-n3-vertices": (lambda: _pair(L0, 3).action_generators, "none first"),
+    "l0-n4-vertices": (lambda: _pair(L0, 4).action_generators, "none first"),
     "l0-n2-carrier": (lambda: _pair(L0, 2).candidate.group_generators(), "none last"),
     "l0-n3-carrier": (lambda: _pair(L0, 3).candidate.group_generators(), "none last"),
     "l0-n4-carrier": (lambda: _pair(L0, 4).candidate.group_generators(), "none last"),
     "l1-n2-carrier": (lambda: _pair(L1, 2).candidate.group_generators(), "none last"),
-    "l1-n2-vertices": (lambda: _pair(L1, 2).pair.action_generators, "first"),
+    "l1-n2-vertices": (lambda: _pair(L1, 2).action_generators, "first"),
     "hexagon-rotation": (lambda: (parse_permutation("(1 2 3 4 5 6)", 6),),
                          "none first"),
     # found by a seeded random search: some u s equals t_q^-1 but not t_q,
