@@ -16,7 +16,11 @@ produces an identical chain.
 The primitives run at C speed.  ``images`` stays 1-based; a product looks
 the points of the first factor up in the second factor's images padded with
 a leading 0, through one ``operator.itemgetter`` call.  An identity test
-compares ``images`` with a cached ``(1, ..., m)``.
+compares ``images`` with a cached ``(1, ..., m)``.  The constructor,
+``from_cycles`` and ``inverse`` take their ints from that cached tuple, and
+a product gathers its items from its factors, so every image tuple of a
+degree holds one int object per point: equal tuples then compare item by
+item on identity alone.
 
 Each chain level keeps its forward transversal and a Schreier tree, one
 edge ``t_q = t_p * gens[j]`` per orbit point, with the image tuples of its
@@ -32,9 +36,16 @@ where ``T`` is the product of the transversal elements on the sift's path,
 or for a new strong generator, the only residue the sift inverts.  One level
 scan keeps ``T`` in a memo keyed by the path, used only when the deeper
 levels' group is no larger than the scanned orbit, so it never holds more
-permutations than the level's transversal.  The Schreier generators of the
-tree edges, and of their reverse edges under an involution, are the
-identity by construction and are skipped.
+permutations than the level's transversal.
+
+A scan skips two kinds of Schreier generator, each of which would sift to
+the identity, so the chain is the one that sifts them all.  Those of the
+tree edges are the identity by construction.  Around a cycle of
+``s = gens[j]`` whose length is the order ``m`` of ``s``, the Schreier
+generators multiply to ``u_p s^m u_p^-1 = 1``.  So the one at the cycle's
+non-tree edge with the largest point lies in the deeper levels' group once
+the cycle's other edges have passed, and the scan, in ``(p, j)`` order,
+reaches it after them.
 """
 
 from __future__ import annotations
@@ -52,7 +63,22 @@ DEFAULT_ELEMENT_CAP = 100_000
 
 @functools.cache
 def _identity_images(degree: int) -> tuple[int, ...]:
+    """``(1, ..., degree)``: the one int object per point that every image
+    tuple of this degree holds."""
     return tuple(range(1, degree + 1))
+
+
+def _image_list_fault(images: tuple) -> str:
+    """The first point that keeps ``images`` from being a permutation of
+    1..m, named alone so that the message stays short."""
+    degree = len(images)
+    seen = set()
+    for q in images:
+        if not isinstance(q, int) or not 1 <= q <= degree:
+            return f"not a permutation of 1..{degree}: point {q!r} out of range"
+        if q in seen:
+            return f"not a permutation of 1..{degree}: point {q} repeated"
+        seen.add(q)
 
 
 @functools.total_ordering
@@ -68,9 +94,12 @@ class Permutation:
         images = tuple(images)
         if not images:
             raise InputError("degree 0 permutations are not allowed")
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise InputError(f"not a permutation of 1..{len(images)}: {images}")
-        object.__setattr__(self, "images", images)
+        points = _identity_images(len(images))
+        if sorted(images) != list(points):
+            raise InputError(_image_list_fault(images))
+        images = itemgetter(*images)((0,) + points)
+        object.__setattr__(self, "images",
+                           images if len(points) > 1 else (images,))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Permutation is immutable")
@@ -97,7 +126,8 @@ class Permutation:
         right.  Each cycle is composed into the running images through the
         inverse images, so the cost is the total cycle length plus the
         degree."""
-        images = list(range(degree + 1))        # images[p], 0 is padding
+        points = _identity_images(degree)
+        images = [0, *points]                   # images[p], 0 is padding
         preimages = list(range(degree + 1))
         for cyc in cycles:
             seen = set()
@@ -110,7 +140,7 @@ class Permutation:
             # the points now sent to cyc[j] go on to cyc[j + 1]
             sources = [preimages[p] for p in cyc]
             for src, q in zip(sources, cyc[1:] + cyc[:1]):
-                images[src] = q
+                images[src] = points[q - 1]
                 preimages[q] = src
         return cls._raw(tuple(images[1:]))
 
@@ -130,7 +160,7 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
-        for p, q in enumerate(self.images, start=1):
+        for p, q in zip(_identity_images(len(self.images)), self.images):
             inv[q - 1] = p
         return Permutation._raw(tuple(inv))
 
@@ -234,7 +264,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
 
 
 class _ChainLevel:
-    __slots__ = ("point", "transversal", "edge", "gens", "inverses")
+    __slots__ = ("point", "transversal", "edge", "gens", "inverses", "orders")
 
     def __init__(self, point: int, degree: int):
         self.point = point
@@ -246,6 +276,7 @@ class _ChainLevel:
         self.edge = {}
         self.gens = None    # the generators the orbit was last built from
         self.inverses = []  # the image tuples of the inverses of gens
+        self.orders = []    # the orders of gens, reused like inverses
 
     def preimages(self, q: int, points: list) -> list:
         """The preimages of ``points`` under ``transversal[q]``, by walking
@@ -256,6 +287,36 @@ class _ChainLevel:
             inv = inverses[j]
             points = [inv[x - 1] for x in points]
         return points
+
+    def skipped(self) -> list:
+        """Per generator ``j``, a bytearray that flags the points ``p``
+        whose Schreier generator ``t_p * gens[j] * t_q^-1`` a scan in
+        ``(p, j)`` order need not sift: those of the tree edges, which are
+        1, and on each cycle of ``gens[j]`` as long as its order ``m``,
+        that of the non-tree edge with the largest ``p``.  Around such a
+        cycle the Schreier generators multiply to
+        ``t_p * gens[j]^m * t_p^-1 = 1``, so the last of them lies in the
+        deeper levels' group once the cycle's earlier ones have sifted to
+        the identity."""
+        skip = [bytearray(len(s.images) + 1) for s in self.gens]
+        for p, j in self.edge.values():
+            skip[j][p] = 1
+        for j, s in enumerate(self.gens):
+            images, m, closed = s.images, self.orders[j], skip[j]
+            seen = bytearray(len(images) + 1)
+            for p in self.transversal:
+                if seen[p]:
+                    continue
+                cycle = [p]
+                q = images[p - 1]
+                while q != p:
+                    cycle.append(q)
+                    q = images[q - 1]
+                for q in cycle:
+                    seen[q] = 1
+                if len(cycle) == m:
+                    closed[max(r for r in cycle if not closed[r])] = 1
+        return skip
 
 
 class StabiliserChain:
@@ -314,10 +375,13 @@ class StabiliserChain:
         if gens == lev.gens:    # same generators, same orbit and transversals
             return
         old_gens, old_edge, old = lev.gens or [], lev.edge, lev.transversal
-        lev.inverses = [
-            lev.inverses[j] if j < len(old_gens) and old_gens[j] is s
-            else s.inverse().images
-            for j, s in enumerate(gens)]
+        same = [j < len(old_gens) and old_gens[j] is s
+                for j, s in enumerate(gens)]
+        lev.inverses = [lev.inverses[j] if same[j] else s.inverse().images
+                        for j, s in enumerate(gens)]
+        lev.orders = [lev.orders[j] if same[j]
+                      else math.lcm(*map(len, s.cycles()))
+                      for j, s in enumerate(gens)]
         lev.gens = gens
         transversal = lev.transversal = {lev.point: old.pop(lev.point)}
         edge = lev.edge = {}
@@ -408,10 +472,11 @@ class StabiliserChain:
         """Deterministic Schreier-Sims: make every level's Schreier generators
         sift to the identity through the deeper levels.
 
-        A level's scan skips the (point, generator) edges of its Schreier
-        tree and the reverse edges of involutions, whose Schreier
-        generators are the identity, and sifts the others with
-        ``_sift_schreier``.  Its memo of path products lives for one scan,
+        A level's scan goes through the (point, generator) pairs in order
+        and sifts each Schreier generator with ``_sift_schreier``, except
+        those ``_ChainLevel.skipped`` flags: the tree edges', which are the
+        identity, and on each cycle as long as its generator's order, the
+        last non-tree edge's, which the cycle's earlier ones imply.  Its memo of path products lives for one scan,
         and only when the product of the deeper orbit lengths is at most
         this level's orbit length, which bounds the memo by the
         transversal; otherwise each path product is formed and dropped.
@@ -423,14 +488,7 @@ class StabiliserChain:
             self._rebuild_orbit(i)
             lev = self.levels[i]
             gens = lev.gens
-            # the (p, j) pairs whose Schreier generator is 1 by construction:
-            # the tree edges, t_p * gens[j] = t_q, and their reverse edges
-            # when gens[j] is an involution, t_q * gens[j] = t_p
-            involutions = {j for j, s in enumerate(gens)
-                           if s.images == lev.inverses[j]}
-            tree = set(lev.edge.values())
-            tree.update((q, j) for q, (_, j) in lev.edge.items()
-                        if j in involutions)
+            skip = lev.skipped()
             # one memo entry per path, that is per element of the deeper
             # levels' group
             deeper = math.prod(len(d.transversal) for d in self.levels[i + 1:])
@@ -439,7 +497,7 @@ class StabiliserChain:
             for p in sorted(lev.transversal):
                 u = lev.transversal[p]
                 for j, s in enumerate(gens):
-                    if (p, j) in tree:  # the Schreier generator is 1
+                    if skip[j][p]:
                         continue
                     sifted = self._sift_schreier(i, u, s, s.images[p - 1], memo)
                     if sifted is None:

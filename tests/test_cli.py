@@ -76,6 +76,16 @@ class TestClassifyCommand:
         bad.write_text("degree x\n")
         assert main(["classify", str(bad)]) == 2
 
+    def test_bad_image_list_error_is_short(self, files, capsys):
+        # an image list of 200,000 ones: the message names the repeated
+        # point instead of echoing the list
+        bad = files["dir"] / "ones.grp"
+        bad.write_text("degree 200000\n" + "1 " * 200_000 + "\n")
+        assert main(["classify", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "point 1 repeated" in err
+        assert len(err.encode()) < 200
+
     def test_missing_file_exit_2(self, files):
         assert main(["classify", str(files["dir"] / "nope.grp")]) == 2
 

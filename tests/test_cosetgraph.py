@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -454,6 +455,18 @@ class TestExports:
         data = export_graph(path, "graph6")
         assert data[0] == 126
         assert parse_graph(data) == path
+
+    def test_graph6_export_is_one_buffer(self, result1):
+        # the export of the 1536-vertex L1 n=2 graph is built in place: a
+        # bytes object copied into a bytearray would peak at twice its size
+        tracemalloc.start()
+        try:
+            data = export_graph(result1.graph, "graph6")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data) > 100_000
+        assert peak < 1.25 * len(data)
 
     @pytest.mark.parametrize("name", ["result0", "result1"])
     def test_export_sizes_bound_the_exports(self, name, request):

@@ -57,6 +57,17 @@ class TestPermutationBasics:
         with pytest.raises(InputError):
             Permutation(())
 
+    @pytest.mark.parametrize("images,fault", [
+        ((1, 1, 3), "point 1 repeated"),
+        ((2, 3, 3), "point 3 repeated"),
+        ((0, 1, 2), "point 0 out of range"),
+        ((1, 2, 4), "point 4 out of range"),
+    ])
+    def test_bad_image_list_names_first_fault(self, images, fault):
+        with pytest.raises(InputError,
+                           match=f"^not a permutation of 1..3: {fault}$"):
+            Permutation(images)
+
 
 class TestFromCycles:
     @pytest.mark.parametrize("seed", range(20))
@@ -139,6 +150,33 @@ class TestKernelEdgeCases:
                                                  * a.inverse())
 
 
+class TestSharedPointObjects:
+    """Every image tuple of a degree holds the int objects of
+    ``_identity_images(degree)``, so that equal tuples compare by
+    identity."""
+
+    def test_images_share_point_objects(self):
+        degree = 300    # above the ints CPython caches
+        points = perm._identity_images(degree)
+        rng = random.Random(16)
+        images = list(range(1, degree + 1))
+        rng.shuffle(images)
+        listed = parse_permutation(" ".join(map(str, images)), degree)
+        built = {
+            "image list": listed,
+            "cycle notation": parse_permutation(listed.cycle_string(), degree),
+            "constructor": Permutation(images),
+            "from_cycles": Permutation.from_cycles(
+                degree, [list(range(degree, 0, -2)), [1, 2, 299]]),
+        }
+        built["inverse"] = listed.inverse()
+        built["product"] = listed * built["from_cycles"]
+        built["power"] = built["cycle notation"] ** 7
+        for name, g in built.items():
+            assert all(q is points[q - 1] for q in g.images), name
+        assert listed == built["constructor"]
+
+
 L0 = (3, "(1 2)")
 L1 = (5, "(1 2 3)(4 5)")
 
@@ -163,6 +201,16 @@ CHAIN_GROUPS = {
     "l1-n2-vertices": (lambda: _pair(L1, 2).action_generators, "first"),
     "hexagon-rotation": (lambda: (parse_permutation("(1 2 3 4 5 6)", 6),),
                          "none first"),
+    # the 2-cycle (3 4) of the involution has no tree edge: 3 and 4 are
+    # reached along the 4-cycle
+    "cycle-without-tree-edge": (lambda: (parse_permutation("(1 2 3 4)", 4),
+                                         parse_permutation("(3 4)", 4)),
+                                "none first"),
+    # a generator of order 6 with a 2-, a 3- and a 6-cycle: only the
+    # 6-cycle's Schreier generators multiply to 1
+    "order-6-mixed-cycles": (lambda: (
+        parse_permutation("(1 2)(3 4 5)(6 7 8 9 10 11)", 11),
+        parse_permutation("(2 3)(5 6)", 11)), "none first"),
     # found by a seeded random search: some u s equals t_q^-1 but not t_q,
     # and skipping that Schreier generator changes the chain
     "random-degree-8": (lambda: (parse_permutation("(1 7 5 8 3 6)(2 4)", 8),
@@ -236,6 +284,25 @@ SIFT_BRANCHES = {
 }
 
 
+def transversal_inverses():
+    """``inverse(lev, q)``, the inverse of ``lev.transversal[q]`` formed
+    point by point, once per image tuple."""
+    inverses = {}
+
+    def inverse(lev, q):
+        t = lev.transversal[q]
+        if t.images not in inverses:
+            inverses[t.images] = reference_inverse(t)
+        return inverses[t.images]
+
+    return inverse
+
+
+# cases whose every non-tree edge is closed by generator order, so that no
+# Schreier generator is sifted: the one non-tree edge of the 6-cycle
+UNSIFTED = {"hexagon-rotation"}
+
+
 class TestSiftSchreier:
     """The base-image sift of ``_sift_schreier`` against the product sift,
     which multiplies at every level by an inverse formed point by point:
@@ -249,13 +316,7 @@ class TestSiftSchreier:
         prefix = base_prefix(where, degree)
         original = StabiliserChain._sift_schreier
         seen = {"memo": set(), "no memo": set(), "miss": set()}
-        inverses = {}   # by image tuple: each is formed point by point once
-
-        def inverse(lev, q):
-            t = lev.transversal[q]
-            if t.images not in inverses:
-                inverses[t.images] = reference_inverse(t)
-            return inverses[t.images]
+        inverse = transversal_inverses()
 
         def checked(chain, i, u, s, q, memo):
             got = original(chain, i, u, s, q, memo)
@@ -275,16 +336,20 @@ class TestSiftSchreier:
 
         monkeypatch.setattr(StabiliserChain, "_sift_schreier", checked)
         StabiliserChain(degree, gens, base_prefix=prefix)
-        assert seen["memo"] | seen["no memo"]
+        if name in UNSIFTED:
+            assert not seen["memo"] | seen["no memo"]
+        else:
+            assert seen["memo"] | seen["no memo"]
         for branch, levels in SIFT_BRANCHES.get((name, where), {}).items():
             assert levels <= seen[branch], branch
 
     def test_product_count(self, monkeypatch):
         # the l1-n2-vertices chain with prefix (1,), as verify builds it,
         # took 36,908 products when every Schreier generator was sifted by
-        # products, and 18,355 when every rebuild multiplied out its whole
-        # transversal; it takes 14,291 now that a rebuild multiplies only
-        # the points whose tree edge or parent changed
+        # products, 18,355 when every rebuild multiplied out its whole
+        # transversal, and 14,291 when a rebuild multiplied only the points
+        # whose tree edge or parent changed; it takes 10,990 now that the
+        # Schreier generators closed by generator order are skipped
         gens = tuple(CHAIN_GROUPS["l1-n2-vertices"][0]())
         products = 0
         original = Permutation.__mul__
@@ -296,7 +361,61 @@ class TestSiftSchreier:
 
         monkeypatch.setattr(Permutation, "__mul__", counting)
         StabiliserChain(gens[0].degree, gens, base_prefix=(1,))
-        assert products <= 15_000
+        assert products <= 11_000
+
+
+def flagged(flags):
+    return {p for p, flag in enumerate(flags) if flag}
+
+
+class TestOrderClosure:
+    """The Schreier generators that ``_complete`` skips: tree edges and, on
+    each cycle as long as its generator's order, one non-tree edge."""
+
+    @pytest.mark.parametrize("name,where", CHAIN_CASES,
+                             ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
+    def test_skipped_sift_to_identity(self, name, where):
+        # on the finished chain every skipped u_p s_j t_q^-1 lies in the
+        # deeper levels' group, by the product sift
+        gens = tuple(CHAIN_GROUPS[name][0]())
+        degree = gens[0].degree
+        chain = StabiliserChain(degree, gens,
+                                base_prefix=base_prefix(where, degree))
+        inverse = transversal_inverses()
+        closed = 0
+        for i, lev in enumerate(chain.levels):
+            tree = set(lev.edge.values())
+            for j, flags in enumerate(lev.skipped()):
+                s = lev.gens[j]
+                for p in flagged(flags):
+                    x = reference_mul(reference_mul(lev.transversal[p], s),
+                                      inverse(lev, s.images[p - 1]))
+                    residue, _ = product_sift(chain.levels, x, i + 1, inverse)
+                    assert reference_is_identity(residue), (i, p, j)
+                    closed += (p, j) not in tree
+        assert closed   # every case closes some non-tree edge
+
+    @pytest.mark.parametrize("name,where", CHAIN_CASES,
+                             ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
+    def test_one_closed_edge_per_full_cycle(self, name, where):
+        # brute force from the cycles of each generator on the orbit: the
+        # closed points of gens[j] are, on each cycle whose length is the
+        # order of gens[j], the largest point that is not on a tree edge
+        gens = tuple(CHAIN_GROUPS[name][0]())
+        degree = gens[0].degree
+        chain = StabiliserChain(degree, gens,
+                                base_prefix=base_prefix(where, degree))
+        for lev in chain.levels:
+            for j, flags in enumerate(lev.skipped()):
+                s = lev.gens[j]
+                tree = {p for p, k in lev.edge.values() if k == j}
+                order = len(brute_elements(degree, [s]))
+                expected = set(tree)
+                for cycle in s.cycles():
+                    if cycle[0] in lev.transversal and len(cycle) == order:
+                        expected.add(max(set(cycle) - tree))
+                assert flagged(flags) == expected, (lev.point, j)
+                assert lev.orders[j] == order
 
 
 class TestOrbits:
