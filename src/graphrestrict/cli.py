@@ -325,25 +325,16 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     group = load_group(args.group, _vertex_cap())
-    analysis = classify.analyze_local_group(group)
-    if analysis.verdict != classify.NOT_RESTRICTIVE:
-        raise InputError(f"growth report requires verdict NOT_RESTRICTIVE; "
-                         f"this group is {analysis.verdict}")
-    if args.n_from > args.n_to:
-        rows = []
-        table = None
-    else:
-        search, vertex_cap = _search_config(args)
-        table = cosetgraph.growth_report(group, range(args.n_from, args.n_to + 1),
-                                         search, vertex_cap)
-        rows = table.rows
+    search, vertex_cap = _search_config(args)
+    table = cosetgraph.growth_report(group, range(args.n_from, args.n_to + 1),
+                                     search, vertex_cap)
     if args.json:
         doc = {
             "schema": "graphrestrict.report/1",
             "tool_version": __version__,
             "input": _group_dict(group),
-            "growth_base": group.order(),
-            "growth_ratio": analysis.stabiliser_orders[0],
+            "growth_base": table.local_group_order,
+            "growth_ratio": table.growth_ratio,
             "rows": [
                 {"n": r.n, "stabiliser_order": r.stabiliser_order,
                  "order_G": r.order_g,
@@ -354,14 +345,14 @@ def cmd_report(args) -> int:
                  "V3": r.v3, "V4": r.v4,
                  "locally_L": r.locally_l, "accepted": r.accepted,
                  "failure": r.failure}
-                for r in rows
+                for r in table.rows
             ],
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         header = f"{'n':>3} {'|G_v|':>10} {'|G|':>14} {'vertices':>12} {'V1-V4':>6} {'locally-L':>10}"
         print(header)
-        for r in rows:
+        for r in table.rows:
             if not r.accepted:
                 print(f"{r.n:>3} {r.stabiliser_order:>10} {'-':>14} {'-':>12} "
                       f"{'-':>6} {'FAILED':>10}  {r.failure}")
@@ -371,7 +362,7 @@ def cmd_report(args) -> int:
                              for ok in (all(r.v1), all(r.v2), r.v3, r.v4))
             print(f"{r.n:>3} {r.stabiliser_order:>10} {r.order_g:>14} "
                   f"{vs!s:>12} {vflags:>6} {str(r.locally_l):>10}")
-    if rows and not all(r.accepted for r in rows):
+    if table.rows and not all(r.accepted for r in table.rows):
         return EXIT_EXHAUSTED
     return EXIT_OK
 

@@ -71,6 +71,9 @@ class FiniteGraph:
         for u, v in edges:
             if u == v:
                 raise InputError(f"loop at vertex {u}")
+            for w in (u, v):
+                if not 0 <= w < vertex_count:
+                    raise InputError(f"vertex {w} out of range 0..{vertex_count - 1}")
             adj[u].add(v)
             adj[v].add(u)
         return cls(vertex_count, tuple(tuple(sorted(s)) for s in adj))
@@ -271,8 +274,10 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
                 neighbours[w] = [row[u] for u in nbrs]
     graph = FiniteGraph(n, tuple(tuple(sorted(nbrs)) for nbrs in neighbours))
 
-    # each row is G's action on the cosets, so a bijection by construction
-    action = tuple(Permutation._raw(tuple(w + 1 for w in row))
+    # each row is G's action on the cosets, so a bijection by construction;
+    # its images are the shared int objects of the degree
+    points = perm._identity_images(n)
+    action = tuple(Permutation._raw(itemgetter(*row)(points))
                    for row in table.transitions)
     return LocallyLPair(
         candidate, dataclasses.replace(report, order_g=carrier.size * n),
@@ -486,16 +491,20 @@ def growth_report(local_group: PermutationGroup, n_values,
     A cap that one n exceeds is exceeded by every larger n, whose star is
     larger, so a row failing on a cap is the table's last.  A range whose
     first n exceeds a cap is refused with that CapacityError, as
-    ``construct_pair`` refuses the n alone, and an n below 2 is refused
-    with an InputError before any row is built."""
+    ``construct_pair`` refuses the n alone, and an n below 2 or n values
+    that are not strictly increasing are refused with an InputError before
+    any row is built."""
     n_values = list(n_values)
     for n in n_values:
         if n < 2:
             raise InputError(f"n must be at least 2, got {n}")
+    for a, b in zip(n_values, n_values[1:]):
+        if b <= a:
+            raise InputError(f"n values must be strictly increasing: {a}, then {b}")
     analysis = classify.analyze_local_group(local_group)
     if analysis.verdict != classify.NOT_RESTRICTIVE:
-        raise InputError("growth report requires an intransitive "
-                         f"non-semiregular group (verdict {analysis.verdict})")
+        raise InputError("growth report requires verdict NOT_RESTRICTIVE; "
+                         f"this group is {analysis.verdict}")
     ratio = analysis.stabiliser_orders[0]
     base = local_group.order()
     rows = []
@@ -521,9 +530,6 @@ def growth_report(local_group: PermutationGroup, n_values,
             v1=rep.v1, v2=rep.v2, v3=rep.v3, v4=rep.v4,
             locally_l=True,
             accepted=rep.accepted, failure=None))
-    accepted_orders = [r.stabiliser_order for r in rows]
-    if any(b <= a for a, b in zip(accepted_orders, accepted_orders[1:])):
-        raise TheoryViolationError("stabiliser column is not strictly increasing")
     return GrowthTable(base, ratio, tuple(rows))
 
 

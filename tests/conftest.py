@@ -152,6 +152,31 @@ def index_mul(star, x, y):
     return star.right_row(y)[x]
 
 
+def index_inverses(star):
+    """``inv[x]``, the element index of x^-1, for every x: each element of A
+    inverted coordinate-wise by the decoded algebra."""
+    dec = DecodedStar(star)
+    return tuple(dec.index[dec.inverse(e)] for e in dec.elements)
+
+
+def rho_closure(carrier, generators) -> int:
+    """Order of the subgroup of rho(A) generated by rho of the given element
+    indices: the number of elements reached from the identity under right
+    multiplication by the generators, read off A's index rows.  Every rho
+    row is a row of A's right regular action, so rho(x) * rho(g) =
+    rho(x * g), and distinct indices give distinct rows."""
+    rows = [carrier.star.right_row(g) for g in generators]
+    reached = [0]
+    seen = {0}
+    for x in reached:
+        for row in rows:
+            y = row[x]
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+    return len(reached)
+
+
 def full_map_v1(star, i, conjugates):
     """V1 over the whole conjugation map of beta_i: it is defined (>= 0)
     exactly on the element indices of C_i."""
@@ -271,9 +296,10 @@ def v4_by_pairs(candidate):
     carrier = candidate.carrier
     star = carrier.star
     betas = candidate.betas
+    inverse = index_inverses(star)
     for s, (i, a) in enumerate(star.slots):
         for j, b in star.slots[s + 1:]:
-            a_b_inv = index_mul(star, a, star.inverse[b])
+            a_b_inv = index_mul(star, a, inverse[b])
             w = betas[i - 1] * carrier.rho_index(a_b_inv) * betas[j - 1]
             if carrier.in_rho(w):
                 return False
@@ -289,9 +315,10 @@ def star_core_by_loop(star):
     in_inter = [all(heads[x // tail_size].apply(r) == r for r in reps)
                 for x in range(star.order)]
     core = [x for x in range(star.order) if in_inter[x]]
+    inverse = index_inverses(star)
     for a in range(star.order):
         times_a = star.left_row(a)                           # d -> a * d
-        times_a_inv = star.right_row(star.inverse[a])        # y -> y * a^-1
+        times_a_inv = star.right_row(inverse[a])             # y -> y * a^-1
         core = [d for d in core if in_inter[times_a_inv[times_a[d]]]]
     return core
 

@@ -9,14 +9,13 @@ from graphrestrict.amalgam import (FULL_REVERSAL, IDENTITY_TWIST,
                                    TAIL_REVERSAL, build_star, local_model,
                                    validate_star)
 from graphrestrict.classify import analyze_local_group
-from graphrestrict.errors import (CapacityError, InputError,
-                                  TheoryViolationError, ValidationError)
+from graphrestrict.errors import CapacityError, InputError, ValidationError
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
 from graphrestrict.cosetgraph import construct_pair
 
-from conftest import (ORACLE_STARS, DecodedStar, group, index_mul,
-                      slot_kernel_by_loop, star_core_by_loop,
+from conftest import (ORACLE_STARS, DecodedStar, group, index_inverses,
+                      index_mul, slot_kernel_by_loop, star_core_by_loop,
                       twist_multiplicative_by_loop)
 
 
@@ -98,17 +97,6 @@ class TestBuildStar:
         head, tail = DecodedStar(star0).elements[0]
         assert head.is_identity() and all(t.is_identity() for t in tail)
         assert star0.digits(0) == (0, [0, 0])
-
-    def test_enumeration_off_identity_is_a_theory_violation(self, l0,
-                                                            monkeypatch):
-        # index 0 must be the identity, also under python -O: list every
-        # group's elements in reverse so the identity comes last
-        analysis = analyze_local_group(l0)
-        real_elements = PermutationGroup.elements
-        monkeypatch.setattr(PermutationGroup, "elements",
-                            lambda self, *args: real_elements(self, *args)[::-1])
-        with pytest.raises(TheoryViolationError, match="identity"):
-            build_star(analysis, 2)
 
     def test_generators_generate(self, star0):
         dec = DecodedStar(star0)
@@ -285,6 +273,16 @@ def oracle_star(request):
     return build_star(analyze_local_group(group(*spec)), n)
 
 
+class TestLocalModelLabels:
+    def test_labels_permute_the_domain(self, oracle_star):
+        # local_model does not check it: the labels of edge i are the
+        # orbit of r_i, and the r_i represent the orbits once each
+        labels = local_model(oracle_star)
+        degree = oracle_star.local_group.degree
+        assert sorted(labels) == list(range(1, degree + 1))
+        assert len(labels) == len(oracle_star.slots)
+
+
 class TestSlotKernel:
     def test_kernel_is_head_trivial_subgroup(self, oracle_star):
         star = oracle_star
@@ -322,10 +320,37 @@ class TestIndexEncoding:
                 assert elems[left[x]] == dec.mul(elems[y], elems[x])
 
     def test_inverses(self, oracle_star):
+        # the decoded inverses the oracles use, against the index products
+        star = oracle_star
+        inverse = index_inverses(star)
+        for x in range(star.order):
+            assert star.right_row(inverse[x])[x] == 0
+            assert star.left_row(inverse[x])[x] == 0
+
+    def test_index_zero_is_the_identity(self, oracle_star):
+        # build_star does not check it: elements() lists L and S by image
+        # tuple, and the identity's is the least
+        star = oracle_star
+        head, tail = DecodedStar(star).elements[0]
+        assert head.is_identity() and all(t.is_identity() for t in tail)
+        assert star.right_row(0) == star.left_row(0) == list(range(star.order))
+
+    def test_coset_index_is_orbit_length(self, oracle_star):
+        # |A : C_i| against the cosets of C_i formed by brute force, the
+        # orbit of r_i under the decoded heads, and |A| / |C_i|
         star = oracle_star
         dec = DecodedStar(star)
-        for x, e in enumerate(dec.elements):
-            assert dec.elements[star.inverse[x]] == dec.inverse(e)
+        for edge in star.edges:
+            members = edge.subgroup_indices
+            right = {frozenset(map(star.right_row(x).__getitem__, members))
+                     for x in range(star.order)}
+            left = {frozenset(map(star.left_row(x).__getitem__, members))
+                    for x in range(star.order)}
+            orbit = {h.apply(edge.orbit_rep) for h, _ in dec.elements}
+            assert edge.coset_index == len(right) == len(left) == len(orbit)
+            assert star.order == edge.coset_index * len(members)
+            assert len(edge.right_transversal) == len(edge.left_transversal) \
+                == edge.coset_index
 
     def test_twist_maps(self, oracle_star):
         star = oracle_star

@@ -239,6 +239,25 @@ class TestHostileVerifyInput:
         assert time.perf_counter() - start < 1.0
         return code
 
+    @pytest.mark.parametrize("adjacency, message", [
+        ("0: 1\n1: 0\n-3: 0\n", "error: vertex -3 out of range 0..1"),
+        ("0: 1\n1: 0\n-1: 2\n", "error: vertex -1 out of range 0..2"),
+    ], ids=["index-error", "wrap-around"])
+    def test_negative_vertex_id(self, files, adjacency, message):
+        # an input error (exit 2), not a crash (exit 1 is a negative verdict)
+        graph = files["dir"] / "negative.adj"
+        graph.write_text(adjacency)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "graphrestrict", "verify", str(graph),
+             files["L0"], files["L0"]],
+            capture_output=True, text=True, env=env, timeout=30)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == [message]
+
     def test_huge_vertex_id(self, files, capsys):
         assert self.run_verify(files, "0 2000000000\n",
                                "degree 6\n(1 2 3 4 5 6)\n") == 2

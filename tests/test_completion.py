@@ -8,16 +8,16 @@ from graphrestrict.amalgam import IDENTITY_TWIST, build_star
 from graphrestrict.classify import analyze_local_group
 from graphrestrict.completion import (Carrier, CompletionCandidate, EdgePlan,
                                       SearchConfig, build_involution,
-                                      find_completion, rho_closure,
-                                      verify_completion)
+                                      find_completion, verify_completion)
 from graphrestrict.cosetgraph import build_graph, local_action
 from graphrestrict.errors import (CapacityError, CompletionSearchError,
                                   InputError, ValidationError)
 from graphrestrict.perm import Permutation, StabiliserChain
 
-from conftest import (ORACLE_STARS, DecodedStar, canonical_coset_rep,
-                      carrier_core_of_rho, conjugation_map, full_map_contract,
-                      full_map_v1, group, rho_check_by_loop, v4_by_pairs)
+from conftest import (ORACLE_STARS, DecodedStar, as_tuple,
+                      canonical_coset_rep, carrier_core_of_rho,
+                      conjugation_map, full_map_contract, full_map_v1, group,
+                      rho_check_by_loop, rho_closure, tuple_mul, v4_by_pairs)
 
 
 @pytest.fixture
@@ -36,6 +36,11 @@ def identity_plan(star, i, t):
     return EdgePlan("identity", tuple(range(orbits)),
                     tuple(edge.left_transversal[o % edge.coset_index]
                           for o in range(orbits)))
+
+
+def oracle_stars():
+    for spec, n in ORACLE_STARS.values():
+        yield build_star(analyze_local_group(group(*spec)), n)
 
 
 def accepted_candidate(g, n=2):
@@ -99,10 +104,15 @@ class TestCarrier:
     def test_l1_size(self, star1):
         assert Carrier(star1, 1).degree == 54
 
-    def test_fixed_point_free(self, star0):
-        carrier = Carrier(star0, 2)
-        for ia in range(1, carrier.size):
-            assert not carrier.rho_index(ia).fixed_points()
+    def test_fixed_point_free(self):
+        # the carrier does not check it: rho(x) is right multiplication by
+        # x on each copy, which fixes no point when x is not the identity
+        for star in oracle_stars():
+            for t in (1, 2):
+                carrier = Carrier(star, t)
+                for ia in range(1, carrier.size):
+                    images = carrier.rho_index(ia).images
+                    assert all(q != p for p, q in enumerate(images, start=1))
 
     def test_membership(self, star0):
         carrier = Carrier(star0, 2)
@@ -128,7 +138,11 @@ class TestCarrier:
                 chain = StabiliserChain(carrier.degree,
                                         [carrier.rho_index(g) for g in subset])
                 assert rho_closure(carrier, subset) == chain.order()
-            assert rho_closure(carrier, gens) == star.order
+        # the carrier does not check it: the lifted generators of L and S
+        # generate L x S^n
+        for star in oracle_stars():
+            carrier = Carrier(star, t)
+            assert rho_closure(carrier, carrier.generator_indices) == star.order
 
     def test_closure_detects_broken_homomorphism(self, star0):
         # swap two images of rho(3) away from the basepoint: the images stay
@@ -153,11 +167,11 @@ class TestCarrier:
     @pytest.mark.parametrize("t", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(ORACLE_STARS))
     def test_rho_rows_built_on_request(self, name, t):
-        # the memo holds rho(0), the generators, and what was asked for
+        # the memo holds the generators and what was asked for
         spec, n = ORACLE_STARS[name]
         star = build_star(analyze_local_group(group(*spec)), n)
         carrier = Carrier(star, t)
-        built = {0, *star.generator_indices}
+        built = set(star.generator_indices)
         assert set(carrier._rho) == built
         dec = DecodedStar(star)
         requested = random.Random(t).sample(range(star.order), 3)
@@ -230,6 +244,21 @@ class TestBuildInvolution:
                        (edge.left_transversal[1], edge.left_transversal[0]))
         with pytest.raises(InputError):
             build_involution(carrier, 2, bad)
+
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("name", sorted(ORACLE_STARS))
+    def test_every_plan_builds_an_involution(self, name, t):
+        # build_involution does not check it: the pairing is an involution,
+        # each representative lies in its orbit's coset and phi_i squares
+        # to the identity, so beta squares to the identity; here on raw
+        # image tuples, for every plan of both search phases
+        spec, n = ORACLE_STARS[name]
+        carrier = Carrier(build_star(analyze_local_group(group(*spec)), n), t)
+        identity = tuple(range(carrier.degree))
+        betas = [beta for _, beta in built_plans(carrier)]
+        assert betas
+        for beta in betas:
+            assert tuple_mul(as_tuple(beta), as_tuple(beta)) == identity
 
     def test_non_involution_pairing_rejected(self, star1):
         carrier = Carrier(star1, 1)
@@ -462,7 +491,7 @@ def built_plans(carrier):
                                                SearchConfig(), randomized):
                 try:
                     yield i, build_involution(carrier, i, plan)
-                except (InputError, ValidationError):
+                except InputError:
                     continue
 
 

@@ -346,6 +346,16 @@ class TestGrowthReport:
             growth_report(l0, n_values)
         assert built == []
 
+    @pytest.mark.parametrize("n_values", [[3, 2], [2, 2], iter([2, 4, 3])])
+    def test_n_not_increasing_refused(self, l0, n_values, monkeypatch):
+        # an input condition, refused before any row is built
+        built = []
+        monkeypatch.setattr("graphrestrict.cosetgraph.construct_pair",
+                            lambda *args, **kwargs: built.append(args))
+        with pytest.raises(InputError, match="strictly increasing"):
+            growth_report(l0, n_values)
+        assert built == []
+
     def test_wrong_verdict(self, l2):
         with pytest.raises(InputError):
             growth_report(l2, range(2, 3))

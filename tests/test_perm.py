@@ -6,6 +6,7 @@ import time
 import pytest
 
 from graphrestrict import perm
+from graphrestrict.completion import Carrier
 from graphrestrict.cosetgraph import construct_pair
 from graphrestrict.errors import CapacityError, InputError, ParseError
 from graphrestrict.perm import (Permutation, PermutationGroup,
@@ -175,6 +176,18 @@ class TestSharedPointObjects:
         for name, g in built.items():
             assert all(q is points[q - 1] for q in g.images), name
         assert listed == built["constructor"]
+
+    def test_pair_generators_share_point_objects(self):
+        # a vertex action generator of the L1 n=2 pair (1536 vertices) and a
+        # rho row on 270 carrier points, both above the ints CPython caches
+        pair = _pair(L1, 2)
+        action = pair.action_generators[0]
+        points = perm._identity_images(action.degree)
+        assert all(q is points[q - 1] for q in action.images)
+        carrier = Carrier(pair.star, 5)
+        points = perm._identity_images(carrier.degree)
+        for x in (1, pair.star.order - 1):
+            assert all(q is points[q - 1] for q in carrier.rho_index(x).images)
 
 
 L0 = (3, "(1 2)")
