@@ -239,12 +239,8 @@ def cmd_construct(args) -> int:
     except OSError as exc:
         raise InputError(f"output directory not writable: {exc}") from None
 
-    try:
-        pair = cosetgraph.construct_pair(group, args.n, search, vertex_cap,
-                                         analysis=analysis)
-    except CompletionSearchError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_EXHAUSTED
+    pair = cosetgraph.construct_pair(group, args.n, search, vertex_cap,
+                                     analysis=analysis)
 
     graph_files = None
     if pair.graph is not None:
@@ -326,27 +322,27 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     group = load_group(args.group, _vertex_cap())
     search, vertex_cap = _search_config(args)
-    table = cosetgraph.growth_report(group, range(args.n_from, args.n_to + 1),
+    table = cosetgraph.growth_report(group, args.n_from, args.n_to,
                                      search, vertex_cap)
     if args.json:
+        rows = []
+        for r in table.rows:
+            checks = r.report.as_dict() if r.report else {}
+            rows.append({
+                "n": r.n, "stabiliser_order": r.stabiliser_order,
+                "vertices": (r.vertex_count if r.vertex_count is not None
+                             else ("not enumerated" if r.accepted else None)),
+                **{key: checks.get(key)
+                   for key in ("order_G", "V1", "V2", "V3", "V4")},
+                "locally_L": r.accepted, "accepted": r.accepted,
+                "failure": r.failure})
         doc = {
             "schema": "graphrestrict.report/1",
             "tool_version": __version__,
             "input": _group_dict(group),
             "growth_base": table.local_group_order,
             "growth_ratio": table.growth_ratio,
-            "rows": [
-                {"n": r.n, "stabiliser_order": r.stabiliser_order,
-                 "order_G": r.order_g,
-                 "vertices": (r.vertex_count if r.vertex_count is not None
-                              else ("not enumerated" if r.accepted else None)),
-                 "V1": list(r.v1) if r.v1 else None,
-                 "V2": list(r.v2) if r.v2 else None,
-                 "V3": r.v3, "V4": r.v4,
-                 "locally_L": r.locally_l, "accepted": r.accepted,
-                 "failure": r.failure}
-                for r in table.rows
-            ],
+            "rows": rows,
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -357,11 +353,12 @@ def cmd_report(args) -> int:
                 print(f"{r.n:>3} {r.stabiliser_order:>10} {'-':>14} {'-':>12} "
                       f"{'-':>6} {'FAILED':>10}  {r.failure}")
                 continue
+            rep = r.report
             vs = r.vertex_count if r.vertex_count is not None else "implicit"
             vflags = "".join("+" if ok else "-"
-                             for ok in (all(r.v1), all(r.v2), r.v3, r.v4))
-            print(f"{r.n:>3} {r.stabiliser_order:>10} {r.order_g:>14} "
-                  f"{vs!s:>12} {vflags:>6} {str(r.locally_l):>10}")
+                             for ok in (all(rep.v1), all(rep.v2), rep.v3, rep.v4))
+            print(f"{r.n:>3} {r.stabiliser_order:>10} {rep.order_g:>14} "
+                  f"{vs!s:>12} {vflags:>6} {str(r.accepted):>10}")
     if table.rows and not all(r.accepted for r in table.rows):
         return EXIT_EXHAUSTED
     return EXIT_OK

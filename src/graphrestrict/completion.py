@@ -30,12 +30,17 @@ Conjugation by beta_i is checked on few elements only.  The contract is
 checked on the generators of C_i = L_{r_i} x S^n (the stabiliser's in the
 head, A's in the tail), since both of its sides are homomorphisms on C_i.
 The elements x whose conjugate
-``beta_i^-1 rho(x) beta_i`` lies in rho(A) form a subgroup D_i, so V1
-(D_i = C_i) needs the generators of C_i and one element of each other left
-coset of C_i.  V2 is checked on the carrier, and V4 on the canonical coset
-keys of the slot elements, the keys the coset graph uses.  The order of G
-is not computed here: the coset graph gets it from the coset count (see
+``beta_i^-1 rho(x) beta_i`` lies in rho(A) form a subgroup D_i.  The
+contract puts C_i's generators in D_i, since their twist images lie in
+C_i, so V1 (D_i = C_i) needs only one element of each other left coset of
+C_i.  V2 is checked on the carrier, and V4 on the canonical coset keys of
+the slot elements, the keys the coset graph uses.  The order of G is not
+computed here: the coset graph gets it from the coset count (see
 ``cosetgraph.build_graph``).
+
+The contract, V1 and V2 depend on one edge's involution only, so the
+search decides each built involution once, and a combination of them is
+decided by V4 alone.
 
 There is no guarantee that a completion exists at small ``t`` for every
 input, so ``find_completion`` runs a deterministic escalation ladder
@@ -280,61 +285,55 @@ def _conjugate_index(carrier: Carrier, beta: Permutation, x: int) -> int | None:
     return carrier.membership_index(beta * carrier.rho_index(x) * beta)
 
 
-def _edge_v1(carrier: Carrier, i: int, beta: Permutation) -> bool:
-    """rho(A) meets its beta_i-conjugate exactly in rho(C_i), for an
-    involution beta_i.
+def _edge_check(carrier: Carrier, i: int,
+                beta: Permutation) -> tuple[bool, bool]:
+    """(V1, V2) of one edge's involution beta_i, after its conjugation
+    contract.
 
-    The x with beta_i^-1 rho(x) beta_i in rho(A) form a subgroup D_i of A.
-    It contains C_i when it contains C_i's generators, and then it is a
-    union of left cosets of C_i, so D_i = C_i exactly when no other coset's
-    transversal element lies in it."""
+    The contract is checked on the generators of C_i and raises on failure.
+    Their twist images lie in C_i, so it already puts their conjugates in
+    rho(A).  The x with beta_i^-1 rho(x) beta_i in rho(A) form a subgroup
+    D_i of A, which then contains C_i and is a union of left cosets of C_i:
+    V1 (D_i = C_i) holds exactly when no other coset's transversal element
+    lies in it.  V2 asks that beta_i lies outside rho(A); that it is an
+    involution holds by construction (build_involution) and is checked by
+    verify_completion ("beta involution")."""
     edge = carrier.star.edge(i)
-    return (all(_conjugate_index(carrier, beta, c) is not None
-                for c in edge.subgroup_generators)
-            and all(_conjugate_index(carrier, beta, x) is None
-                    for x in edge.left_transversal if x))
-
-
-def _edge_v2(carrier: Carrier, beta: Permutation) -> bool:
-    """beta_i lies outside rho(A); that it is an involution holds by
-    construction (build_involution) and is checked by verify_completion
-    ("beta involution")."""
-    return not carrier.in_rho(beta)
+    if any(_conjugate_index(carrier, beta, c) != edge.twist_images[c]
+           for c in edge.subgroup_generators):
+        raise ValidationError("conjugation contract", f"edge {i}")
+    v1 = all(_conjugate_index(carrier, beta, x) is None
+             for x in edge.left_transversal if x)
+    return v1, not carrier.in_rho(beta)
 
 
 def _v4(candidate: CompletionCandidate) -> bool:
     """All base-vertex neighbour cosets pairwise distinct: the slot elements
     have distinct canonical coset keys.  Two slots (i, a), (j, a') share a
-    coset exactly when beta_i * rho(a a'^-1) * beta_j^-1 lies in rho(A), and
-    each beta is an involution (checked before V4 runs)."""
+    coset exactly when beta_i * rho(a a'^-1) * beta_j^-1 lies in rho(A)."""
     return len(set(candidate.slot_keys())) == len(candidate.carrier.star.slots)
 
 
 def verify_completion(candidate: CompletionCandidate) -> CompletionReport:
     """Compute V1-V4 of a candidate; ``order_g`` stays None.
 
-    Each beta is first checked to be an involution that realises the edge
-    twist by conjugation on the generators of C_i.  V1 then tests one
-    element per left coset of C_i.  V3 is derived, not computed: it holds
-    when V1 holds on every edge (see the module docstring), and is None
-    when V1 has already failed.
+    Each beta is first checked to be an involution, then ``_edge_check``
+    checks its conjugation contract and gives its V1 and V2; an error names
+    the first edge that fails.  V3 is derived, not computed: it holds when
+    V1 holds on every edge (see the module docstring), and is None when V1
+    has already failed.
     """
     carrier = candidate.carrier
-    star = carrier.star
+    checks = []
     for i, beta in enumerate(candidate.betas, start=1):
         if not (beta * beta).is_identity():
             raise ValidationError("beta involution", f"edge {i}")
-        edge = star.edge(i)
-        if any(_conjugate_index(carrier, beta, c) != edge.twist_images[c]
-               for c in edge.subgroup_generators):
-            raise ValidationError("conjugation contract", f"edge {i}")
-    v1 = tuple(_edge_v1(carrier, i, beta)
-               for i, beta in enumerate(candidate.betas, start=1))
-    v2 = tuple(_edge_v2(carrier, beta) for beta in candidate.betas)
+        checks.append(_edge_check(carrier, i, beta))
+    v1, v2 = zip(*checks)
     v3 = True if all(v1) else None
     v4 = _v4(candidate)
     accepted = all(v1) and all(v2) and v4
-    return CompletionReport(v1, v2, v3, v4, None, star.order, accepted)
+    return CompletionReport(v1, v2, v3, v4, None, carrier.star.order, accepted)
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +448,15 @@ def find_completion(star: AmalgamStar,
     """Search for an accepted completion.
 
     Copies start at 1 unless some identity-twist edge cannot be paired there
-    (a whole-group edge, or an odd orbit count).  At each copy count the
-    per-edge conditions V1 and V2 are evaluated independently to build
-    shortlists, then shortlist combinations are verified in full.  A first
-    pass over all copy counts uses only deterministic plans (these produce
-    small, structured completions when they succeed); seeded random
-    transversals and pairings are a second pass.  The first accepted
-    candidate in this fixed order is returned with its report; exhausting
-    the caps raises CompletionSearchError carrying the complete attempt log.
+    (a whole-group edge, or an odd orbit count).  At each copy count each
+    built involution is decided once by ``_edge_check`` (contract, V1, V2)
+    to build per-edge shortlists; a combination of shortlisted involutions
+    is then decided by V4 alone.  A first pass over all copy counts uses
+    only deterministic plans (these produce small, structured completions
+    when they succeed); seeded random transversals and pairings are a
+    second pass.  The first combination that passes V4 in this fixed order
+    is returned with its ``verify_completion`` report; exhausting the caps
+    raises CompletionSearchError carrying the complete attempt log.
     """
     attempts: list[AttemptRecord] = []
     t_start = 1
@@ -485,11 +485,12 @@ def find_completion(star: AmalgamStar,
                         attempts.append(AttemptRecord(t, "edge", plan.scheme,
                                                       f"build failed: {exc}", i))
                         continue
-                    if not _edge_v2(carrier, beta):
+                    v1, v2 = _edge_check(carrier, i, beta)
+                    if not v2:
                         attempts.append(AttemptRecord(t, "edge", plan.scheme,
                                                       "V2 failed", i))
                         continue
-                    if not _edge_v1(carrier, i, beta):
+                    if not v1:
                         attempts.append(AttemptRecord(t, "edge", plan.scheme,
                                                       "V1 failed", i))
                         continue
@@ -514,10 +515,8 @@ def find_completion(star: AmalgamStar,
                     scheme = "+".join(p.scheme for p in plans)
                     strategy = CompletionStrategy(t, plans, config.seed, scheme)
                     candidate = CompletionCandidate(carrier, betas, strategy)
-                    report = verify_completion(candidate)
-                    if report.accepted:
-                        return candidate, report
-                    # the shortlists passed V1 and V2, so V4 rejected it
+                    if _v4(candidate):
+                        return candidate, verify_completion(candidate)
                     attempts.append(AttemptRecord(t, "combo", scheme,
                                                   "V4 failed"))
             t += 1

@@ -463,15 +463,13 @@ def construct_pair(local_group: PermutationGroup, n: int,
 class GrowthRow:
     n: int
     stabiliser_order: int
-    order_g: int | None
     vertex_count: int | None        # None = not enumerated
-    v1: tuple[bool, ...] | None
-    v2: tuple[bool, ...] | None
-    v3: bool | None
-    v4: bool | None
-    locally_l: bool
-    accepted: bool
+    report: CompletionReport | None  # None = the construction failed
     failure: str | None
+
+    @property
+    def accepted(self) -> bool:
+        return self.report is not None and self.report.accepted
 
 
 @dataclass(frozen=True)
@@ -481,26 +479,22 @@ class GrowthTable:
     rows: tuple[GrowthRow, ...]
 
 
-def growth_report(local_group: PermutationGroup, n_values,
+def growth_report(local_group: PermutationGroup, n_from: int, n_to: int,
                   search: SearchConfig = SearchConfig(),
                   vertex_cap: int = DEFAULT_VERTEX_CAP) -> GrowthTable:
-    """One certified construction per n; failed rows are recorded and the
-    remaining rows still attempted.  The stabiliser column is exactly
-    |L| * s^n, hence strictly increasing.
+    """One certified construction per n in ``n_from..n_to``; failed rows
+    are recorded and the remaining rows still attempted.  The stabiliser
+    column is exactly |L| * s^n, hence strictly increasing.
 
     A cap that one n exceeds is exceeded by every larger n, whose star is
     larger, so a row failing on a cap is the table's last.  A range whose
     first n exceeds a cap is refused with that CapacityError, as
-    ``construct_pair`` refuses the n alone, and an n below 2 or n values
-    that are not strictly increasing are refused with an InputError before
-    any row is built."""
-    n_values = list(n_values)
-    for n in n_values:
-        if n < 2:
-            raise InputError(f"n must be at least 2, got {n}")
-    for a, b in zip(n_values, n_values[1:]):
-        if b <= a:
-            raise InputError(f"n values must be strictly increasing: {a}, then {b}")
+    ``construct_pair`` refuses the n alone, and a non-empty range starting
+    below 2 is refused with an InputError before any row is built.  The
+    range is walked lazily, so its length costs nothing beyond the rows
+    built."""
+    if n_from < 2 and n_from <= n_to:
+        raise InputError(f"n must be at least 2, got {n_from}")
     analysis = classify.analyze_local_group(local_group)
     if analysis.verdict != classify.NOT_RESTRICTIVE:
         raise InputError("growth report requires verdict NOT_RESTRICTIVE; "
@@ -508,7 +502,7 @@ def growth_report(local_group: PermutationGroup, n_values,
     ratio = analysis.stabiliser_orders[0]
     base = local_group.order()
     rows = []
-    for n in n_values:
+    for n in range(n_from, n_to + 1):
         try:
             pair = construct_pair(local_group, n, search, vertex_cap,
                                   analysis=analysis)
@@ -517,19 +511,12 @@ def growth_report(local_group: PermutationGroup, n_values,
             if isinstance(exc, CapacityError) and not rows:
                 raise
             rows.append(GrowthRow(n, base * ratio ** n, None, None,
-                                  None, None, None, None,
-                                  locally_l=False, accepted=False,
                                   failure=str(exc).splitlines()[0]))
             if isinstance(exc, CapacityError):
                 break
             continue
-        rep = pair.report
-        rows.append(GrowthRow(
-            n=n, stabiliser_order=pair.stabiliser_order,
-            order_g=rep.order_g, vertex_count=pair.vertex_count,
-            v1=rep.v1, v2=rep.v2, v3=rep.v3, v4=rep.v4,
-            locally_l=True,
-            accepted=rep.accepted, failure=None))
+        rows.append(GrowthRow(n, pair.stabiliser_order, pair.vertex_count,
+                              pair.report, failure=None))
     return GrowthTable(base, ratio, tuple(rows))
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -155,6 +156,19 @@ class TestConstructCommand:
         assert cert["graph"]["valency"] == 3
         assert cert["local_action"]["kernel_order"] == 4
         assert not (out_dir / "graph.edgelist").exists()
+
+    def test_exhausted_search_exit_3_writes_no_certificate(self, files,
+                                                          capsys):
+        # <(1 2)> on 12 points at n = 2 exhausts the completion search; the
+        # attempt log goes to stderr unchanged
+        grp = files["dir"] / "T12.grp"
+        grp.write_text("degree 12\n(1 2)\n")
+        out_dir = files["dir"] / "exhausted"
+        assert main(["construct", str(grp), "--n", "2",
+                     "--out", str(out_dir)]) == 3
+        assert not (out_dir / "certificate.json").exists()
+        assert sha256(capsys.readouterr().err.encode()) == \
+            "f6949d715c67ab324e8c78a338d47ea0238cdc8f2e2c25176a0761eac02bdac8"
 
     def test_certificate_schema_fields(self, files, capsys):
         out_dir = files["dir"] / "schema"
@@ -351,6 +365,25 @@ class TestReportCommand:
         assert not rows[-1]["accepted"]
         assert rows[-1]["failure"] == ("cap 'carrier cap' = 64 exceeded "
                                        "(needed at least 128)")
+
+    def test_huge_range_in_bounded_memory(self, files):
+        # the range is walked lazily: under a 1 GiB address-space limit a
+        # range of 10^9 values ends at the n = 13 carrier-cap row
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [TestClassifyScale.SRC, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "graphrestrict", "report", files["L0"],
+             "--n-from", "2", "--n-to", "1000000000"],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=limit_memory)
+        assert done.returncode == 3, done.stderr
+        last = done.stdout.splitlines()[-1]
+        assert last.split()[0] == "13"
+        assert last.endswith("cap 'carrier cap' = 10000 exceeded "
+                             "(needed at least 16384)")
 
     @pytest.mark.parametrize("caps", ["vertice=10", "copies=0", "copies=-1",
                                       "carrier=0", "attempts=x"])

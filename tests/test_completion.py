@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -403,6 +404,18 @@ class TestConjugationMaps:
         assert err.value.check == "beta involution"
 
 
+def counted_verify_completion(monkeypatch):
+    """Record each candidate that verify_completion is called on."""
+    verified = []
+
+    def counted(candidate):
+        verified.append(candidate)
+        return verify_completion(candidate)
+
+    monkeypatch.setattr(completion, "verify_completion", counted)
+    return verified
+
+
 class TestFindCompletion:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_l0_accepts_small_copies(self, l0, n):
@@ -430,6 +443,38 @@ class TestFindCompletion:
             find_completion(star0, cfg)
         text = str(err.value)
         assert "V1 failed" in text
+
+    @pytest.mark.parametrize("spec, n", [((3, "(1 2)"), 2), ((3, "(1 2)"), 3),
+                                         ((3, "(1 2)"), 4),
+                                         ((5, "(1 2 3)(4 5)"), 2)])
+    def test_verify_completion_runs_once_on_the_accepted_candidate(
+            self, spec, n, monkeypatch):
+        # the shortlists decide each edge, so a combination is decided by
+        # V4 and only the accepted one is verified in full
+        verified = counted_verify_completion(monkeypatch)
+        star = build_star(analyze_local_group(group(*spec)), n)
+        candidate, report = find_completion(star)
+        assert report.accepted
+        assert len(verified) == 1 and verified[0] is candidate
+
+    # sha256 of the exhaustion text of <(1 2)> on d points at n = 2; these
+    # searches end in "V4 failed" combinations and the combo attempt cap
+    EXHAUSTION_SHA256 = {
+        12: "4ccfcefa7e91051e67386d8fe31f3dade4ab1b1bda4eb35cfb96704c15cedc5b",
+        16: "acf165433e38429cd9889e5eacc420de63fd6dbc294beb28d17eb9e2ce067d76",
+    }
+
+    @pytest.mark.parametrize("d", sorted(EXHAUSTION_SHA256))
+    def test_exhaustion_log_unchanged(self, d, monkeypatch):
+        verified = counted_verify_completion(monkeypatch)
+        star = build_star(analyze_local_group(group(d, "(1 2)")), 2)
+        with pytest.raises(CompletionSearchError) as err:
+            find_completion(star)
+        text = str(err.value)
+        assert "V4 failed" in text and "combo attempt cap reached" in text
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == self.EXHAUSTION_SHA256[d])
+        assert verified == []
 
     def test_determinism(self, star0):
         c1, r1 = find_completion(star0, SearchConfig(seed=5))
@@ -506,9 +551,10 @@ class TestGeneratorChecks:
         for t in (1, 2, 3):
             carrier = Carrier(star, t)
             for i, beta in built_plans(carrier):
-                v1 = completion._edge_v1(carrier, i, beta)
+                v1, v2 = completion._edge_check(carrier, i, beta)
                 assert v1 == full_map_v1(
                     star, i, conjugation_map(carrier, beta))
+                assert v2 == (not carrier.in_rho(beta))
                 outcomes.add(v1)
         assert outcomes == {True, False}
 

@@ -325,7 +325,7 @@ class TestVerifyLocallyL:
 
 class TestGrowthReport:
     def test_l0_column(self, l0):
-        table = growth_report(l0, iter(range(2, 5)))   # read only once
+        table = growth_report(l0, 2, 4)
         assert [r.stabiliser_order for r in table.rows] == [8, 16, 32]
         assert all(r.accepted for r in table.rows)
         assert table.growth_ratio == 2
@@ -333,46 +333,36 @@ class TestGrowthReport:
             assert b.stabiliser_order == a.stabiliser_order * 2
 
     def test_empty_range(self, l0):
-        table = growth_report(l0, range(2, 2))
-        assert table.rows == ()
+        assert growth_report(l0, 2, 1).rows == ()
+        assert growth_report(l0, 0, -1).rows == ()
 
-    @pytest.mark.parametrize("n_values", [range(-1, 3), [3, 1], iter([2, 0])])
+    @pytest.mark.parametrize("n_values", [(-1, 2), (1, 1), (0, 10 ** 9)])
     def test_n_below_two_refused(self, l0, n_values, monkeypatch):
-        # refused before any row is built, even after a valid n
+        # refused before any row is built
         built = []
         monkeypatch.setattr("graphrestrict.cosetgraph.construct_pair",
                             lambda *args, **kwargs: built.append(args))
         with pytest.raises(InputError, match="n must be at least 2"):
-            growth_report(l0, n_values)
-        assert built == []
-
-    @pytest.mark.parametrize("n_values", [[3, 2], [2, 2], iter([2, 4, 3])])
-    def test_n_not_increasing_refused(self, l0, n_values, monkeypatch):
-        # an input condition, refused before any row is built
-        built = []
-        monkeypatch.setattr("graphrestrict.cosetgraph.construct_pair",
-                            lambda *args, **kwargs: built.append(args))
-        with pytest.raises(InputError, match="strictly increasing"):
-            growth_report(l0, n_values)
+            growth_report(l0, *n_values)
         assert built == []
 
     def test_wrong_verdict(self, l2):
         with pytest.raises(InputError):
-            growth_report(l2, range(2, 3))
+            growth_report(l2, 2, 2)
 
     def test_failed_row_recorded(self, l0):
-        table = growth_report(l0, range(2, 4), SearchConfig(max_copies=0))
+        table = growth_report(l0, 2, 3, SearchConfig(max_copies=0))
         assert all(not r.accepted for r in table.rows)
-        assert all(r.failure for r in table.rows)
+        assert all(r.failure and r.report is None for r in table.rows)
 
     def test_capacity_row_ends_the_table(self, l0):
         # |A| = 2 * 2^n exceeds a carrier cap of 64 at n = 6, and so does
         # every larger n
         search = SearchConfig(carrier_cap=64)
-        table = growth_report(l0, range(2, 10), search)
+        table = growth_report(l0, 2, 9, search)
         assert [r.n for r in table.rows] == [2, 3, 4, 5, 6]
         for row in table.rows[:-1]:
-            assert growth_report(l0, [row.n], search).rows == (row,)
+            assert growth_report(l0, row.n, row.n, search).rows == (row,)
         last = table.rows[-1]
         assert not last.accepted and last.stabiliser_order == 128
         assert last.failure == ("cap 'carrier cap' = 64 exceeded "
@@ -380,7 +370,7 @@ class TestGrowthReport:
 
     def test_range_starting_beyond_a_cap_is_refused(self, l0):
         with pytest.raises(CapacityError, match="'carrier cap' = 64"):
-            growth_report(l0, range(6, 8), SearchConfig(carrier_cap=64))
+            growth_report(l0, 6, 7, SearchConfig(carrier_cap=64))
 
 
 class TestOtherFamilies:
