@@ -116,12 +116,6 @@ class AmalgamStar:
         tail.reverse()
         return x, tail
 
-    def encode(self, head: int, tail) -> int:
-        x = head
-        for t in tail:
-            x = x * self.tail_base + t
-        return x
-
     def _expand(self, head_map, tail_maps) -> list[int]:
         """The index of (head_map[h], tail_maps[0][t_1], ...) for every
         element (h, t_1, ...) of A, in index order: one mixed-radix digit at
@@ -181,16 +175,6 @@ class AmalgamStar:
                 gens.append(self._tail_index[s] * weight)
         return tuple(gens)
 
-    def _twist_index(self, kind: str, x: int) -> int:
-        h, tail = self.digits(x)
-        if kind == FULL_REVERSAL:
-            # (h, t_1..t_n) -> (t_n, t_{n-1}..t_1, h); h lies in S on C_1
-            return self.encode(self._head_index[self._tails[tail[-1]]],
-                               tail[-2::-1] + [self._tail_index[self._heads[h]]])
-        if kind == TAIL_REVERSAL:
-            return self.encode(h, tail[::-1])
-        return x
-
     def _edge_data(self, i: int, rep: int) -> EdgeData:
         ts = self.tail_size
         heads = self._heads
@@ -211,9 +195,23 @@ class AmalgamStar:
             self._head_index[g] * ts for g in stabiliser.generators
         ) + self.generator_indices[len(self.local_group.generators):]
         twist = {1: FULL_REVERSAL, 2: TAIL_REVERSAL}.get(i, IDENTITY_TWIST)
+        # phi_i(h, t_1..t_n) row-wise, one weighted sum per tail digit: the
+        # tail reversal weighs t_j by s^(j-1), the full reversal t_j by s^j
+        # for j < n, sends t_n to the head and h (in S on C_1) to the tail
+        s, n = self.tail_base, self.n
+        weights = {FULL_REVERSAL: range(1, n), TAIL_REVERSAL: range(n)}.get(
+            twist, range(n - 1, -1, -1))
+        terms = [range(0, s ** (j + 1), s ** j) for j in weights]
+        if twist == FULL_REVERSAL:
+            terms.append([self._head_index[g] * ts for g in self._tails])
+        tails = [0]
+        for weighted in terms:
+            tails = [v + u for v in tails for u in weighted]
         twist_images = [-1] * self.order
-        for c in members:
-            twist_images[c] = self._twist_index(twist, c)
+        for x in members[::ts]:    # the first member of each head's block
+            head = (self._tail_index[heads[x // ts]]
+                    if twist == FULL_REVERSAL else x)
+            twist_images[x:x + ts] = [head + u for u in tails]
         return EdgeData(
             index=i,
             orbit_rep=rep,

@@ -38,9 +38,9 @@ the slot elements, the keys the coset graph uses.  The order of G is not
 computed here: the coset graph gets it from the coset count (see
 ``cosetgraph.build_graph``).
 
-The contract, V1 and V2 depend on one edge's involution only, so the
-search decides each built involution once, and a combination of them is
-decided by V4 alone.
+The contract, V1, V2 and the slot keys of an edge depend on its involution
+only, so the search decides and keys each built involution once, and a
+combination of them is decided by V4 alone, on the union of those keys.
 
 There is no guarantee that a completion exists at small ``t`` for every
 input, so ``find_completion`` runs a deterministic escalation ladder
@@ -96,11 +96,6 @@ class Carrier:
     def point(self, element_index: int, copy: int) -> int:
         return (copy - 1) * self.size + element_index + 1
 
-    def element_of(self, point: int) -> tuple[int, int]:
-        """(element index, copy) of a carrier point."""
-        ia, j = (point - 1) % self.size, (point - 1) // self.size + 1
-        return ia, j
-
     def rho_index(self, element_index: int) -> Permutation:
         """rho(x): copy j of the row ``a -> a * x``, as 1-based carrier
         points; each row is built on its first request and kept."""
@@ -113,12 +108,11 @@ class Carrier:
 
     def membership_index(self, perm: Permutation) -> int | None:
         """Element index x with perm == rho(x), or None."""
-        q = perm.images[0]  # image of the basepoint (identity, copy 1)
-        ia, j = self.element_of(q)
-        if j != 1:
-            return None
-        candidate = self.rho_index(ia)
-        return ia if candidate.images == perm.images else None
+        # rho(x) sends the basepoint (identity, copy 1) to the point x + 1
+        x = perm.images[0] - 1
+        if x < self.size and self.rho_index(x).images == perm.images:
+            return x
+        return None
 
     def in_rho(self, perm: Permutation) -> bool:
         return self.membership_index(perm) is not None
@@ -195,10 +189,11 @@ class CompletionCandidate:
 
     def slot_keys(self) -> list[tuple[int, ...]]:
         """The coset keys of the slot elements, in slot order: V4 asks
-        that they are distinct, and the coset graph numbers the base
-        vertex's neighbours by them."""
-        key = self.carrier.coset_key
-        return [key((0,) + e.images) for e in self.slot_elements()]
+        that they are distinct (slots (i, a) and (j, a') share a coset
+        exactly when beta_i * rho(a a'^-1) * beta_j^-1 lies in rho(A)), and
+        the coset graph numbers the base vertex's neighbours by them."""
+        return [key for i, beta in enumerate(self.betas, start=1)
+                for key in _edge_keys(self.carrier, i, beta)]
 
 
 @dataclass(frozen=True)
@@ -307,11 +302,12 @@ def _edge_check(carrier: Carrier, i: int,
     return v1, not carrier.in_rho(beta)
 
 
-def _v4(candidate: CompletionCandidate) -> bool:
-    """All base-vertex neighbour cosets pairwise distinct: the slot elements
-    have distinct canonical coset keys.  Two slots (i, a), (j, a') share a
-    coset exactly when beta_i * rho(a a'^-1) * beta_j^-1 lies in rho(A)."""
-    return len(set(candidate.slot_keys())) == len(candidate.carrier.star.slots)
+def _edge_keys(carrier: Carrier, i: int, beta: Permutation) -> list:
+    """The coset keys of edge i's slot elements ``beta_i * rho(a)``, in
+    transversal order: they depend on beta_i alone."""
+    key = carrier.coset_key
+    return [key((0,) + (beta * carrier.rho_index(a)).images)
+            for a in carrier.star.edge(i).right_transversal]
 
 
 def verify_completion(candidate: CompletionCandidate) -> CompletionReport:
@@ -331,7 +327,7 @@ def verify_completion(candidate: CompletionCandidate) -> CompletionReport:
         checks.append(_edge_check(carrier, i, beta))
     v1, v2 = zip(*checks)
     v3 = True if all(v1) else None
-    v4 = _v4(candidate)
+    v4 = len(set(candidate.slot_keys())) == len(carrier.star.slots)
     accepted = all(v1) and all(v2) and v4
     return CompletionReport(v1, v2, v3, v4, None, carrier.star.order, accepted)
 
@@ -450,8 +446,8 @@ def find_completion(star: AmalgamStar,
     Copies start at 1 unless some identity-twist edge cannot be paired there
     (a whole-group edge, or an odd orbit count).  At each copy count each
     built involution is decided once by ``_edge_check`` (contract, V1, V2)
-    to build per-edge shortlists; a combination of shortlisted involutions
-    is then decided by V4 alone.  A first pass over all copy counts uses
+    and keyed once to build per-edge shortlists; a combination of them is
+    then decided by V4 alone.  A first pass over all copy counts uses
     only deterministic plans (these produce small, structured completions
     when they succeed); seeded random transversals and pairings are a
     second pass.  The first combination that passes V4 in this fixed order
@@ -474,7 +470,7 @@ def find_completion(star: AmalgamStar,
                 carriers[t] = Carrier(star, t, config.carrier_cap)
             carrier = carriers[t]
             phase = "randomized" if randomized else "deterministic"
-            shortlists: list[list[tuple[EdgePlan, Permutation]]] = []
+            shortlists: list[list[tuple[EdgePlan, Permutation, list]]] = []
             viable = True
             for i in range(1, star.k + 1):
                 shortlist = []
@@ -494,7 +490,7 @@ def find_completion(star: AmalgamStar,
                         attempts.append(AttemptRecord(t, "edge", plan.scheme,
                                                       "V1 failed", i))
                         continue
-                    shortlist.append((plan, beta))
+                    shortlist.append((plan, beta, _edge_keys(carrier, i, beta)))
                 if not shortlist:
                     attempts.append(AttemptRecord(t, "edge", phase,
                                                   "no plan passed V1+V2", i))
@@ -510,12 +506,11 @@ def find_completion(star: AmalgamStar,
                         attempts.append(AttemptRecord(t, "combo", phase,
                                                       "combo attempt cap reached"))
                         break
-                    plans = tuple(plan for plan, _ in chosen)
-                    betas = tuple(beta for _, beta in chosen)
+                    plans, betas, keys = zip(*chosen)
                     scheme = "+".join(p.scheme for p in plans)
                     strategy = CompletionStrategy(t, plans, config.seed, scheme)
                     candidate = CompletionCandidate(carrier, betas, strategy)
-                    if _v4(candidate):
+                    if len(set().union(*keys)) == len(star.slots):    # V4
                         return candidate, verify_completion(candidate)
                     attempts.append(AttemptRecord(t, "combo", scheme,
                                                   "V4 failed"))

@@ -7,7 +7,7 @@ The conditions V1-V4 of the completion make the graph simple, connected,
 vertex-transitive and regular of valency equal to the local group's degree,
 with vertex stabiliser isomorphic to A.  The graph is fixed by its
 transition table: ``enumerate_cosets`` numbers the cosets by their keys
-(``Carrier.coset_key``) and records G's action on them.
+(``Carrier.coset_key``), and G's two-letter relations fill most entries.
 
 ``construct_pair`` returns one ``LocallyLPair``: the candidate, its report
 with the order of G, the certified local action of the base vertex, and
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -110,6 +111,32 @@ class CosetTable:
         return len(self.index)
 
 
+def _relations(padded) -> tuple[list, list]:
+    """``(a, b, c, d)`` for each g_a g_b = g_c g_d != 1 with b != d, once
+    per unordered pair of pairs, and ``(a, b)`` for each g_a g_b = 1, from
+    the padded generator images.  Pairs are bucketed by their products on
+    every step-th point; only a bucket that may hold a relation forms whole
+    products, one at a time, and keeps a relation once they compare equal."""
+    identity = tuple(range(len(padded[0])))
+    step = max(1, len(identity) // 64)
+    buckets = collections.defaultdict(list)
+    for a, b in itertools.product(range(len(padded)), repeat=2):
+        buckets[itemgetter(*padded[a][::step])(padded[b])].append((a, b))
+    equal, inverse = [], []
+    for sample, bucket in buckets.items():
+        if len(bucket) > 1 or sample == identity[::step]:
+            seen = []           # the bucket's products other than 1
+            for a, b in bucket:
+                product = itemgetter(*padded[a])(padded[b])
+                if product == identity:
+                    inverse.append((a, b))
+                else:
+                    equal += [p + (a, b) for p, other in seen
+                              if p[1] != b and other == product]
+                    seen.append(((a, b), product))
+    return equal, inverse
+
+
 def enumerate_cosets(candidate: CompletionCandidate,
                      cap: int = DEFAULT_VERTEX_CAP) -> CosetTable | None:
     """Enumerate the cosets of rho(A) in G, or None when they exceed ``cap``.
@@ -122,64 +149,59 @@ def enumerate_cosets(candidate: CompletionCandidate,
     coset only.  The breadth-first orbit stops as soon as it finds coset
     ``cap + 1``.
 
-    The key tuple is also the representative the search multiplies, and it
-    is dropped once its vertex is processed.  For vertex v one
-    ``itemgetter(0, *key)`` applied to a generator's images, padded with a
-    leading 0, gives ``h = rep * g`` with that padding in place, and
-    ``Carrier.coset_key`` reads the key of its coset off ``h``.  Each key
-    is hashed once, by ``dict.setdefault``.
+    The key is also the representative multiplied (one ``itemgetter(0,
+    *key)`` per vertex), and is dropped once its vertex is processed.
 
-    Entries closed by generator order need no product at all.  A generator
-    g of order m on the carrier (the order of its element of A, read off the
-    basepoint's cycle since rho(A) is regular on copy 1, or 2 for a beta,
-    which verify_completion checks is an involution) satisfies g^m = 1, so
-    a coset w = u * g^(m-1) has w * g = u * g^m = u.  The search records,
-    for each coset w it reaches by g before w is processed, the root u and
-    the step count with w = u * g^steps (w's one g-preimage extends its own
-    record, or is the root with no steps), and fills w's entry with u
-    when steps = m - 1.  That holds whether the cycle of u under g has
-    length m or a proper divisor of m, since only g^m = 1 is used; the root
-    is already numbered, so the numbering and every entry are those of the
-    product for each pair.
+    An entry that a relation among G's generators fixes needs no key.  The
+    entries are filled in (vertex, generator) order.  Once v's are, each
+    relation g_a g_b = g_c g_d makes x * g_b = y * g_d for x = v * g_a and
+    y = v * g_c: the later entry is copied from the earlier, at once or by
+    a link when the earlier is filled.  A relation g_a g_b = 1 makes x *
+    g_b = v.  A copied entry names a coset already numbered, the one its
+    key would find, so the numbering and the table are those of the keys.
     """
     carrier = candidate.carrier
     coset_key = carrier.coset_key
     padded = [(0,) + g.images for g in candidate.group_generators()]
-    orders = []
-    for g in carrier.rho_generators:
-        images, m, p = g.images, 1, g.images[0]
-        while p != 1:
-            p, m = images[p - 1], m + 1
-        orders.append(m)
-    orders += [2] * len(candidate.betas)
+    k = len(padded)
+    equal, inverse = _relations(padded)
     # the identity sends the basepoint to 1, so it is the base coset's key
     start = Permutation.identity(carrier.degree).images
     index = {start: 0}
     queue = collections.deque([start])
-    transitions: list[list[int]] = [[] for _ in padded]
-    # per generator g: w -> (u, steps) with w = u * g^steps, w unprocessed
-    pending: list[dict[int, tuple[int, int]]] = [{} for _ in padded]
-    # breadth-first in index order: vertex v fills entry v of every row
-    v = 0
+    entries: list[int] = []             # entry (v, g) is entries[v * k + g]
+    deduced: dict[int, int] = {}        # unfilled entry -> its coset
+    links: dict[int, list[int]] = {}    # unfilled entry -> later equal ones
     while queue:
         times = itemgetter(0, *queue.popleft())
-        for g, row, m, chains in zip(padded, transitions, orders, pending):
-            root, steps = chains.pop(v, (v, 0))
-            if steps == m - 1:
-                row.append(root)
-                continue
-            key = coset_key(times(g))
-            n = len(index)
-            w = index.setdefault(key, n)
-            if w == n:
-                if n >= cap:
-                    return None
-                queue.append(key)
-            if w > v:
-                chains[w] = (root, steps + 1)
-            row.append(w)
-        v += 1
-    return CosetTable(index, tuple(tuple(row) for row in transitions))
+        for g in padded:
+            p = len(entries)
+            w = deduced.pop(p, None)
+            if w is None:
+                key = coset_key(times(g))
+                n = len(index)
+                w = index.setdefault(key, n)
+                if w == n:
+                    if n >= cap:
+                        return None
+                    queue.append(key)
+            for q in links.pop(p, ()):
+                deduced[q] = w
+            entries.append(w)
+        row = entries[-k:]              # p is now v's last entry
+        for a, b in inverse:
+            x = row[a] * k + b
+            if x > p:
+                deduced[x] = p // k
+        for a, b, c, d in equal:
+            x, y = row[a] * k + b, row[c] * k + d
+            if x > y:
+                x, y = y, x
+            if x > p:
+                links.setdefault(x, []).append(y)
+            elif y > p:
+                deduced[y] = entries[x]
+    return CosetTable(index, tuple(tuple(entries[g::k]) for g in range(k)))
 
 
 @dataclass(frozen=True)

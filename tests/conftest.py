@@ -381,6 +381,50 @@ def enumerate_cosets_by_products(candidate):
     return list(index.items()), tuple(tuple(row) for row in transitions)
 
 
+def encode(star, head, tail):
+    """The index of the element with head index ``head`` and tail indices
+    ``tail``: the inverse of ``AmalgamStar.digits``."""
+    x = head
+    for t in tail:
+        x = x * star.tail_base + t
+    return x
+
+
+def twist_images_by_element(star, edge):
+    """``EdgeData.twist_images`` one member of C_i at a time: decode the
+    member's mixed-radix digits, permute them and encode the result."""
+    heads = star.local_group.elements()
+    tails = star.analysis.anchor_stabiliser.elements()
+    images = [-1] * star.order
+    for x in edge.subgroup_indices:
+        h, tail = star.digits(x)
+        if edge.twist == "full-reversal":
+            # (h, t_1..t_n) -> (t_n, t_{n-1}..t_1, h); h lies in S on C_1
+            images[x] = encode(star, heads.index(tails[tail[-1]]),
+                               tail[-2::-1] + [tails.index(heads[h])])
+        elif edge.twist == "tail-reversal":
+            images[x] = encode(star, h, tail[::-1])
+        else:
+            images[x] = x
+    return images
+
+
+def relations_by_products(generators):
+    """Every ``(a, b, c, d)`` with (a, b) < (c, d), b != d and g_a g_b =
+    g_c g_d != 1, and every ``(a, b)`` with g_a g_b = 1, by comparing all
+    products pairwise."""
+    pairs = [(a, b) for a in range(len(generators))
+             for b in range(len(generators))]
+    product = {(a, b): as_tuple(generators[a] * generators[b])
+               for a, b in pairs}
+    identity = tuple(range(generators[0].degree))
+    inverse = {pair for pair in pairs if product[pair] == identity}
+    equal = {(a, b, c, d) for a, b in pairs for c, d in pairs
+             if (a, b) < (c, d) and b != d and (a, b) not in inverse
+             and product[a, b] == product[c, d]}
+    return equal, inverse
+
+
 # L0 at n=2..4, L1 at n=2, and a k=3 star with an identity twist on edge 3:
 # the stars every all-of-A oracle runs on
 ORACLE_STARS = {"L0-n2": ((3, "(1 2)"), 2), "L0-n3": ((3, "(1 2)"), 3),

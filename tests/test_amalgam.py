@@ -14,9 +14,9 @@ from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
 from graphrestrict.cosetgraph import construct_pair
 
-from conftest import (ORACLE_STARS, DecodedStar, group, index_inverses,
+from conftest import (ORACLE_STARS, DecodedStar, encode, group, index_inverses,
                       index_mul, slot_kernel_by_loop, star_core_by_loop,
-                      twist_multiplicative_by_loop)
+                      twist_images_by_element, twist_multiplicative_by_loop)
 
 
 @pytest.fixture
@@ -306,7 +306,7 @@ class TestIndexEncoding:
         for x, (h, t) in enumerate(expected):
             digits = (heads.index(h), [tails.index(u) for u in t])
             assert star.digits(x) == digits
-            assert star.encode(*digits) == x
+            assert encode(star, *digits) == x
 
     def test_products_every_pair(self, oracle_star):
         star = oracle_star
@@ -366,6 +366,14 @@ class TestIndexEncoding:
                         dec.index[dec.twist(edge.index, e)]
                 else:
                     assert edge.twist_images[x] == -1
+
+    def test_twist_rows_match_per_element(self, oracle_star):
+        # the row-wise twist maps against decoding and re-encoding each
+        # member's digits
+        star = oracle_star
+        for edge in star.edges:
+            assert list(edge.twist_images) == \
+                twist_images_by_element(star, edge)
 
     def test_edge_products(self, oracle_star):
         # every product in every B_i, read from the twist map, against the

@@ -348,8 +348,13 @@ class TestV4:
     @pytest.mark.parametrize("name", sorted(CANDIDATES))
     def test_matches_pairwise_loop(self, name):
         cand = CANDIDATES[name]()
-        assert completion._v4(cand) is v4_by_pairs(cand) is self.V4_HOLDS[name]
-        assert verify_completion(cand).v4 is self.V4_HOLDS[name]
+        assert verify_completion(cand).v4 is v4_by_pairs(cand) \
+            is self.V4_HOLDS[name]
+        # the search's form: the union of each edge's keys, keyed once
+        keys = set().union(*(completion._edge_keys(cand.carrier, i, beta)
+                             for i, beta in enumerate(cand.betas, start=1)))
+        assert (len(keys) == len(cand.carrier.star.slots)) is \
+            self.V4_HOLDS[name]
 
 
 class TestConjugationMaps:

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from graphrestrict import perm
+from graphrestrict import cosetgraph, perm
 from graphrestrict.completion import SearchConfig, find_completion
 from graphrestrict.cosetgraph import (FiniteGraph, LocallyLPair,
                                       build_graph, construct_pair,
@@ -22,7 +22,7 @@ from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 from conftest import (canonical_coset_rep, carrier_neighbourhoods,
                       coset_key_failure, enumerate_cosets_by_products,
                       graph6_pair_loop, group, kernel_order_by_loop,
-                      witness_conjugates_onto)
+                      relations_by_products, witness_conjugates_onto)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,9 @@ class TestEnumerateCosets:
 
     def test_order_closure_skips_canonicalisations(self, monkeypatch):
         # L1 n=3: 4096 cosets and 6 generators give 24,576 entries; those
-        # closed by generator order (5,566 of them) canonicalise nothing
+        # a two-letter relation among the generators fills (18,429 of them,
+        # the order closure g^2 = 1 included) canonicalise nothing.  Each of
+        # the other 4,095 cosets needs one key, so at least 4,095 are formed
         candidate = constructed("l1-n3").candidate
         carrier = candidate.carrier
         calls = []
@@ -94,7 +96,49 @@ class TestEnumerateCosets:
                             lambda x: calls.append(x) or rho_index(x))
         table = enumerate_cosets(candidate)
         assert table.size * len(table.transitions) == 24_576
-        assert len(calls) <= 19_100
+        assert 4_095 <= len(calls) <= 6_500
+
+    @pytest.mark.parametrize("name", sorted(ORDER_CASES))
+    def test_relations_hold_on_the_carrier(self, name):
+        # every relation the enumeration reads is a product identity on
+        # the carrier, each found once, and none is missed
+        generators = constructed(name).candidate.group_generators()
+        equal, inverse = cosetgraph._relations(
+            [(0,) + g.images for g in generators])
+        identity = Permutation.identity(generators[0].degree)
+        for a, b, c, d in equal:
+            assert generators[a] * generators[b] == generators[c] * generators[d]
+        for a, b in inverse:
+            assert generators[a] * generators[b] == identity
+        expected_equal, expected_inverse = relations_by_products(generators)
+        assert (sorted(min(r[:2] + r[2:], r[2:] + r[:2]) for r in equal)
+                == sorted(expected_equal))
+        assert sorted(inverse) == sorted(expected_inverse)
+
+    def test_relations_confirm_sampled_buckets(self):
+        # on 128 points the buckets read every second image only, so
+        # (1 3), (5 7) and their product share the identity's bucket; only
+        # the whole images tell them apart
+        generators = [Permutation.identity(128),
+                      parse_permutation("(1 3)", 128),
+                      parse_permutation("(5 7)", 128)]
+        equal, inverse = cosetgraph._relations(
+            [(0,) + g.images for g in generators])
+        expected_equal, expected_inverse = relations_by_products(generators)
+        assert set(equal) == expected_equal
+        assert sorted(inverse) == sorted(expected_inverse)
+
+    @pytest.mark.parametrize("name", sorted(ORDER_CASES))
+    def test_cap_refuses_exactly_above_the_coset_count(self, name):
+        # the breadth-first search stops on finding coset cap + 1, as it
+        # always has: deduced entries name numbered cosets only
+        candidate = constructed(name).candidate
+        size = len(enumerate_cosets_by_products(candidate)[0])
+        for cap in sorted({0, 1, 2, size // 2, size - 1, size, size + 1}):
+            table = enumerate_cosets(candidate, cap=cap)
+            assert (table is None) == (cap < size)
+            if table is not None:
+                assert table.size == size
 
     def test_key_oracle_sees_uncanonical_keys(self, result0, monkeypatch):
         carrier = result0.candidate.carrier
