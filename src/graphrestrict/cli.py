@@ -26,7 +26,8 @@ command-line flags take precedence.  Every command refuses a group file
 of degree above ``vertices``, and ``verify`` a graph of more vertices,
 before it builds anything from them.  ``construct`` refuses a graph with
 an export file of more than ``cosetgraph.DEFAULT_EXPORT_CAP`` bytes
-before it writes any file.
+before it enumerates more cosets than the largest graph whose exports fit,
+and before it writes any file.
 """
 
 from __future__ import annotations
@@ -219,6 +220,31 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _export_fault(vertex_count: int, valency: int) -> CapacityError | None:
+    """The refusal of the first export file of a ``valency``-regular graph
+    on ``vertex_count`` vertices that exceeds the export bound, or None."""
+    export_cap = cosetgraph.DEFAULT_EXPORT_CAP
+    sizes = cosetgraph.export_sizes(vertex_count, valency)
+    sizes["graph6"] += 1            # the file ends in a newline
+    for fmt, size in sizes.items():
+        if size > export_cap:
+            return CapacityError("export", export_cap, f"{size} bytes of {fmt}")
+    return None
+
+
+def _exportable_vertices(valency: int, vertex_cap: int) -> int:
+    """The largest vertex count up to ``vertex_cap`` whose export files all
+    fit the export bound, by bisection: every size grows with the count."""
+    low, high = 0, vertex_cap
+    while low < high:
+        mid = (low + high + 1) // 2
+        if _export_fault(mid, valency) is None:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
 def cmd_construct(args) -> int:
     group = load_group(args.group, _vertex_cap())
     analysis = classify.analyze_local_group(group)
@@ -239,18 +265,19 @@ def cmd_construct(args) -> int:
     except OSError as exc:
         raise InputError(f"output directory not writable: {exc}") from None
 
-    pair = cosetgraph.construct_pair(group, args.n, search, vertex_cap,
-                                     analysis=analysis)
+    # the enumeration stops at the largest graph whose exports fit; when
+    # the chain of G then counts no more cosets than the vertex cap, the
+    # graph is refused on its exports rather than kept implicit
+    pair = cosetgraph.construct_pair(
+        group, args.n, search, _exportable_vertices(group.degree, vertex_cap),
+        analysis=analysis)
+    if pair.graph is None:
+        vertices = pair.report.order_g // pair.stabiliser_order
+        if vertices <= vertex_cap:
+            raise _export_fault(vertices, pair.valency)
 
     graph_files = None
     if pair.graph is not None:
-        export_cap = cosetgraph.DEFAULT_EXPORT_CAP
-        sizes = cosetgraph.export_sizes(pair.vertex_count, pair.valency)
-        sizes["graph6"] += 1            # the file ends in a newline
-        for fmt, size in sizes.items():
-            if size > export_cap:
-                raise CapacityError("export", export_cap,
-                                    f"{size} bytes of {fmt}")
         graph_files = {"edge_list": "graph.edgelist",
                        "adjacency_list": "graph.adjlist",
                        "graph6": "graph.g6",

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -111,32 +110,6 @@ class CosetTable:
         return len(self.index)
 
 
-def _relations(padded) -> tuple[list, list]:
-    """``(a, b, c, d)`` for each g_a g_b = g_c g_d != 1 with b != d, once
-    per unordered pair of pairs, and ``(a, b)`` for each g_a g_b = 1, from
-    the padded generator images.  Pairs are bucketed by their products on
-    every step-th point; only a bucket that may hold a relation forms whole
-    products, one at a time, and keeps a relation once they compare equal."""
-    identity = tuple(range(len(padded[0])))
-    step = max(1, len(identity) // 64)
-    buckets = collections.defaultdict(list)
-    for a, b in itertools.product(range(len(padded)), repeat=2):
-        buckets[itemgetter(*padded[a][::step])(padded[b])].append((a, b))
-    equal, inverse = [], []
-    for sample, bucket in buckets.items():
-        if len(bucket) > 1 or sample == identity[::step]:
-            seen = []           # the bucket's products other than 1
-            for a, b in bucket:
-                product = itemgetter(*padded[a])(padded[b])
-                if product == identity:
-                    inverse.append((a, b))
-                else:
-                    equal += [p + (a, b) for p, other in seen
-                              if p[1] != b and other == product]
-                    seen.append(((a, b), product))
-    return equal, inverse
-
-
 def enumerate_cosets(candidate: CompletionCandidate,
                      cap: int = DEFAULT_VERTEX_CAP) -> CosetTable | None:
     """Enumerate the cosets of rho(A) in G, or None when they exceed ``cap``.
@@ -164,7 +137,7 @@ def enumerate_cosets(candidate: CompletionCandidate,
     coset_key = carrier.coset_key
     padded = [(0,) + g.images for g in candidate.group_generators()]
     k = len(padded)
-    equal, inverse = _relations(padded)
+    equal, inverse = perm._relations(padded)
     # the identity sends the basepoint to 1, so it is the base coset's key
     start = Permutation.identity(carrier.degree).images
     index = {start: 0}

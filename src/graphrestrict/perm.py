@@ -38,19 +38,29 @@ scan keeps ``T`` in a memo keyed by the path, used only when the deeper
 levels' group is no larger than the scanned orbit, so it never holds more
 permutations than the level's transversal.
 
-A scan skips two kinds of Schreier generator, each of which would sift to
-the identity, so the chain is the one that sifts them all.  Those of the
-tree edges are the identity by construction.  Around a cycle of
-``s = gens[j]`` whose length is the order ``m`` of ``s``, the Schreier
-generators multiply to ``u_p s^m u_p^-1 = 1``.  So the one at the cycle's
-non-tree edge with the largest point lies in the deeper levels' group once
-the cycle's other edges have passed, and the scan, in ``(p, j)`` order,
-reaches it after them.
+A scan skips the Schreier generators that relators among the level's
+generators already prove, so the chain is the one that sifts them all.
+Those of the tree edges are the identity by construction.  A relator
+``w = s_1 ... s_k = 1`` walks a closed path from each orbit point ``p``
+through the Schreier graph, and the Schreier generators along it multiply
+to ``u_p w u_p^-1 = 1``: so once all but one of them lie in the deeper
+levels' group ``H``, the last one does too, provided it occurs on the walk
+once.  The relators are the full-length cycles of a generator ``s`` of
+order ``m`` (``s^m = 1``) and the relations ``g_a g_b = 1`` and
+``g_a g_b = g_c g_d`` that ``_relations`` finds among the level's
+generators when a scan starts.  A scan runs in ``(p, j)`` order and flags,
+on each walk, the non-tree edge it reaches last.  By
+induction on that order, every edge the scan reaches without breaking was
+sifted into ``H`` or flagged by a walk whose other edges came earlier and
+are in ``H``; a scan that breaks on a new strong generator is followed by
+one with flags computed afresh.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -263,6 +273,39 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         raise ParseError(str(exc)) from None
 
 
+def _relations(padded) -> tuple[list, list]:
+    """``(a, b, c, d)`` for each g_a g_b = g_c g_d != 1 with b != d, once
+    per unordered pair of pairs and with (a, b) < (c, d), and ``(a, b)``
+    for each g_a g_b = 1, from the generators' images padded with a
+    leading 0.  The coset enumeration deduces transition entries from them,
+    and a chain level closes relator walks.  Pairs are bucketed by the
+    hash of their products on every step-th point; only a bucket that may
+    hold a relation forms whole products, one at a time, and keeps a
+    relation once they compare equal."""
+    if not padded:
+        return [], []
+    identity = tuple(range(len(padded[0])))
+    step = max(1, len(identity) // 64)
+    samples = [itemgetter(*images[::step]) for images in padded]
+    buckets = collections.defaultdict(list)
+    for a, b in itertools.product(range(len(padded)), repeat=2):
+        buckets[hash(samples[a](padded[b]))].append((a, b))
+    one = hash(identity[::step])
+    equal, inverse = [], []
+    for key, bucket in buckets.items():
+        if len(bucket) > 1 or key == one:
+            seen = []           # the bucket's products other than 1
+            for a, b in bucket:
+                product = itemgetter(*padded[a])(padded[b])
+                if product == identity:
+                    inverse.append((a, b))
+                else:
+                    equal += [p + (a, b) for p, other in seen
+                              if p[1] != b and other == product]
+                    seen.append(((a, b), product))
+    return equal, inverse
+
+
 class _ChainLevel:
     __slots__ = ("point", "transversal", "edge", "gens", "inverses", "orders")
 
@@ -292,17 +335,28 @@ class _ChainLevel:
         """Per generator ``j``, a bytearray that flags the points ``p``
         whose Schreier generator ``t_p * gens[j] * t_q^-1`` a scan in
         ``(p, j)`` order need not sift: those of the tree edges, which are
-        1, and on each cycle of ``gens[j]`` as long as its order ``m``,
-        that of the non-tree edge with the largest ``p``.  Around such a
-        cycle the Schreier generators multiply to
-        ``t_p * gens[j]^m * t_p^-1 = 1``, so the last of them lies in the
-        deeper levels' group once the cycle's earlier ones have sifted to
-        the identity."""
-        skip = [bytearray(len(s.images) + 1) for s in self.gens]
-        for p, j in self.edge.values():
+        1, and on each relator walk from an orbit point, the non-tree edge
+        that comes last in that order, when it occurs on the walk once.
+        The walks go around each cycle of ``gens[j]`` as long as its
+        order, along ``p -a-> x -b-> p`` for ``g_a g_b = 1``, and along
+        ``(p, a), (x, b)`` and ``(p, c), (y, d)`` for ``g_a g_b = g_c g_d``.
+        The Schreier generators along a walk multiply to 1, so the last
+        lies in the deeper levels' group once the walk's earlier ones
+        have sifted to the identity."""
+        gens = [s.images for s in self.gens]
+        tree = set(self.edge.values())
+        skip = [bytearray(len(images) + 1) for images in gens]
+        for p, j in tree:
             skip[j][p] = 1
-        for j, s in enumerate(self.gens):
-            images, m, closed = s.images, self.orders[j], skip[j]
+
+        def close(walk):
+            free = [e for e in walk if e not in tree]
+            if free:
+                last = max(free)
+                if free.count(last) == 1:
+                    skip[last[1]][last[0]] = 1
+
+        for j, images in enumerate(gens):
             seen = bytearray(len(images) + 1)
             for p in self.transversal:
                 if seen[p]:
@@ -314,8 +368,18 @@ class _ChainLevel:
                     q = images[q - 1]
                 for q in cycle:
                     seen[q] = 1
-                if len(cycle) == m:
-                    closed[max(r for r in cycle if not closed[r])] = 1
+                if len(cycle) == self.orders[j]:
+                    close([(q, j) for q in cycle])
+        equal, inverse = _relations([(0,) + images for images in gens])
+        # (b, a) walks the same edges as (a, b), and (a, a) the cycles of
+        # an involution
+        inverse = [(a, b) for a, b in inverse if a < b]
+        for p in self.transversal:
+            for a, b in inverse:
+                close([(p, a), (gens[a][p - 1], b)])
+            for a, b, c, d in equal:
+                close([(p, a), (gens[a][p - 1], b),
+                       (p, c), (gens[c][p - 1], d)])
         return skip
 
 
@@ -475,10 +539,10 @@ class StabiliserChain:
         A level's scan goes through the (point, generator) pairs in order
         and sifts each Schreier generator with ``_sift_schreier``, except
         those ``_ChainLevel.skipped`` flags: the tree edges', which are the
-        identity, and on each cycle as long as its generator's order, the
-        last non-tree edge's, which the cycle's earlier ones imply.  Its memo of path products lives for one scan,
-        and only when the product of the deeper orbit lengths is at most
-        this level's orbit length, which bounds the memo by the
+        identity, and the last non-tree edge's of each relator walk, which
+        the walk's earlier ones imply.  Its memo of path products lives for
+        one scan, and only when the product of the deeper orbit lengths is
+        at most this level's orbit length, which bounds the memo by the
         transversal; otherwise each path product is formed and dropped.
         The chain is the one the product sift builds."""
         for i in range(len(self.levels)):

@@ -425,6 +425,36 @@ def relations_by_products(generators):
     return equal, inverse
 
 
+def skipped_by_walks(level):
+    """The flags ``level.skipped()`` should give, per generator ``j`` the
+    set of points ``p``, by walking every relator anew: the tree
+    edges, and on each walk around a cycle as long as its generator's order
+    (by closure) or along a relation of ``relations_by_products``, the last
+    non-tree edge in ``(p, j)`` order when it occurs on the walk once."""
+    gens = level.gens
+    degree = gens[0].degree
+    tree = set(level.edge.values())
+    orbit = set(level.transversal)
+    walks = []
+    for j, s in enumerate(gens):
+        order = len(brute_elements(degree, [s]))
+        walks += [[(p, j) for p in cycle] for cycle in s.cycles()
+                  if cycle[0] in orbit and len(cycle) == order]
+    equal, inverse = relations_by_products(gens)
+    for p in orbit:
+        walks += [[(p, a), (gens[a].images[p - 1], b)] for a, b in inverse]
+        walks += [[(p, a), (gens[a].images[p - 1], b),
+                   (p, c), (gens[c].images[p - 1], d)]
+                  for a, b, c, d in equal]
+    flags = [{p for p, k in tree if k == j} for j in range(len(gens))]
+    for walk in walks:
+        free = [edge for edge in walk if edge not in tree]
+        if free and free.count(max(free)) == 1:
+            p, j = max(free)
+            flags[j].add(p)
+    return flags
+
+
 # L0 at n=2..4, L1 at n=2, and a k=3 star with an identity twist on edge 3:
 # the stars every all-of-A oracle runs on
 ORACLE_STARS = {"L0-n2": ((3, "(1 2)"), 2), "L0-n3": ((3, "(1 2)"), 3),

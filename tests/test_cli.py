@@ -434,6 +434,22 @@ class TestExportCap:
                      "--out", str(out_dir)]) == 0
         assert (out_dir / "graph.g6").stat().st_size == g6 + 1
 
+    def test_oversized_export_refused_before_full_enumeration(self, files,
+                                                              capsys):
+        # <(1 2)> on 10 points at n=2 has 294,912 cosets, a 7.2 GB graph6
+        # file: the enumeration stops at about 56,700, the largest graph
+        # whose exports fit, and the chain of G counts the rest
+        grp = files["dir"] / "T10.grp"
+        grp.write_text("degree 10\n(1 2)\n")
+        out_dir = files["dir"] / "oversized"
+        start = time.monotonic()
+        assert main(["construct", str(grp), "--n", "2",
+                     "--out", str(out_dir)]) == 2
+        assert time.monotonic() - start < 10
+        assert sha256(capsys.readouterr().err.encode()) == \
+            "f17e3a76683ba5dc701fa9231f2685c36f213f3ad16a73018c865f724bf159b7"
+        assert list(out_dir.iterdir()) == []
+
 
 class TestMaxVerticesFlag:
     @pytest.mark.parametrize("value", ["0", "-5"])

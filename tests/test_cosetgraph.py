@@ -103,7 +103,7 @@ class TestEnumerateCosets:
         # every relation the enumeration reads is a product identity on
         # the carrier, each found once, and none is missed
         generators = constructed(name).candidate.group_generators()
-        equal, inverse = cosetgraph._relations(
+        equal, inverse = perm._relations(
             [(0,) + g.images for g in generators])
         identity = Permutation.identity(generators[0].degree)
         for a, b, c, d in equal:
@@ -122,7 +122,7 @@ class TestEnumerateCosets:
         generators = [Permutation.identity(128),
                       parse_permutation("(1 3)", 128),
                       parse_permutation("(5 7)", 128)]
-        equal, inverse = cosetgraph._relations(
+        equal, inverse = perm._relations(
             [(0,) + g.images for g in generators])
         expected_equal, expected_inverse = relations_by_products(generators)
         assert set(equal) == expected_equal

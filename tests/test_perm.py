@@ -15,7 +15,8 @@ from graphrestrict.perm import (Permutation, PermutationGroup,
 from conftest import (ReferenceChain, as_tuple, brute_elements,
                       chain_snapshot, from_cycles_by_products, group,
                       product_sift, reference_inverse, reference_is_identity, reference_mul,
-                      semiprimitive_by_elements, tuple_inv, tuple_mul)
+                      relations_by_products, semiprimitive_by_elements,
+                      skipped_by_walks, tuple_inv, tuple_mul)
 
 
 def random_permutation(rng, degree):
@@ -199,6 +200,10 @@ def _pair(local, n):
     return construct_pair(group(*local), n)
 
 
+TWICE_WALKED = tuple(parse_permutation(c, 3)
+                     for c in ("(1 3)", "(1 3 2)", "(1 2)", "(2 3)"))
+
+
 # name -> (generators, base prefixes).  Vertex action groups are prefixed at
 # vertex 0 (point 1), as verify_locally_L does; the others at their last
 # point or at the points given.  The degree-1536 group runs only with
@@ -232,6 +237,9 @@ CHAIN_GROUPS = {
     "random-degree-10": (lambda: (parse_permutation("(1 2 5)", 10),
                                   parse_permutation("(1 5)(2 8 6)", 10)),
                          "none 10,1"),
+    # g_0 g_1 = g_1 g_3 and g_0 fixes 2: the relation's walk from 2 runs
+    # over the non-tree edge (2, 1) twice
+    "twice-walked-edge": (lambda: TWICE_WALKED, "none"),
 }
 CHAIN_CASES = [(name, where) for name, (_, prefixes) in CHAIN_GROUPS.items()
                for where in prefixes.split()]
@@ -361,8 +369,9 @@ class TestSiftSchreier:
         # took 36,908 products when every Schreier generator was sifted by
         # products, 18,355 when every rebuild multiplied out its whole
         # transversal, and 14,291 when a rebuild multiplied only the points
-        # whose tree edge or parent changed; it takes 10,990 now that the
-        # Schreier generators closed by generator order are skipped
+        # whose tree edge or parent changed, 10,990 when the Schreier
+        # generators closed by generator order were skipped, and 3,538 now
+        # that those closed by any relator walk are
         gens = tuple(CHAIN_GROUPS["l1-n2-vertices"][0]())
         products = 0
         original = Permutation.__mul__
@@ -374,7 +383,7 @@ class TestSiftSchreier:
 
         monkeypatch.setattr(Permutation, "__mul__", counting)
         StabiliserChain(gens[0].degree, gens, base_prefix=(1,))
-        assert products <= 11_000
+        assert products <= 3_600
 
 
 def flagged(flags):
@@ -383,7 +392,7 @@ def flagged(flags):
 
 class TestOrderClosure:
     """The Schreier generators that ``_complete`` skips: tree edges and, on
-    each cycle as long as its generator's order, one non-tree edge."""
+    each relator walk, the last non-tree edge when the walk takes it once."""
 
     @pytest.mark.parametrize("name,where", CHAIN_CASES,
                              ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
@@ -411,24 +420,30 @@ class TestOrderClosure:
     @pytest.mark.parametrize("name,where", CHAIN_CASES,
                              ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
     def test_one_closed_edge_per_full_cycle(self, name, where):
-        # brute force from the cycles of each generator on the orbit: the
-        # closed points of gens[j] are, on each cycle whose length is the
-        # order of gens[j], the largest point that is not on a tree edge
+        # brute force from every relator walk, the full-length cycles of
+        # each generator among them: the flags are the tree edges and each
+        # walk's last non-tree edge when the walk takes it once
         gens = tuple(CHAIN_GROUPS[name][0]())
         degree = gens[0].degree
         chain = StabiliserChain(degree, gens,
                                 base_prefix=base_prefix(where, degree))
         for lev in chain.levels:
+            expected = skipped_by_walks(lev)
             for j, flags in enumerate(lev.skipped()):
-                s = lev.gens[j]
-                tree = {p for p, k in lev.edge.values() if k == j}
-                order = len(brute_elements(degree, [s]))
-                expected = set(tree)
-                for cycle in s.cycles():
-                    if cycle[0] in lev.transversal and len(cycle) == order:
-                        expected.add(max(set(cycle) - tree))
-                assert flagged(flags) == expected, (lev.point, j)
-                assert lev.orders[j] == order
+                assert flagged(flags) == expected[j], (lev.point, j)
+                assert (lev.orders[j]
+                        == len(brute_elements(degree, [lev.gens[j]])))
+
+    def test_twice_walked_edge_stays_unflagged(self):
+        # from p = 2, g_0 g_1 = g_1 g_3 walks (2, 0), (2, 1), then back
+        # along (1, 3) and (2, 1): its last non-tree edge (2, 1) occurs
+        # twice, so the walk proves nothing about it
+        chain = StabiliserChain(3, TWICE_WALKED)
+        lev = chain.levels[0]
+        assert lev.gens == list(TWICE_WALKED)
+        assert set(lev.edge.values()) == {(1, 0), (1, 2)}
+        assert (0, 1, 1, 3) in relations_by_products(lev.gens)[0]
+        assert not lev.skipped()[1][2]
 
 
 class TestOrbits:
