@@ -22,12 +22,17 @@ a product gathers its items from its factors, so every image tuple of a
 degree holds one int object per point: equal tuples then compare item by
 item on identity alone.
 
-Each chain level keeps its forward transversal and a Schreier tree, one
-edge ``t_q = t_p * gens[j]`` per orbit point, with the image tuples of its
-generators' inverses; a preimage under ``t_q`` walks ``q``'s tree path to
-the root, so no transversal element's inverse is stored.  A level's orbit
-is rebuilt only when its generators have changed, and a rebuild multiplies
-out only the points whose tree edge or parent element changed.
+The chain keeps, once per strong generator, what its levels read of it:
+the images padded with a leading 0, so that a product ``u s`` is one
+``itemgetter`` call with no padding, the inverse images, the order, and its
+depth, the index of the first base point it moves, so that it lies in the
+levels up to that one.  Each level keeps its forward transversal and a
+Schreier tree, one edge ``t_q = t_p * gens[j]`` per orbit point; a preimage
+under ``t_q`` walks ``q``'s tree path to the root through the inverse
+images, so no transversal element's inverse is stored.  The levels are
+scanned from the deepest up, and a level is built when it is scanned: never
+for generators that change again before any scan reads it.  A rebuild
+multiplies out only the points whose tree edge or parent element changed.
 
 The chain sifts each Schreier generator ``u s t_q^-1`` on base images: the
 deeper base points' images are mapped back along one tree path per level.
@@ -47,20 +52,26 @@ to ``u_p w u_p^-1 = 1``: so once all but one of them lie in the deeper
 levels' group ``H``, the last one does too, provided it occurs on the walk
 once.  The relators are the full-length cycles of a generator ``s`` of
 order ``m`` (``s^m = 1``) and the relations ``g_a g_b = 1`` and
-``g_a g_b = g_c g_d`` that ``_relations`` finds among the level's
-generators when a scan starts.  A scan runs in ``(p, j)`` order and flags,
-on each walk, the non-tree edge it reaches last.  By
-induction on that order, every edge the scan reaches without breaking was
-sifted into ``H`` or flagged by a walk whose other edges came earlier and
-are in ``H``; a scan that breaks on a new strong generator is followed by
-one with flags computed afresh.
+``g_a g_b = g_c g_d`` among the level's generators.  Strong generators are
+only appended, so the chain finds the relations of each new one with the
+earlier ones once (``_RelationFinder``, which the coset enumeration shares
+through ``_relations``), and files each by the least depth of its letters;
+a level reads those as deep as itself.  A scan runs in ``(p, j)`` order and
+flags, on each walk, the non-tree edge it reaches last.  By induction on
+that order, every edge the scan reaches without breaking was sifted into
+``H`` or flagged by a walk whose other edges came earlier and are in ``H``;
+a scan that breaks on a new strong generator is followed by one with flags
+computed afresh.  The flags are computed only once the scan is past its
+first orbit point, whose Schreier generators are all sifted but those of
+tree edges: a flagged one there sifts to the identity, since its walk's
+other edges come earlier at that point, so the scan breaks where it would
+with every flag, and one that breaks at its first point, as most do after a
+new strong generator, pays for no flags.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -69,6 +80,7 @@ from operator import attrgetter, itemgetter
 from .errors import CapacityError, InputError, ParseError
 
 DEFAULT_ELEMENT_CAP = 100_000
+ISOMORPHISM_NODE_BUDGET = 20_000
 
 
 @functools.cache
@@ -273,53 +285,97 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         raise ParseError(str(exc)) from None
 
 
+def _times(images: tuple, padded: tuple) -> tuple:
+    """The images of the product of a permutation with ``images`` and one
+    with the images ``padded`` with a leading 0, which a chain keeps once
+    per strong generator: one ``itemgetter`` call that pads nothing.  The
+    product of two padded image tuples is padded."""
+    return itemgetter(*images)(padded)
+
+
+class _RelationFinder:
+    """The two-letter relations among a growing list of generators, given
+    by their images padded with a leading 0: ``(a, b, c, d)`` for each
+    g_a g_b = g_c g_d != 1 with b != d, once per unordered pair of pairs
+    and with (a, b) < (c, d), and ``(a, b)`` for each g_a g_b = 1.
+
+    Pairs are bucketed by the hash of their products on every step-th
+    point, and a bucket keeps its pairs in classes of equal products.
+    Only a bucket that may hold a relation forms whole products, one per
+    new pair and one per class it holds, and a relation is kept once they
+    compare equal."""
+
+    def __init__(self, degree: int):
+        self.padded = []
+        self.samples = []
+        self.identity = tuple(range(degree + 1))
+        self.step = max(1, (degree + 1) // 64)
+        self.one = hash(self.identity[::self.step])
+        self.buckets = {}   # sample hash -> classes of pairs, equal products
+
+    def add(self, padded) -> tuple[list, list]:
+        """Append generators; return the relations with a new letter."""
+        old = len(self.padded)
+        self.padded += padded
+        self.samples += [itemgetter(*images[::self.step]) for images in padded]
+        padded, samples, k = self.padded, self.samples, len(self.padded)
+        touched = {}
+        for a in range(k):
+            for b in range(0 if a >= old else old, k):
+                touched.setdefault(hash(samples[a](padded[b])), []).append((a, b))
+        equal, inverse = [], []
+        for key, pairs in touched.items():
+            classes = self.buckets.setdefault(key, [])
+            if not classes and len(pairs) == 1 and key != self.one:
+                classes.append(pairs)
+                continue
+            products = [_times(padded[a], padded[b]) for (a, b), *_ in classes]
+            for a, b in pairs:
+                product = _times(padded[a], padded[b])
+                if product == self.identity:
+                    inverse.append((a, b))
+                    continue
+                for members, other in zip(classes, products):
+                    if other == product:
+                        equal += [min(p, (a, b)) + max(p, (a, b))
+                                  for p in members if p[1] != b]
+                        members.append((a, b))
+                        break
+                else:
+                    classes.append([(a, b)])
+                    products.append(product)
+        return equal, inverse
+
+
 def _relations(padded) -> tuple[list, list]:
-    """``(a, b, c, d)`` for each g_a g_b = g_c g_d != 1 with b != d, once
-    per unordered pair of pairs and with (a, b) < (c, d), and ``(a, b)``
-    for each g_a g_b = 1, from the generators' images padded with a
-    leading 0.  The coset enumeration deduces transition entries from them,
-    and a chain level closes relator walks.  Pairs are bucketed by the
-    hash of their products on every step-th point; only a bucket that may
-    hold a relation forms whole products, one at a time, and keeps a
-    relation once they compare equal."""
+    """The relations among the generators with the ``padded`` images, as
+    ``_RelationFinder`` finds them.  The coset enumeration deduces
+    transition entries from them."""
     if not padded:
         return [], []
-    identity = tuple(range(len(padded[0])))
-    step = max(1, len(identity) // 64)
-    samples = [itemgetter(*images[::step]) for images in padded]
-    buckets = collections.defaultdict(list)
-    for a, b in itertools.product(range(len(padded)), repeat=2):
-        buckets[hash(samples[a](padded[b]))].append((a, b))
-    one = hash(identity[::step])
-    equal, inverse = [], []
-    for key, bucket in buckets.items():
-        if len(bucket) > 1 or key == one:
-            seen = []           # the bucket's products other than 1
-            for a, b in bucket:
-                product = itemgetter(*padded[a])(padded[b])
-                if product == identity:
-                    inverse.append((a, b))
-                else:
-                    equal += [p + (a, b) for p, other in seen
-                              if p[1] != b and other == product]
-                    seen.append(((a, b), product))
-    return equal, inverse
+    return _RelationFinder(len(padded[0]) - 1).add(padded)
 
 
 class _ChainLevel:
-    __slots__ = ("point", "transversal", "edge", "gens", "inverses", "orders")
+    __slots__ = ("point", "depth", "reach", "transversal", "edge", "ids",
+                 "gens", "padded", "inverses", "orders")
 
-    def __init__(self, point: int, degree: int):
+    def __init__(self, point: int, degree: int, depth: int, reach: list):
         self.point = point
+        self.depth = depth      # the level's index in its chain
+        self.reach = reach      # the chain's relations by least depth
         # orbit point q -> representative t_q with point^t_q == q, in the
         # breadth-first order of the orbit search
         self.transversal = {point: Permutation.identity(degree)}
         # the Schreier tree: q -> (p, j) where t_q = t_p * gens[j]; every
         # orbit point but the root has an edge
         self.edge = {}
-        self.gens = None    # the generators the orbit was last built from
-        self.inverses = []  # the image tuples of the inverses of gens
-        self.orders = []    # the orders of gens, reused like inverses
+        self.ids = None     # the chain's indices of the generators the
+                            # orbit was last built from
+        self.gens = []      # those generators, and the chain's padded
+        self.padded = []    # images, inverse images and orders of them
+        self.inverses = []
+        self.orders = []
 
     def preimages(self, q: int, points: list) -> list:
         """The preimages of ``points`` under ``transversal[q]``, by walking
@@ -330,6 +386,17 @@ class _ChainLevel:
             inv = inverses[j]
             points = [inv[x - 1] for x in points]
         return points
+
+    def relations(self) -> tuple[list, list]:
+        """The relations among the level's generators, in its own indices
+        and as ``_relations`` gives them: the chain's relations whose
+        letters are all as deep as the level."""
+        local = {g: j for j, g in enumerate(self.ids)}.__getitem__
+        equal, inverse = [], []
+        for at_equal, at_inverse in self.reach[self.depth:]:
+            equal += [tuple(map(local, r)) for r in at_equal]
+            inverse += [tuple(map(local, r)) for r in at_inverse]
+        return equal, inverse
 
     def skipped(self) -> list:
         """Per generator ``j``, a bytearray that flags the points ``p``
@@ -370,7 +437,7 @@ class _ChainLevel:
                     seen[q] = 1
                 if len(cycle) == self.orders[j]:
                     close([(q, j) for q in cycle])
-        equal, inverse = _relations([(0,) + images for images in gens])
+        equal, inverse = self.relations()
         # (b, a) walks the same edges as (a, b), and (a, a) the cycles of
         # an involution
         inverse = [(a, b) for a, b in inverse if a < b]
@@ -395,20 +462,35 @@ class StabiliserChain:
     def __init__(self, degree: int, generators, base_prefix=()):
         self.degree = degree
         self.strong_gens: list[Permutation] = []
+        # per strong generator, kept once: its images padded with a leading
+        # 0 (the finder's list), its inverse images, its order, and its
+        # depth, the index of the first base point it moves: it lies in the
+        # levels up to that one
+        self._finder = _RelationFinder(degree)
+        self._padded = self._finder.padded
+        self._inverses, self._orders, self._depths = [], [], []
+        # per depth d, the relations among the strong generators whose
+        # letters' least depth is d, as (equal, inverse)
+        self._reach: list[tuple[list, list]] = []
         self.levels: list[_ChainLevel] = []
         for p in base_prefix:
             if not 1 <= p <= degree:
                 raise InputError(f"base point {p} out of range 1..{degree}")
-            self.levels.append(_ChainLevel(p, degree))
+            self._append_level(p)
         for g in generators:
             if g.degree != degree:
                 raise InputError("generator degree mismatch")
             if not g.is_identity() and g not in self.strong_gens:
                 self.strong_gens.append(g)
                 self._ensure_base_covers(g)
+        self._register(self.strong_gens)
         self._complete()
 
     # -- construction ---------------------------------------------------
+
+    def _append_level(self, point: int) -> None:
+        self.levels.append(
+            _ChainLevel(point, self.degree, len(self.levels), self._reach))
 
     def _ensure_base_covers(self, g: Permutation) -> None:
         """Append base points until g moves some base point (first moved point rule)."""
@@ -418,13 +500,26 @@ class StabiliserChain:
                 return
         for p in range(1, self.degree + 1):
             if residue.apply(p) != p:
-                self.levels.append(_ChainLevel(p, self.degree))
+                self._append_level(p)
                 return
 
-    def _level_gens(self, i: int) -> list[Permutation]:
-        pts = [lev.point for lev in self.levels[:i]]
-        return [s for s in self.strong_gens
-                if all(s.images[p - 1] == p for p in pts)]
+    def _register(self, gens: list) -> None:
+        """Keep the padded images, inverse images, order and depth of
+        ``gens``, the newest strong generators, each of which moves a base
+        point; find their relations with the earlier ones and file each by
+        the least depth of its letters."""
+        points = [lev.point for lev in self.levels]
+        depths = self._depths
+        for s in gens:
+            self._inverses.append(s.inverse().images)
+            self._orders.append(math.lcm(*map(len, s.cycles())))
+            depths.append(next(d for d, p in enumerate(points)
+                               if s.images[p - 1] != p))
+        found = self._finder.add([(0,) + s.images for s in gens])
+        self._reach += [([], []) for _ in range(len(points) - len(self._reach))]
+        for at, relations in enumerate(found):
+            for r in relations:
+                self._reach[min(map(depths.__getitem__, r))][at].append(r)
 
     def _rebuild_orbit(self, i: int) -> None:
         """Rebuild level i's orbit, tree and transversal breadth first.
@@ -435,35 +530,33 @@ class StabiliserChain:
         when its point is settled, so the two are never held in full at
         once."""
         lev = self.levels[i]
-        gens = self._level_gens(i)
-        if gens == lev.gens:    # same generators, same orbit and transversals
+        ids = [g for g, depth in enumerate(self._depths) if depth >= i]
+        if ids == lev.ids:      # same generators, same orbit and transversals
             return
-        old_gens, old_edge, old = lev.gens or [], lev.edge, lev.transversal
-        same = [j < len(old_gens) and old_gens[j] is s
-                for j, s in enumerate(gens)]
-        lev.inverses = [lev.inverses[j] if same[j] else s.inverse().images
-                        for j, s in enumerate(gens)]
-        lev.orders = [lev.orders[j] if same[j]
-                      else math.lcm(*map(len, s.cycles()))
-                      for j, s in enumerate(gens)]
-        lev.gens = gens
+        old_ids, old_edge, old = lev.ids or [], lev.edge, lev.transversal
+        lev.ids = ids
+        lev.gens = [self.strong_gens[g] for g in ids]
+        padded = lev.padded = [self._padded[g] for g in ids]
+        lev.inverses = [self._inverses[g] for g in ids]
+        lev.orders = [self._orders[g] for g in ids]
         transversal = lev.transversal = {lev.point: old.pop(lev.point)}
         edge = lev.edge = {}
         kept = {lev.point}      # the points whose old element is kept
         queue = [lev.point]
         for p in queue:     # breadth first: the list grows while it is read
             u = transversal[p]
-            for j, s in enumerate(gens):
-                q = s.images[p - 1]
+            for j, g in enumerate(ids):
+                q = padded[j][p]
                 if q in transversal:
                     continue
                 old_u = old.pop(q, None)
                 old_p, old_j = old_edge.get(q, (None, None))
-                if p in kept and old_p == p and old_gens[old_j] is s:
+                if p in kept and old_p == p and old_ids[old_j] == g:
                     transversal[q] = old_u
                     kept.add(q)
                 else:
-                    transversal[q] = u * s
+                    transversal[q] = Permutation._raw(
+                        _times(u.images, padded[j]))
                 edge[q] = (p, j)
                 queue.append(q)
 
@@ -493,13 +586,14 @@ class StabiliserChain:
             out = out * t
         return out
 
-    def _sift_schreier(self, i: int, u: Permutation, s: Permutation, q: int,
+    def _sift_schreier(self, i: int, u: Permutation, j: int, q: int,
                        memo: dict | None):
-        """Sift the Schreier generator ``x = u s t_q^-1`` of level ``i``
-        through the deeper levels.  Return None when it sifts to the
-        identity, else ``(residue, level)``: ``x`` times the inverses of the
-        transversal elements the sift passed, and the level where it
-        stopped (``len(self.levels)`` when it passed them all).
+        """Sift the Schreier generator ``x = u s t_q^-1`` of level ``i``,
+        ``s`` the level's generator ``j``, through the deeper levels.
+        Return None when it sifts to the identity, else ``(residue,
+        level)``: ``x`` times the inverses of the transversal elements the
+        sift passed, and the level where it stopped (``len(self.levels)``
+        when it passed them all).
 
         ``x`` is the identity when ``u s`` is ``t_q``.  Otherwise the
         deeper base points' images under ``x`` are those under ``u s``
@@ -511,13 +605,14 @@ class StabiliserChain:
         residue is formed, with the one inverse it needs, only when it is a
         new strong generator.
         """
-        t_q = self.levels[i].transversal[q]
-        us = u * s
+        lev = self.levels[i]
+        t_q = lev.transversal[q]
+        us = Permutation._raw(_times(u.images, lev.padded[j]))
         if us.images == t_q.images:
             return None     # x is the identity
         deeper = self.levels[i + 1:]
-        images = [us.images[lev.point - 1] for lev in deeper]
-        path = self._sift_base_images(i + 1, self.levels[i].preimages(q, images))
+        images = [us.images[d.point - 1] for d in deeper]
+        path = self._sift_base_images(i + 1, lev.preimages(q, images))
         if len(path) < len(deeper):
             passed = self._path_product(i + 1, path) * t_q
         else:
@@ -536,52 +631,64 @@ class StabiliserChain:
         """Deterministic Schreier-Sims: make every level's Schreier generators
         sift to the identity through the deeper levels.
 
-        A level's scan goes through the (point, generator) pairs in order
-        and sifts each Schreier generator with ``_sift_schreier``, except
-        those ``_ChainLevel.skipped`` flags: the tree edges', which are the
-        identity, and the last non-tree edge's of each relator walk, which
-        the walk's earlier ones imply.  Its memo of path products lives for
-        one scan, and only when the product of the deeper orbit lengths is
-        at most this level's orbit length, which bounds the memo by the
-        transversal; otherwise each path product is formed and dropped.
-        The chain is the one the product sift builds."""
-        for i in range(len(self.levels)):
-            self._rebuild_orbit(i)
+        The levels are scanned from the deepest up (``_scan``); a scan that
+        finds a new strong generator goes on at the level where its sift
+        stopped.  A level is first built when it is first scanned, and
+        rebuilt only by a scan, so never for generators that change again
+        before a scan reads it.  A scan computes its flags only once it is
+        past its first orbit point.  Each strong generator's padded images,
+        inverse images, order and relations with the earlier ones are found
+        once, when it is appended (``_register``), and every level reads
+        them.  The chain is the one the product sift builds."""
         i = len(self.levels) - 1
         while i >= 0:
-            self._rebuild_orbit(i)
-            lev = self.levels[i]
-            gens = lev.gens
-            skip = lev.skipped()
-            # one memo entry per path, that is per element of the deeper
-            # levels' group
-            deeper = math.prod(len(d.transversal) for d in self.levels[i + 1:])
-            memo = {} if deeper <= len(lev.transversal) else None
-            new_level = None
-            for p in sorted(lev.transversal):
-                u = lev.transversal[p]
-                for j, s in enumerate(gens):
-                    if skip[j][p]:
-                        continue
-                    sifted = self._sift_schreier(i, u, s, s.images[p - 1], memo)
-                    if sifted is None:
-                        continue
-                    residue, new_level = sifted
-                    self.strong_gens.append(residue)
-                    if new_level == len(self.levels):
-                        for r in range(1, self.degree + 1):
-                            if residue.images[r - 1] != r:
-                                self.levels.append(_ChainLevel(r, self.degree))
-                                break
-                    break
-                if new_level is not None:
-                    break
-            if new_level is not None:
-                for l in range(i, new_level + 1):
-                    self._rebuild_orbit(l)
-                i = new_level
-            else:
-                i -= 1
+            new_level = self._scan(i)
+            i = i - 1 if new_level is None else new_level
+
+    def _scan(self, i: int) -> int | None:
+        """Sift level ``i``'s Schreier generators in ``(p, j)`` order with
+        ``_sift_schreier``; on the first that is not in the deeper levels'
+        group, append its residue as a strong generator and return the
+        level where its sift stopped, else return None.
+
+        At the first orbit point only the tree edges are skipped, which are
+        the identity: a scan that breaks there pays no flag pass.  Past it,
+        ``_ChainLevel.skipped`` flags the tree edges and the last non-tree
+        edge of each relator walk, which the walk's earlier ones imply; a
+        flagged pair at the first point would have sifted to the identity,
+        so the scan breaks on the pair it would break on with every flag.
+        Its memo of path products lives for one scan, and only when the
+        product of the deeper orbit lengths is at most this level's orbit
+        length, which bounds the memo by the transversal; otherwise each
+        path product is formed and dropped."""
+        self._rebuild_orbit(i)
+        lev = self.levels[i]
+        # one memo entry per path, that is per element of the deeper
+        # levels' group
+        deeper = math.prod(len(d.transversal) for d in self.levels[i + 1:])
+        memo = {} if deeper <= len(lev.transversal) else None
+        points = sorted(lev.transversal)
+        first = points[0]
+        skip = None
+        for p in points:
+            if p != first and skip is None:
+                skip = lev.skipped()
+            u = lev.transversal[p]
+            for j, images in enumerate(lev.padded):
+                q = images[p]
+                if (lev.edge.get(q) == (p, j) if skip is None
+                        else skip[j][p]):
+                    continue
+                sifted = self._sift_schreier(i, u, j, q, memo)
+                if sifted is None:
+                    continue
+                residue, new_level = sifted
+                self.strong_gens.append(residue)
+                if new_level == len(self.levels):
+                    self._ensure_base_covers(residue)
+                self._register([residue])
+                return new_level
+        return None
 
     # -- queries --------------------------------------------------------
 
@@ -791,7 +898,9 @@ def permutation_isomorphic(g1: PermutationGroup,
     Backtracking over point images, pruning on orbit size and point
     stabiliser order, with orbit-block consistency; a completed assignment is
     accepted once every generator of g1 conjugates into g2 (orders being
-    equal, the conjugated group then coincides with g2).
+    equal, the conjugated group then coincides with g2).  The search
+    places at most ``ISOMORPHISM_NODE_BUDGET`` points, counting every
+    image it tries, and raises CapacityError beyond that.
     """
     if g1.degree != g2.degree:
         return None
@@ -806,6 +915,8 @@ def permutation_isomorphic(g1: PermutationGroup,
     orbit_map: dict[int, int] = {}  # g1 orbit id -> g2 orbit id
     sigma = [0] * m
     used = [False] * (m + 1)
+    budget = ISOMORPHISM_NODE_BUDGET
+    nodes = 0
 
     def accept() -> bool:
         s = Permutation(sigma)
@@ -813,6 +924,7 @@ def permutation_isomorphic(g1: PermutationGroup,
         return all(g2.contains(s_inv * g * s) for g in g1.generators)
 
     def extend(p: int) -> bool:
+        nonlocal nodes
         if p > m:
             return accept()
         size1, stab1, oid1 = inv1[p]
@@ -831,6 +943,10 @@ def permutation_isomorphic(g1: PermutationGroup,
                     continue
                 orbit_map[oid1] = oid2
                 added = True
+            nodes += 1
+            if nodes > budget:
+                raise CapacityError("isomorphism search nodes", budget,
+                                    f"> {budget}")
             sigma[p - 1] = q
             used[q] = True
             if extend(p + 1):

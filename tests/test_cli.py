@@ -294,6 +294,41 @@ class TestHostileVerifyInput:
                                "degree 6\n(1 2 3 4 5 6)\n(2 6)(3 5)\n") == 1
 
 
+    def test_isomorphism_search_budget(self, files, capsys):
+        # Z_3 x Z_13 with the neighbours (+-1, 0) and (0, +-y): the
+        # translations and the automorphisms (x, y) -> (-x, y) and
+        # (x, y) -> (-x, -y) act, and vertex 0's stabiliser induces
+        # <t_1...t_7, t_1> on its 14 neighbours, 7 orbits of size 2.  The
+        # local group <t_1...t_7, t_1 t_2> has the same orbit sizes and
+        # stabiliser orders but is not permutation isomorphic to it, so the
+        # search would place points for every orbit matching
+        def vertex(x, y):
+            return 13 * (x % 3) + y % 13
+
+        steps = [(1, 0), (2, 0)] + [(0, y) for y in range(1, 13)]
+        graph = files["dir"] / "z3xz13.edges"
+        graph.write_text("".join(
+            f"{vertex(x, y)} {vertex(x + a, y + b)}\n"
+            for x in range(3) for y in range(13) for a, b in steps
+            if vertex(x, y) < vertex(x + a, y + b)))
+        maps = [lambda x, y: (x + 1, y), lambda x, y: (x, y + 1),
+                lambda x, y: (-x, y), lambda x, y: (-x, -y)]
+        grp = files["dir"] / "z3xz13.grp"
+        grp.write_text("degree 39\n" + "".join(
+            " ".join(str(vertex(*f(x, y)) + 1)
+                     for x in range(3) for y in range(13)) + "\n"
+            for f in maps))
+        local = files["dir"] / "hostile-local.grp"
+        local.write_text("degree 14\n(1 2)(3 4)(5 6)(7 8)(9 10)(11 12)(13 14)\n"
+                         "(1 2)(3 4)\n")
+        start = time.perf_counter()
+        code = main(["verify", str(graph), str(grp), str(local)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cap 'isomorphism search nodes'" in err
+
+
 class TestGroupDegreeCap:
     """classify, construct and report refuse a group file of degree above
     the vertex cap, as verify does."""

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import time
 
@@ -339,9 +340,9 @@ class TestSiftSchreier:
         seen = {"memo": set(), "no memo": set(), "miss": set()}
         inverse = transversal_inverses()
 
-        def checked(chain, i, u, s, q, memo):
-            got = original(chain, i, u, s, q, memo)
-            x = u * s * inverse(chain.levels[i], q)
+        def checked(chain, i, u, j, q, memo):
+            got = original(chain, i, u, j, q, memo)
+            x = u * chain.levels[i].gens[j] * inverse(chain.levels[i], q)
             residue, level = product_sift(chain.levels, x, i + 1, inverse)
             if residue.is_identity():
                 assert got is None
@@ -370,20 +371,119 @@ class TestSiftSchreier:
         # products, 18,355 when every rebuild multiplied out its whole
         # transversal, and 14,291 when a rebuild multiplied only the points
         # whose tree edge or parent changed, 10,990 when the Schreier
-        # generators closed by generator order were skipped, and 3,538 now
-        # that those closed by any relator walk are
+        # generators closed by generator order were skipped, and 3,538 when
+        # those closed by any relator walk were.  Counting also the
+        # products on padded images (perm._times), which include those
+        # that find the relations, that chain took 3,588, and takes 3,005
+        # now that a level is first built when it is first scanned
         gens = tuple(CHAIN_GROUPS["l1-n2-vertices"][0]())
         products = 0
-        original = Permutation.__mul__
+        original_mul, original_times = Permutation.__mul__, perm._times
 
-        def counting(a, b):
-            nonlocal products
-            products += 1
-            return original(a, b)
+        def counting(original):
+            def count(a, b):
+                nonlocal products
+                products += 1
+                return original(a, b)
+            return count
 
-        monkeypatch.setattr(Permutation, "__mul__", counting)
+        monkeypatch.setattr(Permutation, "__mul__", counting(original_mul))
+        monkeypatch.setattr(perm, "_times", counting(original_times))
         StabiliserChain(gens[0].degree, gens, base_prefix=(1,))
-        assert products <= 3_600
+        assert products <= 3_050
+
+    def test_flag_pass_only_past_the_first_point(self, monkeypatch):
+        # group.order()'s chain in verify, with no prefix: a scan that
+        # breaks on a new strong generator at its first orbit point runs
+        # no flag pass, and one that gets past that point runs one
+        gens = tuple(CHAIN_GROUPS["l1-n2-vertices"][0]())
+        scans = []
+        original_scan = StabiliserChain._scan
+        original_sift = StabiliserChain._sift_schreier
+        original_skipped = perm._ChainLevel.skipped
+
+        def scan(chain, i):
+            scans.append({"flag passes": 0, "broke at": None})
+            new_level = original_scan(chain, i)
+            scans[-1]["orbit"] = sorted(chain.levels[i].transversal)
+            return new_level
+
+        def sift(chain, i, u, j, q, memo):
+            got = original_sift(chain, i, u, j, q, memo)
+            if got is not None:
+                lev = chain.levels[i]
+                scans[-1]["broke at"] = u.images[lev.point - 1]
+            return got
+
+        def skipped(lev):
+            scans[-1]["flag passes"] += 1
+            return original_skipped(lev)
+
+        monkeypatch.setattr(StabiliserChain, "_scan", scan)
+        monkeypatch.setattr(StabiliserChain, "_sift_schreier", sift)
+        monkeypatch.setattr(perm._ChainLevel, "skipped", skipped)
+        StabiliserChain(gens[0].degree, gens)
+        kinds = set()
+        for record in scans:
+            first, *rest = record["orbit"]
+            past = bool(rest) and record["broke at"] != first
+            assert record["flag passes"] == past, record
+            kinds.add((past, record["broke at"] is None))
+        # here every break comes at a first point; other scans run to the end
+        assert kinds == {(False, False), (True, True)}
+
+
+def cycle_lengths_lcm(s):
+    """The lcm of the cycle lengths of ``s``, walking each cycle point by
+    point."""
+    seen, lengths = set(), []
+    for p in range(1, s.degree + 1):
+        length, q = 0, p
+        while q not in seen:
+            seen.add(q)
+            length += 1
+            q = s.images[q - 1]
+        lengths.append(length or 1)
+    return math.lcm(*lengths)
+
+
+class TestGeneratorDataPerChain:
+    """What the levels read of each strong generator is formed once per
+    chain: padded images, inverse images, order and the relations."""
+
+    @pytest.mark.parametrize("name,where", CHAIN_CASES,
+                             ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
+    def test_inverses_and_orders(self, name, where):
+        gens = tuple(CHAIN_GROUPS[name][0]())
+        degree = gens[0].degree
+        chain = StabiliserChain(degree, gens,
+                                base_prefix=base_prefix(where, degree))
+        for g, s in enumerate(chain.strong_gens):
+            assert chain._padded[g] == (0,) + s.images
+            assert chain._inverses[g] == reference_inverse(s).images
+            assert chain._orders[g] == cycle_lengths_lcm(s)
+        for lev in chain.levels:
+            assert lev.gens == [chain.strong_gens[g] for g in lev.ids]
+            for j, g in enumerate(lev.ids):
+                assert lev.padded[j] is chain._padded[g]
+                assert lev.inverses[j] is chain._inverses[g]
+                assert lev.orders[j] is chain._orders[g]
+
+    @pytest.mark.parametrize("name,where", CHAIN_CASES,
+                             ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
+    def test_level_relations_are_the_products(self, name, where):
+        # the chain finds the relations once, as its generators arrive;
+        # each level reads those among its own generators
+        gens = tuple(CHAIN_GROUPS[name][0]())
+        degree = gens[0].degree
+        chain = StabiliserChain(degree, gens,
+                                base_prefix=base_prefix(where, degree))
+        for lev in chain.levels:
+            equal, inverse = lev.relations()
+            expected_equal, expected_inverse = (
+                relations_by_products(lev.gens) if lev.gens else (set(), set()))
+            assert sorted(equal) == sorted(expected_equal), lev.point
+            assert sorted(inverse) == sorted(expected_inverse), lev.point
 
 
 def flagged(flags):
@@ -698,6 +798,33 @@ class TestPermutationIsomorphic:
             assert (witness is not None) == oracle
             if witness is not None:
                 assert conjugates(e1, as_tuple(witness)) == e2
+
+    @staticmethod
+    def two_point_orbits(k):
+        """``<t_1...t_k, t_1>`` and ``<t_1...t_k, t_1 t_2>`` for the
+        transpositions ``t_i = (2i-1 2i)``: groups of order 4 with k orbits
+        of size 2, so every point has the same orbit size and stabiliser
+        order.  They are not permutation isomorphic: the first holds an
+        element of support 2, the second none."""
+        degree = 2 * k
+        t = [Permutation.from_cycles(degree, [(2 * i + 1, 2 * i + 2)])
+             for i in range(k)]
+        product = Permutation.from_cycles(
+            degree, [(2 * i + 1, 2 * i + 2) for i in range(k)])
+        return (PermutationGroup(degree, (product, t[0])),
+                PermutationGroup(degree, (product, t[0] * t[1])))
+
+    def test_two_point_orbits_within_the_budget(self):
+        assert perm.permutation_isomorphic(*self.two_point_orbits(4)) is None
+
+    def test_node_budget_on_hostile_input(self):
+        # every bijection respects the invariants, so the search would
+        # place points for each of the 7! 2^7 orbit matchings (19.6 s)
+        g1, g2 = self.two_point_orbits(7)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="isomorphism search nodes"):
+            perm.permutation_isomorphic(g1, g2)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("degree,gen1,gen2,expected", [
         (7, "(1 2 3)(4 5)", "(3 7 1)(2 6)", True),

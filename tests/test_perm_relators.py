@@ -1,8 +1,10 @@
 """Relator walks on random small groups whose generators satisfy short
 relations: involutions, powers and conjugates of one another, and elements
 of disjoint support.  The chain that skips the walks' last edges must be
-bit for bit the chain that sifts every Schreier generator, and each
-skipped generator must sift to the identity.  Skipped without hypothesis.
+bit for bit the chain that sifts every Schreier generator, each skipped
+generator must sift to the identity, and the relations the chain finds once
+must be, per level, those among the level's generators.  Skipped without
+hypothesis.
 """
 
 import pytest
@@ -16,7 +18,8 @@ from graphrestrict.perm import Permutation, StabiliserChain  # noqa: E402
 
 from conftest import (ReferenceChain, chain_snapshot, product_sift,  # noqa: E402
                       reference_inverse, reference_is_identity,
-                      reference_mul, skipped_by_walks)
+                      reference_mul, relations_by_products,
+                      skipped_by_walks)
 
 MAX_DEGREE = 9
 
@@ -76,3 +79,16 @@ def test_walk_skips_keep_the_chain(case):
                                   inverse(lev, s.images[p - 1]))
                 residue, _ = product_sift(chain.levels, x, i + 1, inverse)
                 assert reference_is_identity(residue), (i, p, j)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(related_generators())
+def test_level_relations_are_the_products(case):
+    # found once per chain as the generators arrive, read per level
+    degree, gens = case
+    chain = StabiliserChain(degree, gens)
+    for lev in chain.levels:
+        equal, inverse = lev.relations()
+        expected_equal, expected_inverse = relations_by_products(lev.gens)
+        assert sorted(equal) == sorted(expected_equal), lev.point
+        assert sorted(inverse) == sorted(expected_inverse), lev.point
