@@ -34,16 +34,20 @@ generators of L_{r_i} in the head and A's generators in the tail slots.
 These point stabilisers are built here, where their generators are read:
 S once per analysis (``LocalGroupAnalysis.anchor_stabiliser``, which is
 L_{r_1}) and L_{r_i} by each other edge; the analysis itself carries only
-their orders.
-``validate_star`` checks each twist on element indices against those
-generators.  The core in A of the intersection of the C_i is 1 x S^n for
-every star, so it is not checked at run time: its head part is the core in
-L of the joint stabiliser of the r_i, the intersection of all its
-conjugates, and those are the stabilisers of points covering every orbit,
-so it fixes every point.  The radius-1 model ``local_model`` fixes the slot
-labels; the kernel of the slot action is checked once, by
-``cosetgraph.local_action``.  What the encoding fixes (index 0, the coset
-counts, the label bijection) is not checked at run time, only in the tests.
+their orders.  ``completion`` checks the conjugation contract on these
+generators.  ``validate_star`` checks that each twist is an involution of
+C_i, one lookup per member, and that it is multiplicative, on the factor
+tables: the twists are coordinate reversals, so only the full reversal,
+which carries S between the head and the tail, asks anything of the
+tables.  Its whole-C_i form stays in the tests as an oracle.  The core in
+A of the intersection of the C_i is 1 x S^n for every star, so it is not
+checked at run time: its head part is the core in L of the joint
+stabiliser of the r_i, the intersection of all its conjugates, and those
+are the stabilisers of points covering every orbit, so it fixes every
+point.  The radius-1 model ``local_model`` fixes the slot labels; the
+kernel of the slot action is checked once, by ``cosetgraph.local_action``.
+What the encoding fixes (index 0, the coset counts, the label bijection)
+is not checked at run time, only in the tests.
 """
 
 from __future__ import annotations
@@ -255,27 +259,29 @@ def validate_star(star: AmalgamStar) -> None:
 
     Checks, raising ValidationError naming the first failure:
       (a) each twist maps C_i into itself and squares to the identity there,
-      (b) each twist is multiplicative on C_i: phi(c * g) = phi(c) * phi(g)
-          for every c in C_i and every generator g of C_i.
-    Both run on element indices.  (b) on generators is exact: every y in
-    the finite group C_i is a positive word in its generators, so induction
-    on the word gives phi(c * y) = phi(c) * phi(y).
+          one lookup per member of C_i,
+      (b) each twist is multiplicative on C_i, on the factor tables.
+    (b) is exact without a row of A.  Each twist table is a coordinate
+    permutation of the direct product, read off the digits (``_edge_data``),
+    and every tail coordinate multiplies by the one table of S, so the tail
+    reversal and the identity are automorphisms.  The full reversal also
+    swaps the head, which lies in S on C_1, with the last tail coordinate:
+    it is multiplicative exactly when L's table restricted to S agrees with
+    S's table, S in the head identified with S in the tail element by
+    element.  That is |S|^2 lookups, reported against edge 1, the full
+    reversal's edge.
     """
     for edge in star.edges:
-        members = edge.subgroup_indices
         tw = edge.twist_images
-        for c in members:
+        for c in edge.subgroup_indices:
             image = tw[c]
             if image < 0 or tw[image] != c:
                 raise ValidationError("twist involution", f"edge {edge.index}")
-        twisted = [tw[c] for c in members]
-        for g in edge.subgroup_generators:
-            times_g = star.right_row(g)              # c -> c * g
-            times_phi_g = star.right_row(tw[g])      # c -> c * phi(g)
-            if (list(map(tw.__getitem__, map(times_g.__getitem__, members)))
-                    != list(map(times_phi_g.__getitem__, twisted))):
-                raise ValidationError("twist multiplicative",
-                                      f"edge {edge.index}")
+    lift = [star._head_index[g] for g in star._tails]   # S in the head
+    drop = {h: t for t, h in enumerate(lift)}
+    if any(drop.get(star._head_mul[h][lift[b]]) != row[b]
+           for h, row in zip(lift, star._tail_mul) for b in range(len(lift))):
+        raise ValidationError("twist multiplicative", "edge 1")
 
 
 def local_model(star: AmalgamStar) -> tuple[int, ...]:

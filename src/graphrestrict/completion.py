@@ -26,21 +26,32 @@ as the two reversals, which move every coordinate onto the head, so only
 the identity survives.  V3 is reported True when V1 holds on every edge and
 None otherwise, when V1 has already rejected the candidate.
 
-Conjugation by beta_i is checked on few elements only.  The contract is
-checked on the generators of C_i = L_{r_i} x S^n (the stabiliser's in the
-head, A's in the tail), since both of its sides are homomorphisms on C_i.
-The elements x whose conjugate
-``beta_i^-1 rho(x) beta_i`` lies in rho(A) form a subgroup D_i.  The
-contract puts C_i's generators in D_i, since their twist images lie in
-C_i, so V1 (D_i = C_i) needs only one element of each other left coset of
-C_i.  V2 is checked on the carrier, and V4 on the canonical coset keys of
-the slot elements, the keys the coset graph uses.  The order of G is not
-computed here: the coset graph gets it from the coset count (see
+The conjugation contract, ``beta_i rho(c) beta_i = rho(phi_i(c))`` for
+every c in C_i, holds by construction.  ``build_involution`` sends the
+point ``(rep_o * c, j_o)`` of orbit o to ``(rep_p * phi_i(c), j_p)`` of its
+partner p.  The pairing is an involution and each representative lies in
+its orbit's coset, and phi_i is an involutive automorphism of C_i
+(``amalgam.validate_star``).  So for g in C_i, the point ``(rep_o * c, j_o)``
+goes under ``beta_i rho(g) beta_i`` to ``(rep_p * phi_i(c), j_p)``, then to
+``(rep_p * phi_i(c) g, j_p)``, then, as ``phi_i(c) g = phi_i(c phi_i(g))``,
+to ``(rep_o * c phi_i(g), j_o)``: that is ``rho(phi_i(g))`` on every point.
+The search relies on it: ``verify_completion`` checks it once per edge of
+the accepted candidate, on the generators of C_i = L_{r_i} x S^n (the
+stabiliser's in the head, A's in the tail), which is exact since both of
+its sides are homomorphisms on C_i.
+
+The elements x whose conjugate ``beta_i^-1 rho(x) beta_i`` lies in rho(A)
+form a subgroup D_i.  The contract puts C_i in D_i, since phi_i maps C_i
+into itself, so V1 (D_i = C_i) needs only one element of each other left
+coset of C_i; the search checks V1 so, on the contract's authority.  V2 is
+checked on the carrier, and V4 on the canonical coset keys of the slot
+elements, the keys the coset graph uses.  The order of G is not computed
+here: the coset graph gets it from the coset count (see
 ``cosetgraph.build_graph``).
 
-The contract, V1, V2 and the slot keys of an edge depend on its involution
-only, so the search decides and keys each built involution once, and a
-combination of them is decided by V4 alone, on the union of those keys.
+V1, V2 and the slot keys of an edge depend on its involution only, so the
+search decides and keys each built involution once, and a combination of
+them is decided by V4 alone, on the union of those keys.
 
 There is no guarantee that a completion exists at small ``t`` for every
 input, so ``find_completion`` runs a deterministic escalation ladder
@@ -244,8 +255,9 @@ def build_involution(carrier: Carrier, i: int, plan: EdgePlan) -> Permutation:
     sends (a*c, j) to (a*phi_i(c), j); on a paired orbit pair it crosses to
     the partner's representative.  It is an involution because the pairing
     is one, each representative lies in its orbit's coset, and phi_i^2 is
-    the identity on C_i (``validate_star``); the conjugation contract is
-    checked by the verifier.
+    the identity on C_i (``validate_star``).  The same facts, with phi_i an
+    automorphism of C_i, give the conjugation contract (see the module
+    docstring); ``verify_completion`` checks it on the accepted candidate.
     """
     star = carrier.star
     edge = star.edge(i)
@@ -282,23 +294,16 @@ def _conjugate_index(carrier: Carrier, beta: Permutation, x: int) -> int | None:
 
 def _edge_check(carrier: Carrier, i: int,
                 beta: Permutation) -> tuple[bool, bool]:
-    """(V1, V2) of one edge's involution beta_i, after its conjugation
-    contract.
+    """(V1, V2) of one edge's involution beta_i.
 
-    The contract is checked on the generators of C_i and raises on failure.
-    Their twist images lie in C_i, so it already puts their conjugates in
-    rho(A).  The x with beta_i^-1 rho(x) beta_i in rho(A) form a subgroup
-    D_i of A, which then contains C_i and is a union of left cosets of C_i:
-    V1 (D_i = C_i) holds exactly when no other coset's transversal element
-    lies in it.  V2 asks that beta_i lies outside rho(A); that it is an
-    involution holds by construction (build_involution) and is checked by
-    verify_completion ("beta involution")."""
-    edge = carrier.star.edge(i)
-    if any(_conjugate_index(carrier, beta, c) != edge.twist_images[c]
-           for c in edge.subgroup_generators):
-        raise ValidationError("conjugation contract", f"edge {i}")
+    The x with beta_i^-1 rho(x) beta_i in rho(A) form a subgroup D_i of A.
+    The conjugation contract, which holds by construction and which
+    ``verify_completion`` checks, puts C_i in D_i, so D_i is a union of
+    left cosets of C_i: V1 (D_i = C_i) holds exactly when no other coset's
+    transversal element lies in it.  V2 asks that beta_i lies outside
+    rho(A); that it is an involution holds by construction as well."""
     v1 = all(_conjugate_index(carrier, beta, x) is None
-             for x in edge.left_transversal if x)
+             for x in carrier.star.edge(i).left_transversal if x)
     return v1, not carrier.in_rho(beta)
 
 
@@ -313,17 +318,22 @@ def _edge_keys(carrier: Carrier, i: int, beta: Permutation) -> list:
 def verify_completion(candidate: CompletionCandidate) -> CompletionReport:
     """Compute V1-V4 of a candidate; ``order_g`` stays None.
 
-    Each beta is first checked to be an involution, then ``_edge_check``
-    checks its conjugation contract and gives its V1 and V2; an error names
-    the first edge that fails.  V3 is derived, not computed: it holds when
-    V1 holds on every edge (see the module docstring), and is None when V1
-    has already failed.
+    Each beta is first checked to be an involution, then to satisfy the
+    conjugation contract on the generators of C_i, which is exact (see the
+    module docstring); ``_edge_check`` then gives its V1 and V2.  An error
+    names the first edge that fails.  The search relies on the contract
+    and checks it nowhere else.  V3 is derived, not computed: it holds when
+    V1 holds on every edge, and is None when V1 has already failed.
     """
     carrier = candidate.carrier
     checks = []
     for i, beta in enumerate(candidate.betas, start=1):
         if not (beta * beta).is_identity():
             raise ValidationError("beta involution", f"edge {i}")
+        edge = carrier.star.edge(i)
+        if any(_conjugate_index(carrier, beta, c) != edge.twist_images[c]
+               for c in edge.subgroup_generators):
+            raise ValidationError("conjugation contract", f"edge {i}")
         checks.append(_edge_check(carrier, i, beta))
     v1, v2 = zip(*checks)
     v3 = True if all(v1) else None
@@ -360,7 +370,7 @@ def _involutions(count: int):
     return seen
 
 
-def _default_partner(orbits: int, m: int, twist_identity: bool) -> tuple[int, ...] | None:
+def _default_partner(orbits: int, twist_identity: bool) -> tuple[int, ...] | None:
     """Identity pairing for a nontrivial twist, otherwise a fixed-point-free
     pairing of consecutive orbits (None when the orbit count is odd)."""
     if not twist_identity:
@@ -404,7 +414,7 @@ def _edge_plans(star: AmalgamStar, i: int, t: int, cfg: SearchConfig,
         if partner is not None and all(partner != p for _, p in partners):
             partners.append((scheme, partner))
 
-    push("default", _default_partner(orbits, m, edge.twist == IDENTITY_TWIST))
+    push("default", _default_partner(orbits, edge.twist == IDENTITY_TWIST))
     if t >= 2:
         push("cross-copy", _cross_copy_partner(orbits, m))
     if orbits <= 6:
@@ -445,13 +455,15 @@ def find_completion(star: AmalgamStar,
 
     Copies start at 1 unless some identity-twist edge cannot be paired there
     (a whole-group edge, or an odd orbit count).  At each copy count each
-    built involution is decided once by ``_edge_check`` (contract, V1, V2)
+    built involution is decided once by ``_edge_check`` (V1 and V2; the
+    conjugation contract holds by construction and is not checked here)
     and keyed once to build per-edge shortlists; a combination of them is
     then decided by V4 alone.  A first pass over all copy counts uses
     only deterministic plans (these produce small, structured completions
     when they succeed); seeded random transversals and pairings are a
     second pass.  The first combination that passes V4 in this fixed order
-    is returned with its ``verify_completion`` report; exhausting the caps
+    is returned with its ``verify_completion`` report, the one check of the
+    contract; exhausting the caps
     raises CompletionSearchError carrying the complete attempt log.
     """
     attempts: list[AttemptRecord] = []

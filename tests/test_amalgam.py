@@ -416,44 +416,48 @@ class TestIndexEncoding:
             assert sorted(dec.index[e] for e in seen) == \
                 list(edge.subgroup_indices)
 
+    # The twist tables are coordinate reversals by construction, so
+    # validate_star checks their multiplicativity on the factor tables
+    # alone; a corrupted twist table is caught by the all-pairs oracle,
+    # which these tests hold to its verdicts.
+
     def test_corrupted_twist_fails_multiplicativity(self):
         star = build_star(analyze_local_group(group(4, "(1 2)")), 2)
         edge = star.edge(3)
         assert edge.twist == IDENTITY_TWIST
+        assert twist_multiplicative_by_loop(star) is None
+        validate_star(star)
         # swapping two non-identity images keeps the map an involution on
         # C_3 but breaks multiplicativity
         x, y = edge.subgroup_indices[1], edge.subgroup_indices[2]
         images = list(edge.twist_images)
         images[x], images[y] = y, x
-        star.edges = star.edges[:2] + (
-            dataclasses.replace(edge, twist_images=tuple(images)),)
-        with pytest.raises(ValidationError) as err:
-            validate_star(star)
-        assert err.value.check == "twist multiplicative"
+        broken = with_twist_images(star, 3, images)
+        assert twist_multiplicative_by_loop(broken) == "twist multiplicative"
 
     @pytest.mark.parametrize("x, y", itertools.combinations((3, 5, 6, 7), 2))
     def test_swapped_non_generator_images_fail_multiplicativity(self, x, y):
         # C_3 is generated by 4, 2 and 1, so this swap leaves every
-        # generator's image alone; the check on generators still sees it
+        # generator's image alone; the all-pairs oracle still sees it
         star = build_star(analyze_local_group(group(4, "(1 2)")), 2)
+        assert twist_multiplicative_by_loop(star) is None
+        validate_star(star)
         edge = star.edge(3)
         assert {x, y}.isdisjoint(edge.subgroup_generators)
         images = list(edge.twist_images)
         images[x], images[y] = y, x
         broken = with_twist_images(star, 3, images)
         assert twist_multiplicative_by_loop(broken) == "twist multiplicative"
-        with pytest.raises(ValidationError) as err:
-            validate_star(broken)
-        assert err.value.check == "twist multiplicative"
-        assert str(err.value).endswith("edge 3")
 
     def test_twist_check_matches_loop(self, oracle_star):
         # relabel two non-identity members of C_i on both sides of the twist
         # (sigma phi sigma stays an involution of C_i) on seeded pairs: the
-        # generator check fails exactly when the all-pairs loop does
+        # all-pairs loop flags exactly the relabelings that the decoded
+        # algebra finds not multiplicative
         star = oracle_star
         assert twist_multiplicative_by_loop(star) is None
         validate_star(star)
+        dec = DecodedStar(star)
         rng = random.Random(0)
         outcomes = set()
         for edge in star.edges:
@@ -465,14 +469,30 @@ class TestIndexEncoding:
                 for c in edge.subgroup_indices:
                     d = tw[swap.get(c, c)]
                     images[c] = swap.get(d, d)
-                broken = with_twist_images(star, edge.index, images)
-                loop = twist_multiplicative_by_loop(broken)
-                try:
-                    validate_star(broken)
-                    raised = None
-                except ValidationError as err:
-                    raised = err.check
-                    assert str(err).endswith(f"edge {edge.index}")
-                assert raised == loop
+                loop = twist_multiplicative_by_loop(
+                    with_twist_images(star, edge.index, images))
+                decoded = all(
+                    images[dec.index[dec.mul(dec.elements[c], dec.elements[d])]]
+                    == dec.index[dec.mul(dec.elements[images[c]],
+                                         dec.elements[images[d]])]
+                    for c in edge.subgroup_indices
+                    for d in edge.subgroup_indices)
+                assert loop == (None if decoded else "twist multiplicative")
                 outcomes.add(loop)
         assert outcomes == {None, "twist multiplicative"}
+
+    def test_corrupted_factor_table_fails_multiplicativity(self, oracle_star):
+        # the factor-table check: any one entry of S's table changed breaks
+        # the full reversal's identification of S in the head with S in
+        # the tail, and validate_star names edge 1
+        star = oracle_star
+        s = star.tail_base
+        for a, b in itertools.product(range(s), repeat=2):
+            rows = [list(row) for row in star._tail_mul]
+            rows[a][b] = (rows[a][b] + 1) % s
+            broken = copy.copy(star)
+            broken._tail_mul = tuple(map(tuple, rows))
+            with pytest.raises(ValidationError) as err:
+                validate_star(broken)
+            assert err.value.check == "twist multiplicative"
+            assert str(err.value).endswith("edge 1")

@@ -601,6 +601,63 @@ class TestGeneratorChecks:
         assert outcomes == {True, False}
 
 
+class TestContractTheorem:
+    """The conjugation contract holds by construction, and the search's V1
+    relies on it: every involution that build_involution returns for a
+    plan realises the twist on all of C_i, by the full-map oracle, and the
+    contract's conjugates are formed only by verify_completion, once per
+    edge of the accepted candidate."""
+
+    @pytest.mark.parametrize("name", sorted(GENERATOR_CHECK_STARS))
+    def test_every_built_involution_satisfies_the_contract(self, name):
+        star = generator_check_star(name)
+        built = 0
+        for t in (1, 2, 3):
+            carrier = Carrier(star, t)
+            for i, beta in built_plans(carrier):
+                assert full_map_contract(star, i,
+                                         conjugation_map(carrier, beta))
+                built += 1
+        assert built
+
+    @pytest.mark.parametrize("name", sorted(GENERATOR_CHECK_STARS))
+    def test_contract_conjugates_formed_once_on_the_accepted_candidate(
+            self, name, monkeypatch):
+        star = generator_check_star(name)
+        verified = counted_verify_completion(monkeypatch)
+        built = []            # every built involution, kept alive
+        edge_of = {}          # id(beta) -> the edge it was built for
+        reads = []            # (verified so far, edge, x) per conjugate
+
+        def counted_build(carrier, i, plan):
+            beta = build_involution(carrier, i, plan)
+            built.append(beta)
+            edge_of[id(beta)] = i
+            return beta
+
+        conjugate = completion._conjugate_index
+
+        def counted_conjugate(carrier, beta, x):
+            reads.append((len(verified), edge_of[id(beta)], x))
+            return conjugate(carrier, beta, x)
+
+        monkeypatch.setattr(completion, "build_involution", counted_build)
+        monkeypatch.setattr(completion, "_conjugate_index", counted_conjugate)
+        _, report = find_completion(star)
+        assert report.accepted and len(verified) == 1
+        # the search reads V1's transversal elements alone, none of C_i
+        search = [(i, x) for inside, i, x in reads if not inside]
+        assert search
+        assert all(x and x in star.edge(i).left_transversal
+                   for i, x in search)
+        # verify_completion reads each generator of each C_i once
+        members = [set(edge.subgroup_indices) for edge in star.edges]
+        assert [(i, x) for inside, i, x in reads
+                if inside and x in members[i - 1]] == \
+            [(edge.index, c) for edge in star.edges
+             for c in edge.subgroup_generators]
+
+
 class TestV3Theorem:
     """V3 is derived from V1: every combination of built involutions that
     satisfies the contract and V1 on every edge has a trivial core, by the
