@@ -52,7 +52,7 @@ is not checked at run time, only in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import classify, perm
 from .errors import CapacityError, InputError, ValidationError
@@ -65,8 +65,7 @@ TAIL_REVERSAL = "tail-reversal"
 IDENTITY_TWIST = "identity"
 
 
-@dataclass(frozen=True)
-class EdgeData:
+class EdgeData(NamedTuple):
     index: int                       # 1-based edge number
     orbit_rep: int                   # the point r_i
     twist: str                       # FULL_REVERSAL, TAIL_REVERSAL or IDENTITY_TWIST

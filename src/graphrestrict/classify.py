@@ -17,7 +17,7 @@ use by the star.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import perm
 from .errors import TheoryViolationError
@@ -28,15 +28,13 @@ NOT_RESTRICTIVE = "NOT_RESTRICTIVE"
 OUT_OF_SCOPE_TRANSITIVE = "OUT_OF_SCOPE_TRANSITIVE"
 
 
-@dataclass(frozen=True)
-class AnalysisFlags:
+class AnalysisFlags(NamedTuple):
     transitive: bool
     semiregular: bool
     semiprimitive: bool | None  # None when the enumeration cap was exceeded
 
 
-@dataclass(frozen=True)
-class LocalGroupAnalysis:
+class _AnalysisFields(NamedTuple):
     source: PermutationGroup
     orbit_parts: tuple[tuple[int, ...], ...]
     orbit_reps: tuple[int, ...]
@@ -44,6 +42,10 @@ class LocalGroupAnalysis:
     k: int
     flags: AnalysisFlags
     verdict: str
+
+
+class LocalGroupAnalysis(_AnalysisFields):
+    # no __slots__: the instance __dict__ holds the cached anchor stabiliser
 
     @property
     def anchor(self) -> int:
@@ -102,8 +104,7 @@ def analyze_local_group(group: PermutationGroup) -> LocalGroupAnalysis:
     return analysis
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(NamedTuple):
     verdict: str
     message: str
     bound: int | None            # c for the restrictive case

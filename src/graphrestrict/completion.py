@@ -62,10 +62,11 @@ every attempt when the caps are exhausted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .amalgam import DEFAULT_CARRIER_CAP, IDENTITY_TWIST, AmalgamStar
 from .errors import (CapacityError, CompletionSearchError, InputError,
@@ -101,8 +102,11 @@ class Carrier:
                              for offset in range(0, self.degree, self.size))
         self._rho: dict[int, Permutation] = {}
         self.generator_indices = star.generator_indices
-        self.rho_generators = tuple(self.rho_index(g)
-                                    for g in self.generator_indices)
+
+    @functools.cached_property
+    def rho_generators(self) -> tuple[Permutation, ...]:
+        """rho of A's generators, built on the accepted candidate's first use."""
+        return tuple(map(self.rho_index, self.generator_indices))
 
     def point(self, element_index: int, copy: int) -> int:
         return (copy - 1) * self.size + element_index + 1
@@ -142,8 +146,7 @@ class Carrier:
         return itemgetter(*rho.images)(padded)
 
 
-@dataclass(frozen=True)
-class EdgePlan:
+class EdgePlan(NamedTuple):
     """Per-edge completion data: an involution on the rho(C_i)-orbits of the
     carrier plus a representative element for each orbit.
 
@@ -161,8 +164,7 @@ class EdgePlan:
         return tuple((o, p) for o, p in enumerate(self.partner) if o < p)
 
 
-@dataclass(frozen=True)
-class CompletionStrategy:
+class CompletionStrategy(NamedTuple):
     t: int
     plans: tuple[EdgePlan, ...]
     seed: int
@@ -182,8 +184,7 @@ class CompletionStrategy:
         }
 
 
-@dataclass(frozen=True)
-class CompletionCandidate:
+class CompletionCandidate(NamedTuple):
     carrier: Carrier
     betas: tuple[Permutation, ...]
     strategy: CompletionStrategy
@@ -207,8 +208,7 @@ class CompletionCandidate:
                 for key in _edge_keys(self.carrier, i, beta)]
 
 
-@dataclass(frozen=True)
-class CompletionReport:
+class CompletionReport(NamedTuple):
     """V1-V4 of a candidate.  ``v3`` is derived from V1: True when V1 holds
     on every edge, None when it fails somewhere.  ``order_g`` is None until
     the coset graph of an accepted candidate is built."""
@@ -227,8 +227,7 @@ class CompletionReport:
                 "order_A": self.order_a, "accepted": self.accepted}
 
 
-@dataclass
-class AttemptRecord:
+class AttemptRecord(NamedTuple):
     t: int
     stage: str              # "edge" or "combo"
     scheme: str
@@ -240,8 +239,7 @@ class AttemptRecord:
         return f"t={self.t} {where} [{self.scheme}]: {self.outcome}"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     seed: int = 0
     carrier_cap: int = DEFAULT_CARRIER_CAP
     max_copies: int = 4

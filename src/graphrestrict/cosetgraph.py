@@ -9,13 +9,14 @@ with vertex stabiliser isomorphic to A.  The graph is fixed by its
 transition table: ``enumerate_cosets`` numbers the cosets by their keys
 (``Carrier.coset_key``), and G's two-letter relations fill most entries.
 
-``construct_pair`` returns one ``LocallyLPair``: the candidate, its report
-with the order of G, the certified local action of the base vertex, and
-the graph with G's generators as vertex permutations.  When the vertex
-count exceeds the enumeration cap the graph is kept implicit (None): the
-base vertex's neighbourhood and local action are still fully certified
-(the action is vertex-transitive by construction, so base-vertex
-certification transports everywhere), but exports are disabled.
+``construct_pair`` returns one ``LocallyLPair``, an immutable named tuple
+like every record of the package: the candidate, its report with the order
+of G (``_replace`` on the search's report), the certified local action of
+the base vertex, and the graph with G's generators as vertex permutations.
+When the vertex count exceeds the enumeration cap the graph is kept
+implicit (None): the base vertex's neighbourhood and local action are
+still fully certified (the action is vertex-transitive by construction, so
+base-vertex certification transports everywhere), but exports are disabled.
 
 ``verify_locally_L`` is the independent verifier: it takes any graph with a
 claimed automorphism group and the local group and checks the locally-L
@@ -26,11 +27,10 @@ constructor.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import math
 import re
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import amalgam, classify, perm
 from .completion import (CompletionCandidate, CompletionReport, SearchConfig,
@@ -44,26 +44,35 @@ DEFAULT_VERTEX_CAP = 1_000_000
 DEFAULT_EXPORT_CAP = 1 << 28        # bytes in one exported graph file
 
 
-@dataclass(frozen=True)
-class FiniteGraph:
-    """A finite simple undirected graph on 0-based vertex ids."""
-
+class _GraphFields(NamedTuple):
     vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if len(self.adjacency) != self.vertex_count:
+
+class FiniteGraph(_GraphFields):
+    """A finite simple undirected graph on 0-based vertex ids, checked on
+    every construction, ``_replace`` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertex_count: int, adjacency: tuple[tuple[int, ...], ...]):
+        if len(adjacency) != vertex_count:
             raise InputError("adjacency length does not match vertex count")
-        for v, nbrs in enumerate(self.adjacency):
+        for v, nbrs in enumerate(adjacency):
             if tuple(sorted(set(nbrs))) != nbrs:
                 raise InputError(f"adjacency of {v} not sorted and duplicate-free")
             for w in nbrs:
-                if not 0 <= w < self.vertex_count:
+                if not 0 <= w < vertex_count:
                     raise InputError(f"neighbour {w} out of range")
                 if w == v:
                     raise InputError(f"loop at vertex {v}")
-                if v not in self.adjacency[w]:
+                if v not in adjacency[w]:
                     raise InputError(f"edge {v}-{w} not symmetric")
+        return super().__new__(cls, vertex_count, adjacency)
+
+    @classmethod
+    def _make(cls, iterable) -> "FiniteGraph":
+        return cls(*iterable)
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges) -> "FiniteGraph":
@@ -97,8 +106,7 @@ class FiniteGraph:
         return len(seen) == self.vertex_count
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(NamedTuple):
     """The right cosets of rho(A) in the completed group: the vertex id of
     each canonical key, and one transition map per generator of G."""
 
@@ -177,8 +185,7 @@ def enumerate_cosets(candidate: CompletionCandidate,
     return CosetTable(index, tuple(tuple(entries[g::k]) for g in range(k)))
 
 
-@dataclass(frozen=True)
-class LocalActionWitness:
+class LocalActionWitness(NamedTuple):
     """Certificate that the base neighbourhood action is the local group.
 
     ``labels[j]`` is the domain point attached to neighbour slot ``j``;
@@ -193,8 +200,7 @@ class LocalActionWitness:
     kernel_order: int
 
 
-@dataclass(frozen=True)
-class LocallyLPair:
+class LocallyLPair(NamedTuple):
     """A certified locally-L pair: the coset graph of the completed group G
     on the right cosets of rho(A), certified at the base coset, vertex 0.
 
@@ -249,7 +255,7 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
         chain = perm.StabiliserChain(carrier.degree,
                                      candidate.group_generators())
         return LocallyLPair(
-            candidate, dataclasses.replace(report, order_g=chain.order()),
+            candidate, report._replace(order_g=chain.order()),
             witness)
 
     # G acts on the right and the slot elements multiply on the left, so
@@ -275,7 +281,7 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     action = tuple(Permutation._raw(itemgetter(*row)(points))
                    for row in table.transitions)
     return LocallyLPair(
-        candidate, dataclasses.replace(report, order_g=carrier.size * n),
+        candidate, report._replace(order_g=carrier.size * n),
         witness, graph, action)
 
 
@@ -344,8 +350,7 @@ def local_action(candidate: CompletionCandidate,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairCertificate:
+class PairCertificate(NamedTuple):
     vertex_transitive: bool
     stabiliser_order: int
     valency: int
@@ -454,8 +459,7 @@ def construct_pair(local_group: PermutationGroup, n: int,
     return build_graph(candidate, report, witness, vertex_cap)
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     n: int
     stabiliser_order: int
     vertex_count: int | None        # None = not enumerated
@@ -467,8 +471,7 @@ class GrowthRow:
         return self.report is not None and self.report.accepted
 
 
-@dataclass(frozen=True)
-class GrowthTable:
+class GrowthTable(NamedTuple):
     local_group_order: int
     growth_ratio: int
     rows: tuple[GrowthRow, ...]

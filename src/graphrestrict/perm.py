@@ -74,8 +74,8 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from .errors import CapacityError, InputError, ParseError
 
@@ -822,8 +822,7 @@ def point_stabiliser(group: PermutationGroup, point: int) -> PermutationGroup:
     return PermutationGroup(group.degree, tuple(chain.stabiliser_generators()))
 
 
-@dataclass(frozen=True)
-class GroupPredicates:
+class GroupPredicates(NamedTuple):
     is_transitive: bool
     is_semiregular: bool
 

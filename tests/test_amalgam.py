@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import random
 
@@ -50,7 +49,7 @@ def with_twist_images(star, i, images):
     edge = star.edge(i)
     broken = copy.copy(star)
     broken.edges = (star.edges[:i - 1]
-                    + (dataclasses.replace(edge, twist_images=tuple(images)),)
+                    + (edge._replace(twist_images=tuple(images)),)
                     + star.edges[i:])
     return broken
 

@@ -98,8 +98,12 @@ class TestAnalyze:
             a = analyze_local_group(g)
             assert a.stabiliser_orders == tuple(
                 perm.point_stabiliser(g, rep).order() for rep in a.orbit_reps)
+            assert "anchor_stabiliser" not in vars(a)    # built on first use
             assert a.anchor_stabiliser is a.anchor_stabiliser
             assert a.anchor_stabiliser.order() == a.stabiliser_orders[0]
+            # the cached stabiliser is not a field of the record
+            rebuilt = type(a)(*a)
+            assert rebuilt == a and hash(rebuilt) == hash(a)
 
     def test_semiprimitive_iff_semiregular_on_random_intransitive_groups(self):
         # the analysis reads the semiprimitive flag of intransitive input off

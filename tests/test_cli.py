@@ -113,6 +113,20 @@ class TestClassifyScale:
         assert expected in done.stdout
 
 
+class TestStartup:
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        # the records are named tuples: no import of dataclasses, and so
+        # none of inspect or of the ast, dis and tokenize it loads
+        code = ("import sys, graphrestrict, graphrestrict.cli\n"
+                "print(*sorted(set(sys.modules) & {'dataclasses', 'inspect', "
+                "'ast', 'dis', 'tokenize'}))")
+        env = dict(os.environ, PYTHONPATH=TestClassifyScale.SRC)
+        done = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=60, check=True)
+        assert done.stdout.split() == []
+
+
 class TestConstructCommand:
     def test_l0_n2(self, files, capsys):
         out_dir = files["dir"] / "out"

@@ -168,10 +168,15 @@ class TestCarrier:
     @pytest.mark.parametrize("t", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(ORACLE_STARS))
     def test_rho_rows_built_on_request(self, name, t):
-        # the memo holds the generators and what was asked for
+        # the memo holds what was asked for: nothing at first, then the
+        # generators' rows once rho_generators is first read
         spec, n = ORACLE_STARS[name]
         star = build_star(analyze_local_group(group(*spec)), n)
         carrier = Carrier(star, t)
+        assert not carrier._rho
+        gens = carrier.rho_generators
+        assert carrier.rho_generators is gens
+        assert gens == tuple(carrier._rho[g] for g in star.generator_indices)
         built = set(star.generator_indices)
         assert set(carrier._rho) == built
         dec = DecodedStar(star)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 import tracemalloc
@@ -156,6 +155,44 @@ class TestEnumerateCosets:
         assert len(g.orbit(1)) == n
 
 
+class TestFiniteGraph:
+    """The constructor checks its input on every construction, ``_make``
+    and ``_replace`` included."""
+
+    @pytest.mark.parametrize("count, adjacency, message", [
+        (3, ((1,), (0,)), "adjacency length does not match vertex count"),
+        (3, ((2, 1), (0,), (0,)), "adjacency of 0 not sorted and duplicate-free"),
+        (2, ((1, 1), (0,)), "adjacency of 0 not sorted and duplicate-free"),
+        (2, ((1,), (0, 2)), "neighbour 2 out of range"),
+        (2, ((-1,), ()), "neighbour -1 out of range"),
+        (2, ((0,), ()), "loop at vertex 0"),
+        (3, ((1,), (0, 2), ()), "edge 1-2 not symmetric"),
+    ], ids=["length", "unsorted", "duplicate", "above-range", "below-range",
+            "loop", "asymmetric"])
+    def test_invalid_input_refused(self, count, adjacency, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            FiniteGraph(count, adjacency)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            FiniteGraph(vertex_count=count, adjacency=adjacency)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            FiniteGraph._make((count, adjacency))
+
+    def test_replace_is_checked(self):
+        graph = hexagon()
+        with pytest.raises(InputError, match="adjacency length"):
+            graph._replace(vertex_count=5)
+        with pytest.raises(InputError, match="not symmetric"):
+            graph._replace(adjacency=((1,),) + graph.adjacency[1:])
+        assert graph._replace(adjacency=graph.adjacency) == graph
+
+    def test_valid_input_accepted(self):
+        graph = FiniteGraph(3, ((1, 2), (0,), (0,)))
+        assert graph == FiniteGraph.from_edges(3, [(0, 1), (2, 0)])
+        assert list(graph.edges()) == [(0, 1), (0, 2)]
+        assert graph.is_connected()
+        assert FiniteGraph(0, ()).is_connected()
+
+
 class TestBuildGraph:
     def test_l0_pair(self, result0):
         pair = result0
@@ -207,9 +244,7 @@ class TestBuildGraph:
         assert witness == implicit.witness and witness.kernel_order == 4
 
     def test_rejected_completion_refused(self, result0):
-        import dataclasses
-        bad_report = dataclasses.replace(result0.report, v4=False,
-                                         accepted=False)
+        bad_report = result0.report._replace(v4=False, accepted=False)
         with pytest.raises(InputError):
             build_graph(result0.candidate, bad_report, result0.witness)
 
@@ -233,8 +268,7 @@ class TestOrderOfG:
     def test_implicit_mode_order_matches_explicit(self, name):
         result = constructed(name)
         implicit = build_graph(result.candidate,
-                               dataclasses.replace(result.report,
-                                                   order_g=None),
+                               result.report._replace(order_g=None),
                                result.witness, cap=1)
         assert implicit.graph is None
         assert implicit.report.order_g == result.report.order_g
@@ -242,8 +276,7 @@ class TestOrderOfG:
     def test_search_reports_no_order(self, result0):
         _, report = find_completion(result0.star)
         assert report.order_g is None
-        assert dataclasses.replace(report, order_g=result0.report.order_g) \
-            == result0.report
+        assert report._replace(order_g=result0.report.order_g) == result0.report
 
     @pytest.mark.parametrize("cap, chains", [(None, 0), (1, 1)])
     def test_chain_of_g_only_in_implicit_mode(self, monkeypatch, cap, chains):
