@@ -45,9 +45,11 @@ checked at run time: its head part is the core in L of the joint
 stabiliser of the r_i, the intersection of all its conjugates, and those
 are the stabilisers of points covering every orbit, so it fixes every
 point.  The radius-1 model ``local_model`` fixes the slot labels; the
-kernel of the slot action is checked once, by ``cosetgraph.local_action``.
-What the encoding fixes (index 0, the coset counts, the label bijection)
-is not checked at run time, only in the tests.
+slot action of A is its head's action on the labels, with kernel 1 x S^n,
+by the conjugation contract and V4 (the proof is in ``cosetgraph``), and
+``cosetgraph.local_action`` reads it off the star.  What the encoding
+fixes (index 0, the coset counts, the label bijection) is not checked at
+run time, only in the tests.
 """
 
 from __future__ import annotations
@@ -148,10 +150,6 @@ class AmalgamStar:
     @property
     def local_group(self) -> PermutationGroup:
         return self.analysis.source
-
-    @property
-    def anchor_stabiliser_order(self) -> int:
-        return self.analysis.stabiliser_orders[0]
 
     @property
     def k(self) -> int:
@@ -292,6 +290,6 @@ def local_model(star: AmalgamStar) -> tuple[int, ...]:
     The r_i represent the orbits once each, so the labels are a bijection
     onto the domain.  The slot action of an element of A is right
     multiplication on cosets, and its kernel is exactly the head-trivial
-    subgroup 1 x S^n (``cosetgraph.local_action`` checks its order).
+    subgroup 1 x S^n (``cosetgraph.local_action`` reports its order).
     """
     return tuple(p for edge in star.edges for p in edge.right_coset_points)

@@ -91,8 +91,8 @@ def parse_group_spec(text: str, max_degree: int | None = None) -> PermutationGro
 
 def load_group(path: str, max_degree: int | None = None) -> PermutationGroup:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read group file {path}: {exc}") from None
     return parse_group_spec(text, max_degree)
 

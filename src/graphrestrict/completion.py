@@ -192,18 +192,13 @@ class CompletionCandidate(NamedTuple):
     def group_generators(self) -> tuple[Permutation, ...]:
         return self.carrier.rho_generators + self.betas
 
-    def slot_elements(self) -> list[Permutation]:
-        """``beta_i * rho(a)`` for each base-vertex slot (i, a), in slot
-        order: the coset rho(A) * beta_i * rho(a) is that slot's neighbour."""
-        carrier = self.carrier
-        return [self.betas[i - 1] * carrier.rho_index(a)
-                for i, a in carrier.star.slots]
-
     def slot_keys(self) -> list[tuple[int, ...]]:
-        """The coset keys of the slot elements, in slot order: V4 asks
-        that they are distinct (slots (i, a) and (j, a') share a coset
-        exactly when beta_i * rho(a a'^-1) * beta_j^-1 lies in rho(A)), and
-        the coset graph numbers the base vertex's neighbours by them."""
+        """The coset keys of the slot elements ``beta_i * rho(a)``, whose
+        cosets rho(A) * beta_i * rho(a) are the base vertex's neighbours,
+        in slot order: V4 asks that they are distinct (slots (i, a) and
+        (j, a') share a coset exactly when beta_i * rho(a a'^-1) *
+        beta_j^-1 lies in rho(A)), and the coset graph numbers the base
+        vertex's neighbours by them."""
         return [key for i, beta in enumerate(self.betas, start=1)
                 for key in _edge_keys(self.carrier, i, beta)]
 

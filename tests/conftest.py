@@ -202,13 +202,20 @@ def canonical_coset_rep(carrier, perm):
     return carrier.rho_index(first.index(min(first))) * perm
 
 
+def slot_elements(candidate):
+    """``beta_i * rho(a)`` for each base-vertex slot (i, a), in slot order:
+    the coset rho(A) * beta_i * rho(a) is that slot's neighbour."""
+    carrier = candidate.carrier
+    return [candidate.betas[i - 1] * carrier.rho_index(a)
+            for i, a in carrier.star.slots]
+
+
 def kernel_order_by_loop(candidate):
     """Order of the kernel of the base vertex's slot action, by moving every
     neighbour coset by every element of rho(A) on the carrier and counting
     the elements that fix them all."""
     carrier = candidate.carrier
-    slot_elems = [candidate.betas[i - 1] * carrier.rho_index(a)
-                  for i, a in carrier.star.slots]
+    slot_elems = slot_elements(candidate)
     keys = [canonical_coset_rep(carrier, e).images for e in slot_elems]
     kernel = 0
     for x in range(carrier.size):
@@ -216,6 +223,26 @@ def kernel_order_by_loop(candidate):
         kernel += all(canonical_coset_rep(carrier, e * g).images == key
                       for e, key in zip(slot_elems, keys))
     return kernel
+
+
+def slot_action_by_carrier(candidate):
+    """The permutations of the base vertex's neighbour slots induced by A's
+    generators, on the carrier: each slot's coset rho(A) * beta_i * rho(a)
+    is moved by rho(g) and found again by its canonical representative.
+    The oracle for ``cosetgraph.local_action``, which reads the same action
+    off the star."""
+    carrier = candidate.carrier
+    slot_elems = slot_elements(candidate)
+    slot_of = {canonical_coset_rep(carrier, e).images: j
+               for j, e in enumerate(slot_elems, start=1)}
+    assert len(slot_of) == len(slot_elems)      # V4
+    induced = []
+    for x in carrier.generator_indices:
+        g = carrier.rho_index(x)
+        induced.append(Permutation(
+            [slot_of[canonical_coset_rep(carrier, e * g).images]
+             for e in slot_elems]))
+    return tuple(induced)
 
 
 def witness_conjugates_onto(witness, local_group):
@@ -349,10 +376,7 @@ def carrier_neighbourhoods(candidate, table):
     vertex v is keyed by its canonical representative's images, and its
     neighbours are the canonical keys of e * rep over the slot elements e."""
     carrier = candidate.carrier
-    star = carrier.star
-    slot_elems = [candidate.betas[i - 1] * carrier.rho_index(a)
-                  for i in range(1, star.k + 1)
-                  for a in star.edge(i).right_transversal]
+    slot_elems = slot_elements(candidate)
     reps = {v: Permutation(key) for key, v in table.index.items()}
     return [[table.index[canonical_coset_rep(carrier, e * reps[v]).images]
              for e in slot_elems]

@@ -77,7 +77,7 @@ class TestBuildStar:
     def test_order_identity(self, star0, star1):
         for star in (star0, star1):
             base = star.local_group.order()
-            ratio = star.anchor_stabiliser_order
+            ratio = star.analysis.stabiliser_orders[0]
             assert star.order == base * ratio ** star.n
 
     def test_restrictive_rejected(self, l2):
@@ -224,7 +224,8 @@ class TestValidateStar:
     def test_core_matches_loop(self, oracle_star):
         core = star_core_by_loop(oracle_star)
         assert core == list(range(oracle_star.tail_size))
-        assert len(core) == oracle_star.anchor_stabiliser_order ** oracle_star.n
+        s = oracle_star.analysis.stabiliser_orders[0]
+        assert len(core) == s ** oracle_star.n
 
 
 class TestLocalModel:

@@ -253,9 +253,30 @@ class TestVerifyCommand:
 
 class TestHostileVerifyInput:
     """verify refuses a graph or group file beyond the vertex cap with a
-    named CapacityError (exit 2), before allocating anything for it."""
+    named CapacityError (exit 2), before allocating anything for it, and
+    every command refuses a group file that is not UTF-8 (exit 2)."""
 
     HEXAGON = "0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "BAD"],
+        ["construct", "BAD", "--n", "2", "--out", "OUT"],
+        ["report", "BAD", "--n-from", "2", "--n-to", "2"],
+        ["verify", "GRAPH", "BAD", "L0"],
+        ["verify", "GRAPH", "L0", "BAD"]],
+        ids=["classify", "construct", "report", "verify-group",
+             "verify-local-group"])
+    def test_group_file_not_utf8(self, files, capsys, argv):
+        bad = files["dir"] / "latin1.grp"
+        bad.write_bytes(b"degree 3\n(1 2)\xff\n")
+        graph = files["dir"] / "triangle.edges"
+        graph.write_text("0 1\n1 2\n0 2\n")
+        paths = {"BAD": str(bad), "GRAPH": str(graph), "L0": files["L0"],
+                 "OUT": str(files["dir"] / "out")}
+        assert main([paths.get(arg, arg) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read group file {bad}: ")
+        assert "can't decode byte 0xff" in err
 
     def run_verify(self, files, graph_text, group_text):
         graph = files["dir"] / "hostile.graph"

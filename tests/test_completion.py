@@ -324,7 +324,7 @@ class TestVerifyCompletion:
 
     def test_accepted_l0(self, star0):
         candidate, report = find_completion(star0)
-        witness = local_action(candidate, star0.local_group)
+        witness = local_action(star0)
         report = build_graph(candidate, report, witness).report
         assert report.accepted
         assert all(report.v1) and all(report.v2) and report.v3 and report.v4
@@ -496,7 +496,7 @@ class TestFindCompletion:
     def test_core_pruning_matches_enumeration(self, star0):
         # independent check of the V3 computation on a small accepted group
         candidate, report = find_completion(star0)
-        witness = local_action(candidate, star0.local_group)
+        witness = local_action(star0)
         report = build_graph(candidate, report, witness).report
         carrier = candidate.carrier
         gens = candidate.group_generators()

@@ -1,11 +1,14 @@
 import functools
+import itertools
 import random
 import tracemalloc
 import weakref
 
 import pytest
 
-from graphrestrict import cosetgraph, perm
+from graphrestrict import completion, cosetgraph, perm
+from graphrestrict.amalgam import build_star
+from graphrestrict.classify import analyze_local_group
 from graphrestrict.completion import SearchConfig, find_completion
 from graphrestrict.cosetgraph import (FiniteGraph, LocallyLPair,
                                       build_graph, construct_pair,
@@ -18,10 +21,11 @@ from graphrestrict.errors import (CapacityError, InputError,
                                   TheoryViolationError)
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
-from conftest import (canonical_coset_rep, carrier_neighbourhoods,
-                      coset_key_failure, enumerate_cosets_by_products,
-                      graph6_pair_loop, group, kernel_order_by_loop,
-                      relations_by_products, witness_conjugates_onto)
+from conftest import (ORACLE_STARS, canonical_coset_rep,
+                      carrier_neighbourhoods, coset_key_failure,
+                      enumerate_cosets_by_products, graph6_pair_loop, group,
+                      kernel_order_by_loop, relations_by_products,
+                      slot_action_by_carrier, witness_conjugates_onto)
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +215,14 @@ class TestBuildGraph:
         assert result1.valency == 5
         assert result1.stabiliser_order == 54
 
+    def test_analysis_of_another_group_refused(self):
+        # the local action is read off the analysis's group, so it must be
+        # the given group object, not another group or an equal copy
+        l0 = group(3, "(1 2)")
+        for other in (group(5, "(1 2 3)(4 5)"), group(3, "(1 2)")):
+            with pytest.raises(InputError, match="analysis is not of"):
+                construct_pair(l0, 2, analysis=analyze_local_group(other))
+
     @pytest.mark.parametrize("name", ["result0", "result1"])
     def test_adjacency_matches_carrier_oracle(self, name, request):
         result = request.getfixturevalue(name)
@@ -239,8 +251,8 @@ class TestBuildGraph:
         assert implicit.valency == 3
         assert implicit.stabiliser_order == 8
         assert implicit.report == result0.report
-        # the base vertex's local action is certified from the candidate
-        witness = local_action(implicit.candidate, group(3, "(1 2)"))
+        # the base vertex's local action is read off the star
+        witness = local_action(implicit.star)
         assert witness == implicit.witness and witness.kernel_order == 4
 
     def test_rejected_completion_refused(self, result0):
@@ -293,7 +305,7 @@ class TestOrderOfG:
 
         monkeypatch.setattr(perm.StabiliserChain, "__init__", counting_init)
         candidate, report = find_completion(star)
-        witness = local_action(candidate, star.local_group)
+        witness = local_action(star)
         build_graph(candidate, report, witness,
                     **({} if cap is None else {"cap": cap}))
         assert degrees.count(degree) == chains
@@ -327,14 +339,75 @@ class TestLocalAction:
     def test_implicit_kernel_order_matches_loop(self, result1):
         implicit = build_graph(result1.candidate, result1.report,
                                result1.witness, cap=1)
-        assert local_action(implicit.candidate,
-                            group(5, "(1 2 3)(4 5)")).kernel_order \
+        assert local_action(implicit.star).kernel_order \
             == kernel_order_by_loop(implicit.candidate) == 9
 
     def test_induced_group_order(self, result0):
         w = result0.witness
         induced = PermutationGroup(3, w.induced_generators)
         assert induced.order() == 2  # |A| / kernel = 8/4
+
+    @pytest.mark.parametrize("cap", [cosetgraph.DEFAULT_VERTEX_CAP, 1],
+                             ids=["explicit", "implicit"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_STARS))
+    def test_slot_action_matches_carrier_oracle(self, name, cap):
+        spec, n = ORACLE_STARS[name]
+        pair = construct_pair(group(*spec), n, vertex_cap=cap)
+        assert (pair.graph is None) is (cap == 1)
+        assert pair.witness.induced_generators == \
+            slot_action_by_carrier(pair.candidate)
+
+    def test_reads_the_star_alone(self, monkeypatch):
+        # no product at the carrier's degree and no rho row: every product
+        # local_action forms acts on the d neighbour slots
+        result = constructed("l1-n3")
+        degrees, rows = [], []
+        real_mul = Permutation.__mul__
+
+        def counting_mul(self, other):
+            degrees.append(self.degree)
+            return real_mul(self, other)
+
+        monkeypatch.setattr(Permutation, "__mul__", counting_mul)
+        monkeypatch.setattr(completion.Carrier, "rho_index",
+                            lambda self, x: rows.append(x))
+        assert local_action(result.star) == result.witness
+        assert rows == []
+        assert degrees and set(degrees) == {result.valency}
+
+
+class TestWitnessIsNotTheLabels:
+    """The stored witness is the lexicographically first conjugating
+    bijection, which need not be the label permutation, so the search
+    stays in the construction."""
+
+    LOCAL = (9, "(1 4 3 9 8 2)(5 6 7)")
+
+    def test_first_bijection_differs_from_labels(self):
+        local = group(*self.LOCAL)
+        witness = local_action(build_star(analyze_local_group(local), 2))
+        assert witness.labels == (5, 7, 6, 1, 2, 3, 4, 8, 9)
+        assert witness.conjugation.images == (5, 6, 7, 1, 4, 8, 2, 3, 9)
+        assert witness.conjugation.images != witness.labels
+        induced = [g.images for g in witness.induced_generators
+                   if not g.is_identity()]
+        assert PermutationGroup(9, witness.induced_generators).order() \
+            == local.order()
+        members = {g.images for g in local.elements()}
+
+        def conjugates_into(s):
+            # s^-1 * g * s sends s(p) to s(g(p)), 1-based
+            for g in induced:
+                image = [0] * 9
+                for p, q in zip(s, g):
+                    image[p - 1] = s[q - 1]
+                if tuple(image) not in members:
+                    return False
+            return True
+
+        first = next(s for s in itertools.permutations(range(1, 10))
+                     if conjugates_into(s))
+        assert first == witness.conjugation.images
 
 
 class TestLoopClosure:
