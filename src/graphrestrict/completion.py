@@ -340,23 +340,26 @@ def verify_completion(candidate: CompletionCandidate) -> CompletionReport:
 # ---------------------------------------------------------------------------
 
 
+def _matchings(avail):
+    """The involutions of the points ``avail`` as partner dicts."""
+    if not avail:
+        yield {}
+        return
+    first = avail[0]
+    rest = avail[1:]
+    for sub in _matchings(rest):
+        yield {first: first, **sub}
+    for pick in rest:
+        remaining = tuple(x for x in rest if x != pick)
+        for sub in _matchings(remaining):
+            yield {first: pick, pick: first, **sub}
+
+
 def _involutions(count: int):
     """All involutions of {0..count-1}, as partner tuples, in a fixed order:
     by number of moved points, then lexicographically."""
-    def rec(avail):
-        if not avail:
-            yield {}
-            return
-        first = avail[0]
-        rest = avail[1:]
-        for sub in rec(rest):
-            yield {first: first, **sub}
-        for pick in rest:
-            remaining = tuple(x for x in rest if x != pick)
-            for sub in rec(remaining):
-                yield {first: pick, pick: first, **sub}
     seen = []
-    for mapping in rec(tuple(range(count))):
+    for mapping in _matchings(tuple(range(count))):
         seen.append(tuple(mapping[o] for o in range(count)))
     seen.sort(key=lambda partner: (sum(1 for o, p in enumerate(partner) if o != p),
                                    partner))

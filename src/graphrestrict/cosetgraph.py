@@ -373,11 +373,12 @@ def verify_locally_L(graph: FiniteGraph, generators,
 
     group = PermutationGroup(n, gens)
     chain = perm.StabiliserChain(n, gens, base_prefix=(1,))
-    orbit_size = len(chain.levels[0].transversal) if chain.levels else 1
+    orbit_size = chain.levels[0].orbit_length() if chain.levels else 1
     transitive = orbit_size == n
     stab_gens = tuple(chain.stabiliser_generators())
-    stab_order = math.prod(len(lev.transversal) for lev in chain.levels[1:])
-    # release the transversals before group.order() builds its own chain
+    stab_order = math.prod(lev.orbit_length() for lev in chain.levels[1:])
+    # release the transversal elements before group.order() builds its own
+    # chain
     del chain
 
     neighbours = graph.adjacency[0]
@@ -628,12 +629,17 @@ def parse_graph(text_or_bytes, vertex_cap: int | None = None) -> FiniteGraph:
 
     The vertex count is the largest vertex id plus one (graph6 states it);
     a count above ``vertex_cap`` raises CapacityError before the graph is
-    built."""
+    built.  Every format is ASCII, so a byte outside it is named with its
+    line and column."""
     if isinstance(text_or_bytes, (bytes, bytearray)):
         try:
             text = text_or_bytes.decode("ascii")
-        except UnicodeDecodeError:
-            return _parse_graph6(text_or_bytes, vertex_cap)
+        except UnicodeDecodeError as exc:
+            at = exc.start
+            line_start = text_or_bytes.rfind(b"\n", 0, at) + 1
+            raise ParseError(f"non-ASCII byte 0x{text_or_bytes[at]:02x}",
+                             line=text_or_bytes.count(b"\n", 0, at) + 1,
+                             column=at - line_start + 1) from None
     else:
         text = text_or_bytes
     lines = [ln for ln in (l.strip() for l in text.splitlines()) if ln]

@@ -26,13 +26,18 @@ The chain keeps, once per strong generator, what its levels read of it:
 the images padded with a leading 0, so that a product ``u s`` is one
 ``itemgetter`` call with no padding, the inverse images, the order, and its
 depth, the index of the first base point it moves, so that it lies in the
-levels up to that one.  Each level keeps its forward transversal and a
-Schreier tree, one edge ``t_q = t_p * gens[j]`` per orbit point; a preimage
-under ``t_q`` walks ``q``'s tree path to the root through the inverse
-images, so no transversal element's inverse is stored.  The levels are
-scanned from the deepest up, and a level is built when it is scanned: never
-for generators that change again before any scan reads it.  A rebuild
-multiplies out only the points whose tree edge or parent element changed.
+levels up to that one.  Each level keeps a Schreier tree, one edge
+``t_q = t_p * gens[j]`` per orbit point but the root, and the orbit is the
+root and the tree's points, so orbit lengths and membership are read off
+the tree.  A transversal element ``t_q`` is formed the first time it is
+read, from its nearest formed ancestor down the tree, and kept in a plain
+dict that refers to no level, so a chain holds no reference cycle and is
+freed as soon as it is dropped.  A preimage under ``t_q`` walks ``q``'s
+tree path to the root through the inverse images, so no transversal
+element's inverse is stored.  The levels are scanned from the deepest up,
+and a level is built when it is scanned: never for generators that change
+again before any scan reads it.  A rebuild keeps the formed elements whose
+tree path is unchanged and forms none.
 
 The chain sifts each Schreier generator ``u s t_q^-1`` on base images: the
 deeper base points' images are mapped back along one tree path per level.
@@ -41,7 +46,7 @@ where ``T`` is the product of the transversal elements on the sift's path,
 or for a new strong generator, the only residue the sift inverts.  One level
 scan keeps ``T`` in a memo keyed by the path, used only when the deeper
 levels' group is no larger than the scanned orbit, so it never holds more
-permutations than the level's transversal.
+permutations than the level has orbit points.
 
 A scan skips the Schreier generators that relators among the level's
 generators already prove, so the chain is the one that sifts them all.
@@ -66,7 +71,9 @@ first orbit point, whose Schreier generators are all sifted but those of
 tree edges: a flagged one there sifts to the identity, since its walk's
 other edges come earlier at that point, so the scan breaks where it would
 with every flag, and one that breaks at its first point, as most do after a
-new strong generator, pays for no flags.
+new strong generator, pays for no flags.  The flag pass codes the edge
+``(p, j)`` as the integer ``p*k + j`` for ``k`` generators, which keeps the
+order, and walks each relation over the orbit in one loop.
 """
 
 from __future__ import annotations
@@ -357,19 +364,20 @@ def _relations(padded) -> tuple[list, list]:
 
 
 class _ChainLevel:
-    __slots__ = ("point", "depth", "reach", "transversal", "edge", "ids",
+    __slots__ = ("point", "depth", "reach", "edge", "elements", "ids",
                  "gens", "padded", "inverses", "orders")
 
     def __init__(self, point: int, degree: int, depth: int, reach: list):
         self.point = point
         self.depth = depth      # the level's index in its chain
         self.reach = reach      # the chain's relations by least depth
-        # orbit point q -> representative t_q with point^t_q == q, in the
-        # breadth-first order of the orbit search
-        self.transversal = {point: Permutation.identity(degree)}
-        # the Schreier tree: q -> (p, j) where t_q = t_p * gens[j]; every
-        # orbit point but the root has an edge
+        # the Schreier tree in the breadth-first order of the orbit search:
+        # q -> (p, j) where t_q = t_p * gens[j], for every orbit point but
+        # the root, so the orbit is the root and the tree's points
         self.edge = {}
+        # the transversal elements formed so far, orbit point q -> t_q with
+        # point^t_q == q; a plain dict, which refers to no level
+        self.elements = {point: Permutation.identity(degree)}
         self.ids = None     # the chain's indices of the generators the
                             # orbit was last built from
         self.gens = []      # those generators, and the chain's padded
@@ -377,8 +385,35 @@ class _ChainLevel:
         self.inverses = []
         self.orders = []
 
+    def orbit(self) -> list:
+        """The orbit in breadth-first order: the root, then the tree's
+        points."""
+        return [self.point, *self.edge]
+
+    def orbit_length(self) -> int:
+        return len(self.edge) + 1
+
+    def element(self, q: int) -> Permutation:
+        """The transversal element ``t_q``, formed the first time it is
+        read: down q's tree path from its nearest formed ancestor, one
+        product per edge, each kept."""
+        elements = self.elements
+        t = elements.get(q)
+        if t is not None:
+            return t
+        edge, padded = self.edge, self.padded
+        path = []
+        while q not in elements:
+            path.append(q)
+            q = edge[q][0]
+        images = elements[q].images
+        for q in reversed(path):
+            images = _times(images, padded[edge[q][1]])
+            elements[q] = t = Permutation._raw(images)
+        return t
+
     def preimages(self, q: int, points: list) -> list:
-        """The preimages of ``points`` under ``transversal[q]``, by walking
+        """The preimages of ``points`` under ``t_q``, by walking
         q's tree path to the root: ``t_q^-1 = gens[j]^-1 * t_p^-1``."""
         edge, inverses, root = self.edge, self.inverses, self.point
         while points and q != root:
@@ -410,44 +445,62 @@ class _ChainLevel:
         The Schreier generators along a walk multiply to 1, so the last
         lies in the deeper levels' group once the walk's earlier ones
         have sifted to the identity."""
-        gens = [s.images for s in self.gens]
-        tree = set(self.edge.values())
-        skip = [bytearray(len(images) + 1) for images in gens]
-        for p, j in tree:
-            skip[j][p] = 1
+        k = len(self.padded)
+        if not k:
+            return []
+        # edge (p, j) is coded p*k + j, which keeps the order; free[j][p]
+        # is that code for an orbit point p, or 0, which is no edge, on a
+        # tree edge
+        orbit = self.orbit()
+        codes = [p * k for p in orbit]
+        free = [dict(zip(orbit, map(j.__add__, codes))) for j in range(k)]
+        flags = bytearray(len(self.padded[0]) * k)
+        for p, j in self.edge.values():
+            free[j][p] = 0
+            flags[p * k + j] = 1
+        for j, (images, order) in enumerate(zip(self.padded, self.orders)):
+            seen, code = bytearray(len(images)), free[j]
+            for p in orbit:
+                last = length = 0
+                while not seen[p]:
+                    seen[p] = 1
+                    length += 1
+                    if code[p] > last:
+                        last = code[p]
+                    p = images[p]
+                if last and length == order:
+                    flags[last] = 1
 
-        def close(walk):
-            free = [e for e in walk if e not in tree]
-            if free:
-                last = max(free)
-                if free.count(last) == 1:
-                    skip[last[1]][last[0]] = 1
+        def walk(j, points):
+            return map(free[j].__getitem__, points)
 
-        for j, images in enumerate(gens):
-            seen = bytearray(len(images) + 1)
-            for p in self.transversal:
-                if seen[p]:
-                    continue
-                cycle = [p]
-                q = images[p - 1]
-                while q != p:
-                    cycle.append(q)
-                    q = images[q - 1]
-                for q in cycle:
-                    seen[q] = 1
-                if len(cycle) == self.orders[j]:
-                    close([(q, j) for q in cycle])
+        # along g_a g_b = 1 the two edges differ, as a != b.  Along
+        # g_a g_b = g_c g_d, the edges (p, a) and (p, c) differ, as a != c
+        # for distinct generators, and so do (x, b) and (y, d), as b != d:
+        # so the last free edge occurs on the walk twice iff it is the last
+        # of both pairs.  (b, a) walks the same edges as (a, b), and (a, a)
+        # the cycles of an involution.
+        moved = [list(map(images.__getitem__, orbit)) for images in self.padded]
         equal, inverse = self.relations()
-        # (b, a) walks the same edges as (a, b), and (a, a) the cycles of
-        # an involution
-        inverse = [(a, b) for a, b in inverse if a < b]
-        for p in self.transversal:
-            for a, b in inverse:
-                close([(p, a), (gens[a][p - 1], b)])
-            for a, b, c, d in equal:
-                close([(p, a), (gens[a][p - 1], b),
-                       (p, c), (gens[c][p - 1], d)])
-        return skip
+        for a, b in inverse:
+            if a < b:
+                for x, y in zip(walk(a, orbit), walk(b, moved[a])):
+                    if x > y:
+                        flags[x] = 1
+                    elif y > x:
+                        flags[y] = 1
+        for a, b, c, d in equal:
+            for x, u, y, v in zip(walk(a, orbit), walk(c, orbit),
+                                  walk(b, moved[a]), walk(d, moved[c])):
+                if u > x:
+                    x = u
+                if v > y:
+                    y = v
+                if x > y:
+                    flags[x] = 1
+                elif y > x:
+                    flags[y] = 1
+        return [flags[j::k] for j in range(k)]
 
 
 class StabiliserChain:
@@ -522,43 +575,36 @@ class StabiliserChain:
                 self._reach[min(map(depths.__getitem__, r))][at].append(r)
 
     def _rebuild_orbit(self, i: int) -> None:
-        """Rebuild level i's orbit, tree and transversal breadth first.
+        """Rebuild level i's orbit and Schreier tree breadth first.
 
-        A point keeps its old element when its tree edge, the generator on
-        it and its parent's element are all unchanged; only the other
-        points are multiplied.  Each old element leaves the old transversal
-        when its point is settled, so the two are never held in full at
-        once."""
+        A formed element is kept when its point's tree path is unchanged:
+        the same edges, on the same generators, up to the root.  Every
+        other element is formed when it is first read (``element``)."""
         lev = self.levels[i]
         ids = [g for g, depth in enumerate(self._depths) if depth >= i]
-        if ids == lev.ids:      # same generators, same orbit and transversals
+        if ids == lev.ids:      # same generators, same orbit and elements
             return
-        old_ids, old_edge, old = lev.ids or [], lev.edge, lev.transversal
+        old_ids, old_edge = lev.ids or [], lev.edge
         lev.ids = ids
         lev.gens = [self.strong_gens[g] for g in ids]
         padded = lev.padded = [self._padded[g] for g in ids]
         lev.inverses = [self._inverses[g] for g in ids]
         lev.orders = [self._orders[g] for g in ids]
-        transversal = lev.transversal = {lev.point: old.pop(lev.point)}
+        root = lev.point
         edge = lev.edge = {}
-        kept = {lev.point}      # the points whose old element is kept
-        queue = [lev.point]
+        same = {root}       # the points whose tree path is unchanged
+        queue = [root]
         for p in queue:     # breadth first: the list grows while it is read
-            u = transversal[p]
             for j, g in enumerate(ids):
                 q = padded[j][p]
-                if q in transversal:
+                if q in edge or q == root:
                     continue
-                old_u = old.pop(q, None)
                 old_p, old_j = old_edge.get(q, (None, None))
-                if p in kept and old_p == p and old_ids[old_j] == g:
-                    transversal[q] = old_u
-                    kept.add(q)
-                else:
-                    transversal[q] = Permutation._raw(
-                        _times(u.images, padded[j]))
+                if p in same and old_p == p and old_ids[old_j] == g:
+                    same.add(q)
                 edge[q] = (p, j)
                 queue.append(q)
+        lev.elements = {q: t for q, t in lev.elements.items() if q in same}
 
     def _sift_base_images(self, i: int, images: list) -> list:
         """Sift some ``x`` from level ``i`` on base images alone:
@@ -570,7 +616,7 @@ class StabiliserChain:
         path = []
         for lev in self.levels[i:]:
             img = images[0]
-            if img not in lev.transversal:
+            if img not in lev.edge and img != lev.point:
                 break
             path.append(img)
             images = lev.preimages(img, images[1:])
@@ -580,7 +626,7 @@ class StabiliserChain:
         """The transversal elements on a sift path from level ``i``
         multiplied deepest first: the element whose sift follows ``path``
         to the identity."""
-        factors = [lev.transversal[img] for lev, img in zip(self.levels[i:], path)]
+        factors = [lev.element(img) for lev, img in zip(self.levels[i:], path)]
         out = Permutation.identity(self.degree)
         for t in reversed(factors):
             out = out * t
@@ -606,7 +652,7 @@ class StabiliserChain:
         new strong generator.
         """
         lev = self.levels[i]
-        t_q = lev.transversal[q]
+        t_q = lev.element(q)
         us = Permutation._raw(_times(u.images, lev.padded[j]))
         if us.images == t_q.images:
             return None     # x is the identity
@@ -665,21 +711,20 @@ class StabiliserChain:
         lev = self.levels[i]
         # one memo entry per path, that is per element of the deeper
         # levels' group
-        deeper = math.prod(len(d.transversal) for d in self.levels[i + 1:])
-        memo = {} if deeper <= len(lev.transversal) else None
-        points = sorted(lev.transversal)
+        deeper = math.prod(d.orbit_length() for d in self.levels[i + 1:])
+        memo = {} if deeper <= lev.orbit_length() else None
+        points = sorted(lev.orbit())
         first = points[0]
         skip = None
         for p in points:
             if p != first and skip is None:
                 skip = lev.skipped()
-            u = lev.transversal[p]
             for j, images in enumerate(lev.padded):
                 q = images[p]
                 if (lev.edge.get(q) == (p, j) if skip is None
                         else skip[j][p]):
                     continue
-                sifted = self._sift_schreier(i, u, j, q, memo)
+                sifted = self._sift_schreier(i, lev.element(p), j, q, memo)
                 if sifted is None:
                     continue
                 residue, new_level = sifted
@@ -699,7 +744,7 @@ class StabiliserChain:
     def order(self) -> int:
         n = 1
         for lev in self.levels:
-            n *= len(lev.transversal)
+            n *= lev.orbit_length()
         return n
 
     def contains(self, g: Permutation) -> bool:
@@ -722,8 +767,10 @@ class StabiliserChain:
 class PermutationGroup:
     """A finite permutation group given by generators.
 
-    The stabiliser chain is computed on first use and cached; all values are
-    immutable afterwards, so instances are safe to share between threads.
+    The stabiliser chain is computed on first use and cached.  Its order and
+    base are fixed afterwards; a membership test may still form and keep a
+    transversal element, and two threads doing so at once form equal ones,
+    so instances are safe to share between threads.
     """
 
     def __init__(self, degree: int, generators=()):
@@ -956,6 +1003,8 @@ def permutation_isomorphic(g1: PermutationGroup,
                 del orbit_map[oid1]
         return False
 
-    if extend(1):
-        return Permutation(sigma)
-    return None
+    try:
+        found = extend(1)
+    finally:
+        del extend      # the closure refers to itself through its cell
+    return Permutation(sigma) if found else None

@@ -458,7 +458,7 @@ def skipped_by_walks(level):
     gens = level.gens
     degree = gens[0].degree
     tree = set(level.edge.values())
-    orbit = set(level.transversal)
+    orbit = set(level.orbit())
     walks = []
     for j, s in enumerate(gens):
         order = len(brute_elements(degree, [s]))
@@ -567,6 +567,12 @@ class ReferenceLevel:
         self.inverse_transversal = {point: ident}
         self.edge = {}
 
+    def orbit(self):
+        return list(self.transversal)
+
+    def element(self, q):
+        return self.transversal[q]
+
 
 class ReferenceChain:
     """Deterministic Schreier-Sims as perm.StabiliserChain runs it (same base
@@ -668,7 +674,7 @@ def product_sift(levels, g, from_level, inverse):
     for i in range(from_level, len(levels)):
         lev = levels[i]
         img = h.images[lev.point - 1]
-        if img not in lev.transversal:
+        if img != lev.point and img not in lev.edge:
             return h, i
         h = reference_mul(h, inverse(lev, img))
     return h, len(levels)
@@ -676,10 +682,12 @@ def product_sift(levels, g, from_level, inverse):
 
 def chain_snapshot(chain):
     """Base, strong generators, and each level's transversal and Schreier
-    tree in insertion order, the permutations as raw image tuples."""
+    tree in insertion order, the permutations as raw image tuples.  Each
+    orbit point's element is read through ``element``, which forms it on
+    demand where the chain has not."""
     return (chain.base,
             [g.images for g in chain.strong_gens],
-            [([(q, u.images) for q, u in lev.transversal.items()],
+            [([(q, lev.element(q).images) for q in lev.orbit()],
               list(lev.edge.items()))
              for lev in chain.levels])
 

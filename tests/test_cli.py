@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -307,6 +308,17 @@ class TestHostileVerifyInput:
         assert "Traceback" not in done.stderr
         assert done.stderr.splitlines() == [message]
 
+    def test_non_ascii_byte_named(self, files, capsys):
+        # every graph format is ASCII: a stray byte in an edge list is
+        # named with its line, not read as a graph6 fault
+        graph = files["dir"] / "stray.edges"
+        graph.write_bytes(b"0 1\n1 2\n0 2\xff\n")
+        grp = files["dir"] / "triangle.grp"
+        grp.write_text(L3_TEXT)
+        assert main(["verify", str(graph), str(grp), str(grp)]) == 2
+        assert capsys.readouterr().err == (
+            "error: non-ASCII byte 0xff (line 3, column 4)\n")
+
     def test_huge_vertex_id(self, files, capsys):
         assert self.run_verify(files, "0 2000000000\n",
                                "degree 6\n(1 2 3 4 5 6)\n") == 2
@@ -552,6 +564,69 @@ class TestHugeN:
         assert time.monotonic() - start < 1.0
         err = capsys.readouterr().err
         assert "cap 'carrier cap' = 10000 exceeded" in err
+
+
+class TestCollectorPause:
+    """main runs each command with the cyclic collector paused and gives
+    the caller back the setting it found.  The commands create no
+    reference cycles, so the pause leaves nothing for the collector."""
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("outcome", ["exit-0", "exit-2", "exit-3",
+                                         "exception"])
+    def test_setting_restored(self, files, capsys, monkeypatch, enabled,
+                              outcome):
+        argv = {"exit-0": ["classify", files["L0"]],
+                "exit-2": ["classify", str(files["dir"] / "missing.grp")],
+                "exit-3": ["report", files["L0"], "--n-from", "2",
+                           "--n-to", "2"],
+                "exception": ["classify", files["L0"]]}[outcome]
+        monkeypatch.setenv(cli.CAPS_ENV_VAR, "copies=1")    # exit 3
+        during = []
+        analyze = cli.classify.analyze_local_group
+
+        def observed(group):
+            during.append(gc.isenabled())
+            if outcome == "exception":
+                raise RuntimeError("unexpected")
+            return analyze(group)
+
+        monkeypatch.setattr(cli.classify, "analyze_local_group", observed)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if outcome == "exception":
+                with pytest.raises(RuntimeError, match="unexpected"):
+                    main(argv)
+            else:
+                assert main(argv) == int(outcome[-1])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == ([] if outcome == "exit-2" else [False])
+
+    def test_commands_leave_no_cycles(self, files, capsys):
+        # under DEBUG_SAVEALL the collector keeps what it finds unreachable
+        # in gc.garbage: none of it may be an object of the package
+        pair = files["dir"] / "pair"
+        runs = [["construct", files["L0"], "--n", "2", "--out", str(pair)],
+                ["verify", str(pair / "graph.edgelist"),
+                 str(pair / "group.gens"), files["L0"]],
+                ["report", files["L0"], "--n-from", "2", "--n-to", "4"]]
+        gc.collect()
+        debug = gc.get_debug()
+        gc.set_debug(debug | gc.DEBUG_SAVEALL)
+        try:
+            for argv in runs:
+                assert main(argv) == 0
+            gc.collect()
+            leaked = sorted({type(x).__qualname__ for x in gc.garbage
+                             if type(x).__module__.startswith("graphrestrict")})
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+        assert leaked == []
 
 
 def sha256(data: bytes) -> str:

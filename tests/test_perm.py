@@ -1,8 +1,10 @@
 import functools
+import gc
 import itertools
 import math
 import random
 import time
+import weakref
 
 import pytest
 
@@ -290,10 +292,11 @@ class TestSchreierTree:
         assert formed     # the inverse generators, at least
         points = list(range(1, degree + 1))
         for lev in chain.levels:
-            for q, t in lev.transversal.items():
+            for q in lev.orbit():
+                t = lev.element(q)
                 if q != lev.point:
                     p, j = lev.edge[q]
-                    assert t.images == (lev.transversal[p] * lev.gens[j]).images
+                    assert t.images == (lev.element(p) * lev.gens[j]).images
                 assert (lev.preimages(q, points)
                         == list(reference_inverse(t).images))
 
@@ -307,12 +310,12 @@ SIFT_BRANCHES = {
 
 
 def transversal_inverses():
-    """``inverse(lev, q)``, the inverse of ``lev.transversal[q]`` formed
+    """``inverse(lev, q)``, the inverse of ``lev.element(q)`` formed
     point by point, once per image tuple."""
     inverses = {}
 
     def inverse(lev, q):
-        t = lev.transversal[q]
+        t = lev.element(q)
         if t.images not in inverses:
             inverses[t.images] = reference_inverse(t)
         return inverses[t.images]
@@ -323,6 +326,26 @@ def transversal_inverses():
 # cases whose every non-tree edge is closed by generator order, so that no
 # Schreier generator is sifted: the one non-tree edge of the 6-cycle
 UNSIFTED = {"hexagon-rotation"}
+
+
+def chain_products(monkeypatch, prefix) -> int:
+    """The products, on Permutations and on padded images, that the chain
+    of the l1-n2-vertices group with the base ``prefix`` forms."""
+    gens = tuple(CHAIN_GROUPS["l1-n2-vertices"][0]())
+    products = 0
+    original_mul, original_times = Permutation.__mul__, perm._times
+
+    def counting(original):
+        def count(a, b):
+            nonlocal products
+            products += 1
+            return original(a, b)
+        return count
+
+    monkeypatch.setattr(Permutation, "__mul__", counting(original_mul))
+    monkeypatch.setattr(perm, "_times", counting(original_times))
+    StabiliserChain(gens[0].degree, gens, base_prefix=prefix)
+    return products
 
 
 class TestSiftSchreier:
@@ -350,7 +373,7 @@ class TestSiftSchreier:
                 assert got is not None
                 assert (got[0].images, got[1]) == (residue.images, level)
             if memo is not None:
-                assert len(memo) <= len(chain.levels[i].transversal)
+                assert len(memo) <= chain.levels[i].orbit_length()
             seen["no memo" if memo is None else "memo"].add(i)
             if level < len(chain.levels):
                 seen["miss"].add(i)
@@ -374,23 +397,18 @@ class TestSiftSchreier:
         # generators closed by generator order were skipped, and 3,538 when
         # those closed by any relator walk were.  Counting also the
         # products on padded images (perm._times), which include those
-        # that find the relations, that chain took 3,588, and takes 3,005
-        # now that a level is first built when it is first scanned
-        gens = tuple(CHAIN_GROUPS["l1-n2-vertices"][0]())
-        products = 0
-        original_mul, original_times = Permutation.__mul__, perm._times
+        # that find the relations, that chain took 3,588, 3,005 once a
+        # level was first built when it is first scanned, and takes 2,718
+        # now that an element is formed only when a sift reads it
+        assert chain_products(monkeypatch, (1,)) <= 2_750
 
-        def counting(original):
-            def count(a, b):
-                nonlocal products
-                products += 1
-                return original(a, b)
-            return count
-
-        monkeypatch.setattr(Permutation, "__mul__", counting(original_mul))
-        monkeypatch.setattr(perm, "_times", counting(original_times))
-        StabiliserChain(gens[0].degree, gens, base_prefix=(1,))
-        assert products <= 3_050
+    def test_product_count_without_prefix(self, monkeypatch):
+        # group.order()'s chain in verify, with no prefix: its first two
+        # level-0 scans break after 1 and 3 sifts and read 2 elements each.
+        # It took 3,546 products when every rebuild formed the elements of
+        # every point whose tree path changed, and takes 2,743 now that an
+        # element is formed only when a sift reads it
+        assert chain_products(monkeypatch, ()) <= 2_800
 
     def test_flag_pass_only_past_the_first_point(self, monkeypatch):
         # group.order()'s chain in verify, with no prefix: a scan that
@@ -405,7 +423,7 @@ class TestSiftSchreier:
         def scan(chain, i):
             scans.append({"flag passes": 0, "broke at": None})
             new_level = original_scan(chain, i)
-            scans[-1]["orbit"] = sorted(chain.levels[i].transversal)
+            scans[-1]["orbit"] = sorted(chain.levels[i].orbit())
             return new_level
 
         def sift(chain, i, u, j, q, memo):
@@ -510,7 +528,7 @@ class TestOrderClosure:
             for j, flags in enumerate(lev.skipped()):
                 s = lev.gens[j]
                 for p in flagged(flags):
-                    x = reference_mul(reference_mul(lev.transversal[p], s),
+                    x = reference_mul(reference_mul(lev.element(p), s),
                                       inverse(lev, s.images[p - 1]))
                     residue, _ = product_sift(chain.levels, x, i + 1, inverse)
                     assert reference_is_identity(residue), (i, p, j)
@@ -577,9 +595,9 @@ class TestChainAndOrder:
         chain = s3.chain()
         n = 1
         for lev in chain.levels:
-            n *= len(lev.transversal)
-            for point, rep in lev.transversal.items():
-                assert rep.apply(lev.point) == point
+            n *= lev.orbit_length()
+            for point in lev.orbit():
+                assert lev.element(point).apply(lev.point) == point
         assert n == chain.order()
         for g in s3.generators:
             assert chain.contains(g)
@@ -813,6 +831,30 @@ class TestPermutationIsomorphic:
             degree, [(2 * i + 1, 2 * i + 2) for i in range(k)])
         return (PermutationGroup(degree, (product, t[0])),
                 PermutationGroup(degree, (product, t[0] * t[1])))
+
+    @pytest.mark.parametrize("case", ["witness", "none", "budget"])
+    def test_groups_die_with_the_caller(self, case):
+        # the search's recursive closure leaves no reference cycle: with
+        # the collector off, both groups and their chains die as soon as
+        # the caller drops them, whether the search finds a witness, finds
+        # none or runs out of budget
+        g1, g2 = {"witness": lambda: (group(3, "(1 2)"), group(3, "(1 3)")),
+                  "none": lambda: self.two_point_orbits(4),
+                  "budget": lambda: self.two_point_orbits(7)}[case]()
+        refs = [weakref.ref(g1), weakref.ref(g2)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            try:
+                found = perm.permutation_isomorphic(g1, g2)
+                assert (found is not None) == (case == "witness")
+            except CapacityError:
+                assert case == "budget"
+            del g1, g2
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_two_point_orbits_within_the_budget(self):
         assert perm.permutation_isomorphic(*self.two_point_orbits(4)) is None

@@ -25,7 +25,7 @@ MAX_DEGREE = 9
 
 
 def inverse(level, q):
-    return reference_inverse(level.transversal[q])
+    return reference_inverse(level.element(q))
 
 
 @st.composite
@@ -75,7 +75,7 @@ def test_walk_skips_keep_the_chain(case):
             points = {p for p, flag in enumerate(flags) if flag}
             assert points == expected[j], (i, j)
             for p in points:
-                x = reference_mul(reference_mul(lev.transversal[p], s),
+                x = reference_mul(reference_mul(lev.element(p), s),
                                   inverse(lev, s.images[p - 1]))
                 residue, _ = product_sift(chain.levels, x, i + 1, inverse)
                 assert reference_is_identity(residue), (i, p, j)
