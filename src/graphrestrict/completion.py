@@ -99,7 +99,7 @@ class Carrier:
         # per copy, so that a stored row holds references to them
         points = _identity_images(self.degree)
         self._copies = tuple(points[offset:offset + self.size]
-                             for offset in range(0, self.degree, self.size))
+                             for offset in range(1, self.degree + 1, self.size))
         self._rho: dict[int, Permutation] = {}
         self.generator_indices = star.generator_indices
 
@@ -113,19 +113,20 @@ class Carrier:
 
     def rho_index(self, element_index: int) -> Permutation:
         """rho(x): copy j of the row ``a -> a * x``, as 1-based carrier
-        points; each row is built on its first request and kept."""
+        points after the padding 0; each row is built on its first request
+        and kept."""
         rho = self._rho.get(element_index)
         if rho is None:
             take = itemgetter(*self.star.right_row(element_index))
-            rho = Permutation._raw(sum(map(take, self._copies), ()))
+            rho = Permutation._raw(sum(map(take, self._copies), (0,)))
             self._rho[element_index] = rho
         return rho
 
     def membership_index(self, perm: Permutation) -> int | None:
         """Element index x with perm == rho(x), or None."""
         # rho(x) sends the basepoint (identity, copy 1) to the point x + 1
-        x = perm.images[0] - 1
-        if x < self.size and self.rho_index(x).images == perm.images:
+        x = perm.padded[1] - 1
+        if x < self.size and self.rho_index(x).padded == perm.padded:
             return x
         return None
 
@@ -133,17 +134,17 @@ class Carrier:
         return self.membership_index(perm) is not None
 
     def coset_key(self, padded: tuple[int, ...]) -> tuple[int, ...]:
-        """Key of the right coset rho(A) * h, given h's images padded with a
-        leading 0: the images of its canonical representative.
+        """Key of the right coset rho(A) * h, given h's padded images: the
+        padded images of its canonical representative.
 
         rho(A) is regular on copy 1, so exactly one coset element sends the
         basepoint to the minimal possible point; that element is the key.
         The least of h's first |A| images names the x with rho(x) * h that
-        element, whose images are read off the padded ones.
+        element; the product of the two padded tuples is the key.
         """
         first = padded[1:self.size + 1]
         rho = self.rho_index(first.index(min(first)))
-        return itemgetter(*rho.images)(padded)
+        return itemgetter(*rho.padded)(padded)
 
 
 class EdgePlan(NamedTuple):
@@ -304,7 +305,7 @@ def _edge_keys(carrier: Carrier, i: int, beta: Permutation) -> list:
     """The coset keys of edge i's slot elements ``beta_i * rho(a)``, in
     transversal order: they depend on beta_i alone."""
     key = carrier.coset_key
-    return [key((0,) + (beta * carrier.rho_index(a)).images)
+    return [key((beta * carrier.rho_index(a)).padded)
             for a in carrier.star.edge(i).right_transversal]
 
 
@@ -340,27 +341,11 @@ def verify_completion(candidate: CompletionCandidate) -> CompletionReport:
 # ---------------------------------------------------------------------------
 
 
-def _matchings(avail):
-    """The involutions of the points ``avail`` as partner dicts."""
-    if not avail:
-        yield {}
-        return
-    first = avail[0]
-    rest = avail[1:]
-    for sub in _matchings(rest):
-        yield {first: first, **sub}
-    for pick in rest:
-        remaining = tuple(x for x in rest if x != pick)
-        for sub in _matchings(remaining):
-            yield {first: pick, pick: first, **sub}
-
-
 def _involutions(count: int):
     """All involutions of {0..count-1}, as partner tuples, in a fixed order:
     by number of moved points, then lexicographically."""
-    seen = []
-    for mapping in _matchings(tuple(range(count))):
-        seen.append(tuple(mapping[o] for o in range(count)))
+    seen = [partner for partner in itertools.permutations(range(count))
+            if all(partner[p] == o for o, p in enumerate(partner))]
     seen.sort(key=lambda partner: (sum(1 for o, p in enumerate(partner) if o != p),
                                    partner))
     return seen

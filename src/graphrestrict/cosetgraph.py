@@ -140,7 +140,7 @@ def enumerate_cosets(candidate: CompletionCandidate,
                      cap: int = DEFAULT_VERTEX_CAP) -> CosetTable | None:
     """Enumerate the cosets of rho(A) in G, or None when they exceed ``cap``.
 
-    Each coset is keyed by the image tuple of its canonical representative
+    Each coset is keyed by the padded images of its canonical representative
     (the unique coset element sending the basepoint to the least possible
     point).  The key is sound because rho(A) is regular on copy 1: the
     elements of a coset send the basepoint to pairwise distinct points, so
@@ -148,8 +148,8 @@ def enumerate_cosets(candidate: CompletionCandidate,
     coset only.  The breadth-first orbit stops as soon as it finds coset
     ``cap + 1``.
 
-    The key is also the representative multiplied (one ``itemgetter(0,
-    *key)`` per vertex), and is dropped once its vertex is processed.
+    The key is also the representative multiplied (one ``itemgetter(*key)``
+    per vertex), and is dropped once its vertex is processed.
 
     An entry that a relation among G's generators fixes needs no key.  The
     entries are filled in (vertex, generator) order.  Once v's are, each
@@ -161,18 +161,18 @@ def enumerate_cosets(candidate: CompletionCandidate,
     """
     carrier = candidate.carrier
     coset_key = carrier.coset_key
-    padded = [(0,) + g.images for g in candidate.group_generators()]
+    padded = [g.padded for g in candidate.group_generators()]
     k = len(padded)
     equal, inverse = perm._relations(padded)
     # the identity sends the basepoint to 1, so it is the base coset's key
-    start = Permutation.identity(carrier.degree).images
+    start = Permutation.identity(carrier.degree).padded
     index = {start: 0}
     queue = collections.deque([start])
     entries: list[int] = []             # entry (v, g) is entries[v * k + g]
     deduced: dict[int, int] = {}        # unfilled entry -> its coset
     links: dict[int, list[int]] = {}    # unfilled entry -> later equal ones
     while queue:
-        times = itemgetter(0, *queue.popleft())
+        times = itemgetter(*queue.popleft())
         for g in padded:
             p = len(entries)
             w = deduced.pop(p, None)
@@ -297,8 +297,8 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
 
     # each row is G's action on the cosets, so a bijection by construction;
     # its images are the shared int objects of the degree
-    points = perm._identity_images(n)
-    action = tuple(Permutation._raw(itemgetter(*row)(points))
+    points = perm._identity_images(n)[1:]
+    action = tuple(Permutation._raw((0, *itemgetter(*row)(points)))
                    for row in table.transitions)
     return LocallyLPair(
         candidate, report._replace(order_g=carrier.size * n),
@@ -629,8 +629,9 @@ def parse_graph(text_or_bytes, vertex_cap: int | None = None) -> FiniteGraph:
 
     The vertex count is the largest vertex id plus one (graph6 states it);
     a count above ``vertex_cap`` raises CapacityError before the graph is
-    built.  Every format is ASCII, so a byte outside it is named with its
-    line and column."""
+    built.  An adjacency list names each vertex on one line at most.  Every
+    format is ASCII, so a byte outside it is named with its line and
+    column; a line number counts every line of the input, blank ones too."""
     if isinstance(text_or_bytes, (bytes, bytearray)):
         try:
             text = text_or_bytes.decode("ascii")
@@ -642,18 +643,22 @@ def parse_graph(text_or_bytes, vertex_cap: int | None = None) -> FiniteGraph:
                              column=at - line_start + 1) from None
     else:
         text = text_or_bytes
-    lines = [ln for ln in (l.strip() for l in text.splitlines()) if ln]
+    numbered = {no: ln for no, ln in enumerate(
+        map(str.strip, text.splitlines()), start=1) if ln}
+    lines = list(numbered.values())
     if not lines:
         raise ParseError("empty graph file")
     if all(":" in ln for ln in lines):
         adj: dict[int, list[int]] = {}
-        for no, ln in enumerate(lines, start=1):
+        for no, ln in numbered.items():
             head, _, rest = ln.partition(":")
             try:
                 v = int(head)
                 nbrs = [int(tok) for tok in rest.split()]
             except ValueError:
                 raise ParseError(f"bad adjacency line {ln!r}", line=no) from None
+            if v in adj:
+                raise ParseError(f"vertex {v} listed twice", line=no)
             adj[v] = nbrs
         edges = {(min(v, w), max(v, w)) for v, nbrs in adj.items() for w in nbrs}
         n = max(max(adj), max((w for _, w in edges), default=0)) + 1

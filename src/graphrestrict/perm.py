@@ -13,18 +13,22 @@ The chain construction is the deterministic Schreier-Sims procedure: base
 points are first moved points, appended greedily, so identical input always
 produces an identical chain.
 
-The primitives run at C speed.  ``images`` stays 1-based; a product looks
-the points of the first factor up in the second factor's images padded with
-a leading 0, through one ``operator.itemgetter`` call.  An identity test
-compares ``images`` with a cached ``(1, ..., m)``.  The constructor,
+The primitives run at C speed.  A permutation is stored in one layout, its
+images padded with a leading 0 (the array form of Seress, *Permutation
+Group Algorithms*, ch. 4): ``padded[p]`` is the image of ``p``, and
+``images`` is the 1-based view ``padded[1:]`` for output.  A product looks
+the first factor's padded images up in the second's, through one
+``operator.itemgetter`` call, and is padded itself, as 0 goes to 0; the
+chain, the relation finder and the coset keys read and multiply the same
+tuples, so no primitive pads a tuple or shifts a point.  An identity test
+compares with a cached ``(0, 1, ..., m)``.  The constructor,
 ``from_cycles`` and ``inverse`` take their ints from that cached tuple, and
-a product gathers its items from its factors, so every image tuple of a
+a product gathers its items from its factors, so every padded tuple of a
 degree holds one int object per point: equal tuples then compare item by
 item on identity alone.
 
-The chain keeps, once per strong generator, what its levels read of it:
-the images padded with a leading 0, so that a product ``u s`` is one
-``itemgetter`` call with no padding, the inverse images, the order, and its
+The chain keeps, once per strong generator, what its levels read of it
+beyond its padded images: the padded inverse images, the order, and its
 depth, the index of the first base point it moves, so that it lies in the
 levels up to that one.  Each level keeps a Schreier tree, one edge
 ``t_q = t_p * gens[j]`` per orbit point but the root, and the orbit is the
@@ -92,9 +96,9 @@ ISOMORPHISM_NODE_BUDGET = 20_000
 
 @functools.cache
 def _identity_images(degree: int) -> tuple[int, ...]:
-    """``(1, ..., degree)``: the one int object per point that every image
-    tuple of this degree holds."""
-    return tuple(range(1, degree + 1))
+    """``(0, 1, ..., degree)``, the padded identity: the one int object per
+    point that every padded image tuple of this degree holds."""
+    return tuple(range(degree + 1))
 
 
 def _image_list_fault(images: tuple) -> str:
@@ -114,36 +118,40 @@ def _image_list_fault(images: tuple) -> str:
 class Permutation:
     """An immutable permutation of {1..m}.
 
-    ``images[p-1]`` is the image of the point ``p``.
+    ``padded[p]`` is the image of the point ``p``, and ``padded[0]`` is 0;
+    ``images`` is the 1-based view ``padded[1:]``.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ("padded",)
 
     def __init__(self, images):
         images = tuple(images)
         if not images:
             raise InputError("degree 0 permutations are not allowed")
         points = _identity_images(len(images))
-        if sorted(images) != list(points):
+        if sorted(images) != list(points[1:]):
             raise InputError(_image_list_fault(images))
-        images = itemgetter(*images)((0,) + points)
-        object.__setattr__(self, "images",
-                           images if len(points) > 1 else (images,))
+        object.__setattr__(self, "padded", itemgetter(0, *images)(points))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Permutation is immutable")
 
     @classmethod
-    def _raw(cls, images: tuple) -> "Permutation":
-        """Unchecked constructor for results that are permutations by
-        construction (products, inverses, powers)."""
+    def _raw(cls, padded: tuple) -> "Permutation":
+        """Unchecked constructor from padded images, for results that are
+        permutations by construction (products, inverses, powers)."""
         p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
+        object.__setattr__(p, "padded", padded)
         return p
 
     @property
+    def images(self) -> tuple[int, ...]:
+        """``images[p-1]`` is the image of the point ``p``."""
+        return self.padded[1:]
+
+    @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self.padded) - 1
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -156,8 +164,8 @@ class Permutation:
         inverse images, so the cost is the total cycle length plus the
         degree."""
         points = _identity_images(degree)
-        images = [0, *points]                   # images[p], 0 is padding
-        preimages = list(range(degree + 1))
+        images = list(points)
+        preimages = list(points)
         for cyc in cycles:
             seen = set()
             for p in cyc:
@@ -169,28 +177,27 @@ class Permutation:
             # the points now sent to cyc[j] go on to cyc[j + 1]
             sources = [preimages[p] for p in cyc]
             for src, q in zip(sources, cyc[1:] + cyc[:1]):
-                images[src] = points[q - 1]
+                images[src] = points[q]
                 preimages[q] = src
-        return cls._raw(tuple(images[1:]))
+        return cls._raw(tuple(images))
 
     def apply(self, point: int) -> int:
         if not 1 <= point <= self.degree:
             raise InputError(f"point {point} out of range 1..{self.degree}")
-        return self.images[point - 1]
+        return self.padded[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """self then other."""
-        si, oi = self.images, other.images
-        if len(oi) != len(si):
+        left, right = self.padded, other.padded
+        if len(left) != len(right):
             raise InputError("degree mismatch in product")
-        images = itemgetter(*si)((0,) + oi)
-        # itemgetter with a single index returns the item, not a 1-tuple
-        return Permutation._raw(images if len(si) > 1 else (images,))
+        return Permutation._raw(itemgetter(*left)(right))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for p, q in zip(_identity_images(len(self.images)), self.images):
-            inv[q - 1] = p
+        padded = self.padded
+        inv = [0] * len(padded)
+        for p, q in zip(_identity_images(len(padded) - 1), padded):
+            inv[q] = p
         return Permutation._raw(tuple(inv))
 
     def __pow__(self, n: int) -> "Permutation":
@@ -210,24 +217,25 @@ class Permutation:
         return by.inverse() * self * by
 
     def is_identity(self) -> bool:
-        return self.images == _identity_images(len(self.images))
+        return self.padded == _identity_images(len(self.padded) - 1)
 
     def fixed_points(self):
-        return tuple(p for p, q in enumerate(self.images, start=1) if p == q)
+        return tuple(p for p, q in enumerate(self.padded) if p == q)[1:]
 
     def cycles(self):
         """Nontrivial cycles, each rotated to start at its minimum, sorted."""
-        seen = set()
+        padded = self.padded
+        seen = bytearray(len(padded))
         out = []
-        for p in range(1, self.degree + 1):
-            if p in seen or self.images[p - 1] == p:
+        for p in range(1, len(padded)):
+            if seen[p] or padded[p] == p:
                 continue
             cyc = [p]
-            q = self.images[p - 1]
+            q = padded[p]
             while q != p:
                 cyc.append(q)
-                seen.add(q)
-                q = self.images[q - 1]
+                seen[q] = 1
+                q = padded[q]
             out.append(tuple(cyc))
         return tuple(out)
 
@@ -238,13 +246,13 @@ class Permutation:
         return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
 
     def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
+        return isinstance(other, Permutation) and self.padded == other.padded
 
     def __lt__(self, other):
-        return self.images < other.images
+        return self.padded < other.padded
 
     def __hash__(self):
-        return hash(self.images)
+        return hash(self.padded)
 
     def __repr__(self):
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
@@ -292,17 +300,17 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         raise ParseError(str(exc)) from None
 
 
-def _times(images: tuple, padded: tuple) -> tuple:
-    """The images of the product of a permutation with ``images`` and one
-    with the images ``padded`` with a leading 0, which a chain keeps once
-    per strong generator: one ``itemgetter`` call that pads nothing.  The
-    product of two padded image tuples is padded."""
-    return itemgetter(*images)(padded)
+def _times(left: tuple, right: tuple) -> tuple:
+    """The padded images of the product of the permutations with the
+    padded images ``left`` and ``right``: one ``itemgetter`` call, as in
+    ``Permutation.__mul__``, on the tuples the chain keeps, with no
+    ``Permutation`` formed around them."""
+    return itemgetter(*left)(right)
 
 
 class _RelationFinder:
     """The two-letter relations among a growing list of generators, given
-    by their images padded with a leading 0: ``(a, b, c, d)`` for each
+    by their padded images: ``(a, b, c, d)`` for each
     g_a g_b = g_c g_d != 1 with b != d, once per unordered pair of pairs
     and with (a, b) < (c, d), and ``(a, b)`` for each g_a g_b = 1.
 
@@ -315,7 +323,7 @@ class _RelationFinder:
     def __init__(self, degree: int):
         self.padded = []
         self.samples = []
-        self.identity = tuple(range(degree + 1))
+        self.identity = _identity_images(degree)
         self.step = max(1, (degree + 1) // 64)
         self.one = hash(self.identity[::self.step])
         self.buckets = {}   # sample hash -> classes of pairs, equal products
@@ -380,8 +388,8 @@ class _ChainLevel:
         self.elements = {point: Permutation.identity(degree)}
         self.ids = None     # the chain's indices of the generators the
                             # orbit was last built from
-        self.gens = []      # those generators, and the chain's padded
-        self.padded = []    # images, inverse images and orders of them
+        self.gens = []      # those generators, their padded images, and
+        self.padded = []    # the chain's inverse images and orders of them
         self.inverses = []
         self.orders = []
 
@@ -406,7 +414,7 @@ class _ChainLevel:
         while q not in elements:
             path.append(q)
             q = edge[q][0]
-        images = elements[q].images
+        images = elements[q].padded
         for q in reversed(path):
             images = _times(images, padded[edge[q][1]])
             elements[q] = t = Permutation._raw(images)
@@ -419,7 +427,7 @@ class _ChainLevel:
         while points and q != root:
             q, j = edge[q]
             inv = inverses[j]
-            points = [inv[x - 1] for x in points]
+            points = [inv[x] for x in points]
         return points
 
     def relations(self) -> tuple[list, list]:
@@ -515,12 +523,10 @@ class StabiliserChain:
     def __init__(self, degree: int, generators, base_prefix=()):
         self.degree = degree
         self.strong_gens: list[Permutation] = []
-        # per strong generator, kept once: its images padded with a leading
-        # 0 (the finder's list), its inverse images, its order, and its
-        # depth, the index of the first base point it moves: it lies in the
-        # levels up to that one
+        # per strong generator, kept once: its padded inverse images, its
+        # order, and its depth, the index of the first base point it moves:
+        # it lies in the levels up to that one
         self._finder = _RelationFinder(degree)
-        self._padded = self._finder.padded
         self._inverses, self._orders, self._depths = [], [], []
         # per depth d, the relations among the strong generators whose
         # letters' least depth is d, as (equal, inverse)
@@ -557,18 +563,18 @@ class StabiliserChain:
                 return
 
     def _register(self, gens: list) -> None:
-        """Keep the padded images, inverse images, order and depth of
-        ``gens``, the newest strong generators, each of which moves a base
-        point; find their relations with the earlier ones and file each by
-        the least depth of its letters."""
+        """Keep the padded inverse images, order and depth of ``gens``,
+        the newest strong generators, each of which moves a base point;
+        find their relations with the earlier ones and file each by the
+        least depth of its letters."""
         points = [lev.point for lev in self.levels]
         depths = self._depths
         for s in gens:
-            self._inverses.append(s.inverse().images)
+            self._inverses.append(s.inverse().padded)
             self._orders.append(math.lcm(*map(len, s.cycles())))
             depths.append(next(d for d, p in enumerate(points)
-                               if s.images[p - 1] != p))
-        found = self._finder.add([(0,) + s.images for s in gens])
+                               if s.padded[p] != p))
+        found = self._finder.add([s.padded for s in gens])
         self._reach += [([], []) for _ in range(len(points) - len(self._reach))]
         for at, relations in enumerate(found):
             for r in relations:
@@ -587,7 +593,7 @@ class StabiliserChain:
         old_ids, old_edge = lev.ids or [], lev.edge
         lev.ids = ids
         lev.gens = [self.strong_gens[g] for g in ids]
-        padded = lev.padded = [self._padded[g] for g in ids]
+        padded = lev.padded = [g.padded for g in lev.gens]
         lev.inverses = [self._inverses[g] for g in ids]
         lev.orders = [self._orders[g] for g in ids]
         root = lev.point
@@ -653,11 +659,11 @@ class StabiliserChain:
         """
         lev = self.levels[i]
         t_q = lev.element(q)
-        us = Permutation._raw(_times(u.images, lev.padded[j]))
-        if us.images == t_q.images:
+        us = _times(u.padded, lev.padded[j])
+        if us == t_q.padded:
             return None     # x is the identity
         deeper = self.levels[i + 1:]
-        images = [us.images[d.point - 1] for d in deeper]
+        images = [us[d.point] for d in deeper]
         path = self._sift_base_images(i + 1, lev.preimages(q, images))
         if len(path) < len(deeper):
             passed = self._path_product(i + 1, path) * t_q
@@ -669,9 +675,9 @@ class StabiliserChain:
                 if memo is not None:
                     memo[key] = target
             passed = target * t_q
-            if us.images == passed.images:
+            if us == passed.padded:
                 return None
-        return us * passed.inverse(), i + 1 + len(path)
+        return Permutation._raw(us) * passed.inverse(), i + 1 + len(path)
 
     def _complete(self) -> None:
         """Deterministic Schreier-Sims: make every level's Schreier generators
@@ -682,10 +688,10 @@ class StabiliserChain:
         stopped.  A level is first built when it is first scanned, and
         rebuilt only by a scan, so never for generators that change again
         before a scan reads it.  A scan computes its flags only once it is
-        past its first orbit point.  Each strong generator's padded images,
-        inverse images, order and relations with the earlier ones are found
-        once, when it is appended (``_register``), and every level reads
-        them.  The chain is the one the product sift builds."""
+        past its first orbit point.  Each strong generator's inverse
+        images, order and relations with the earlier ones are found once,
+        when it is appended (``_register``), and every level reads them.
+        The chain is the one the product sift builds."""
         i = len(self.levels) - 1
         while i >= 0:
             new_level = self._scan(i)
@@ -751,9 +757,9 @@ class StabiliserChain:
         if g.degree != self.degree:
             return False
         path = self._sift_base_images(
-            0, [g.images[lev.point - 1] for lev in self.levels])
+            0, [g.padded[lev.point] for lev in self.levels])
         return (len(path) == len(self.levels)
-                and g.images == self._path_product(0, path).images)
+                and g.padded == self._path_product(0, path).padded)
 
     def stabiliser_generators(self) -> list[Permutation]:
         """Strong generators fixing the first base point; they generate the
@@ -817,18 +823,18 @@ class PermutationGroup:
                                                     f"> {cap}")
                             nxt.append(y)
                 frontier = nxt
-            self._elements = tuple(sorted(known, key=attrgetter("images")))
+            self._elements = tuple(sorted(known, key=attrgetter("padded")))
         return self._elements
 
     def orbit(self, point: int) -> tuple[int, ...]:
         if not 1 <= point <= self.degree:
             raise InputError(f"point {point} out of range 1..{self.degree}")
-        gens = [s.images for s in self.generators]
+        gens = [s.padded for s in self.generators]
         seen = {point}
         queue = [point]
         for p in queue:     # breadth first: the list grows while it is read
             for images in gens:
-                q = images[p - 1]
+                q = images[p]
                 if q not in seen:
                     seen.add(q)
                     queue.append(q)

@@ -357,28 +357,29 @@ def coset_key_failure(candidate, table, pairs=1000, seed=0):
     quotient of their representatives lies in rho(A).  Returns the first
     failure, or None."""
     carrier = candidate.carrier
-    reps = [Permutation(key) for key in table.index]
+    reps = [Permutation(key[1:]) for key in table.index]
     rng = random.Random(seed)
     n = len(reps)
     for _ in range(min(pairs, 4 * n)):
         x = reps[rng.randrange(n)]
         y = reps[rng.randrange(n)]
         shifted = carrier.rho_index(rng.randrange(carrier.size)) * x
-        if carrier.coset_key((0,) + shifted.images) != x.images:
+        if carrier.coset_key(shifted.padded) != x.padded:
             return "same coset produced different keys"
-        if (x.images == y.images) != carrier.in_rho(x * y.inverse()):
+        if (x.padded == y.padded) != carrier.in_rho(x * y.inverse()):
             return "key equality disagrees with membership"
     return None
 
 
 def carrier_neighbourhoods(candidate, table):
     """Neighbour ids of every coset, recomputed on the carrier: the coset of
-    vertex v is keyed by its canonical representative's images, and its
-    neighbours are the canonical keys of e * rep over the slot elements e."""
+    vertex v is keyed by its canonical representative's padded images, and
+    its neighbours are the canonical keys of e * rep over the slot elements
+    e."""
     carrier = candidate.carrier
     slot_elems = slot_elements(candidate)
-    reps = {v: Permutation(key) for key, v in table.index.items()}
-    return [[table.index[canonical_coset_rep(carrier, e * reps[v]).images]
+    reps = {v: Permutation(key[1:]) for key, v in table.index.items()}
+    return [[table.index[canonical_coset_rep(carrier, e * reps[v]).padded]
              for e in slot_elems]
             for v in range(table.size)]
 
@@ -391,16 +392,16 @@ def enumerate_cosets_by_products(candidate):
     generators = candidate.group_generators()
     start = canonical_coset_rep(carrier, Permutation.identity(carrier.degree))
     reps = [start]
-    index = {start.images: 0}
+    index = {start.padded: 0}
     transitions = [[] for _ in generators]
     for rep in reps:        # breadth first: the list grows while it is read
         for gi, g in enumerate(generators):
             target = canonical_coset_rep(carrier, rep * g)
-            ti = index.get(target.images)
+            ti = index.get(target.padded)
             if ti is None:
                 ti = len(reps)
                 reps.append(target)
-                index[target.images] = ti
+                index[target.padded] = ti
             transitions[gi].append(ti)
     return list(index.items()), tuple(tuple(row) for row in transitions)
 
@@ -466,9 +467,9 @@ def skipped_by_walks(level):
                   if cycle[0] in orbit and len(cycle) == order]
     equal, inverse = relations_by_products(gens)
     for p in orbit:
-        walks += [[(p, a), (gens[a].images[p - 1], b)] for a, b in inverse]
-        walks += [[(p, a), (gens[a].images[p - 1], b),
-                   (p, c), (gens[c].images[p - 1], d)]
+        walks += [[(p, a), (gens[a].apply(p), b)] for a, b in inverse]
+        walks += [[(p, a), (gens[a].apply(p), b),
+                   (p, c), (gens[c].apply(p), d)]
                   for a, b, c, d in equal]
     flags = [{p for p, k in tree if k == j} for j in range(len(gens))]
     for walk in walks:
@@ -481,6 +482,28 @@ def skipped_by_walks(level):
 
 # L0 at n=2..4, L1 at n=2, and a k=3 star with an identity twist on edge 3:
 # the stars every all-of-A oracle runs on
+def involutions_by_matchings(count):
+    """All involutions of {0..count-1} as partner tuples, built recursively
+    by matching the least point with itself or a later one, then sorted by
+    number of moved points and lexicographically: the oracle for
+    ``completion._involutions``."""
+    def matchings(avail):
+        if not avail:
+            yield {}
+            return
+        first, rest = avail[0], avail[1:]
+        for sub in matchings(rest):
+            yield {first: first, **sub}
+        for pick in rest:
+            for sub in matchings(tuple(x for x in rest if x != pick)):
+                yield {first: pick, pick: first, **sub}
+
+    partners = [tuple(m[o] for o in range(count))
+                for m in matchings(tuple(range(count)))]
+    return sorted(partners, key=lambda partner: (
+        sum(1 for o, p in enumerate(partner) if o != p), partner))
+
+
 ORACLE_STARS = {"L0-n2": ((3, "(1 2)"), 2), "L0-n3": ((3, "(1 2)"), 3),
                 "L0-n4": ((3, "(1 2)"), 4), "L1-n2": ((5, "(1 2 3)(4 5)"), 2),
                 "k3-n2": ((4, "(1 2)"), 2)}
@@ -545,7 +568,7 @@ class DecodedStar:
 def reference_mul(a: Permutation, b: Permutation) -> Permutation:
     """``a`` then ``b``, one point at a time."""
     bi = b.images
-    return Permutation._raw(tuple(bi[i - 1] for i in a.images))
+    return Permutation._raw((0, *(bi[i - 1] for i in a.images)))
 
 
 def reference_is_identity(a: Permutation) -> bool:
@@ -556,7 +579,7 @@ def reference_inverse(a: Permutation) -> Permutation:
     inv = [0] * len(a.images)
     for p, q in enumerate(a.images, start=1):
         inv[q - 1] = p
-    return Permutation._raw(tuple(inv))
+    return Permutation._raw((0, *inv))
 
 
 class ReferenceLevel:
@@ -586,7 +609,7 @@ class ReferenceChain:
         for g in generators:
             if not reference_is_identity(g) and g not in self.strong_gens:
                 self.strong_gens.append(g)
-                if all(g.images[lev.point - 1] == lev.point
+                if all(g.apply(lev.point) == lev.point
                        for lev in self.levels):
                     self._append_first_moved_point(g)
         self._complete()
@@ -597,14 +620,14 @@ class ReferenceChain:
 
     def _append_first_moved_point(self, g):
         for p in range(1, self.degree + 1):
-            if g.images[p - 1] != p:
+            if g.apply(p) != p:
                 self.levels.append(ReferenceLevel(p, self.degree))
                 return
 
     def _level_gens(self, i):
         pts = [lev.point for lev in self.levels[:i]]
         return [s for s in self.strong_gens
-                if all(s.images[p - 1] == p for p in pts)]
+                if all(s.apply(p) == p for p in pts)]
 
     def _rebuild_orbit(self, i):
         lev = self.levels[i]
@@ -618,7 +641,7 @@ class ReferenceChain:
             p = queue.pop(0)
             u = lev.transversal[p]
             for j, s in enumerate(gens):
-                q = s.images[p - 1]
+                q = s.apply(p)
                 if q not in lev.transversal:
                     rep = reference_mul(u, s)
                     lev.transversal[q] = rep
@@ -642,7 +665,7 @@ class ReferenceChain:
             for p in sorted(lev.transversal):
                 u = lev.transversal[p]
                 for s in gens:
-                    q = s.images[p - 1]
+                    q = s.apply(p)
                     schreier = reference_mul(reference_mul(u, s),
                                              lev.inverse_transversal[q])
                     if reference_is_identity(schreier):
@@ -673,7 +696,7 @@ def product_sift(levels, g, from_level, inverse):
     h = g
     for i in range(from_level, len(levels)):
         lev = levels[i]
-        img = h.images[lev.point - 1]
+        img = h.apply(lev.point)
         if img != lev.point and img not in lev.edge:
             return h, i
         h = reference_mul(h, inverse(lev, img))

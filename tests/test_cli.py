@@ -319,6 +319,19 @@ class TestHostileVerifyInput:
         assert capsys.readouterr().err == (
             "error: non-ASCII byte 0xff (line 3, column 4)\n")
 
+    @pytest.mark.parametrize("adjacency, message", [
+        ("0: 1\n0: 2\n1:\n2: 0\n", "error: vertex 0 listed twice (line 2)\n"),
+        ("0: 1\n\n\nx: 0\n", "error: bad adjacency line 'x: 0' (line 4)\n"),
+    ], ids=["repeated-vertex", "blank-lines-counted"])
+    def test_adjacency_fault_named_at_its_line(self, files, capsys,
+                                               adjacency, message):
+        # a repeated vertex line is refused, not read over the earlier one,
+        # and the line number counts the blank lines before the fault
+        graph = files["dir"] / "faulty.adj"
+        graph.write_text(adjacency)
+        assert main(["verify", str(graph), files["L0"], files["L0"]]) == 2
+        assert capsys.readouterr().err == message
+
     def test_huge_vertex_id(self, files, capsys):
         assert self.run_verify(files, "0 2000000000\n",
                                "degree 6\n(1 2 3 4 5 6)\n") == 2

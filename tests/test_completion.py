@@ -18,7 +18,7 @@ from graphrestrict.perm import Permutation, StabiliserChain
 from conftest import (ORACLE_STARS, DecodedStar, as_tuple,
                       canonical_coset_rep, carrier_core_of_rho,
                       conjugation_map, full_map_contract, full_map_v1, group,
-                      rho_check_by_loop, rho_closure, tuple_mul, v4_by_pairs)
+                      involutions_by_matchings, rho_check_by_loop, rho_closure, tuple_mul, v4_by_pairs)
 
 
 @pytest.fixture
@@ -427,6 +427,13 @@ def counted_verify_completion(monkeypatch):
 
 
 class TestFindCompletion:
+    @pytest.mark.parametrize("count", range(8))
+    def test_involutions_match_recursive_matchings(self, count):
+        # the filter over all permutations lists the recursion's
+        # involutions in the same order: 1, 1, 2, 4, 10, 26, 76, 232
+        assert completion._involutions(count) == \
+            involutions_by_matchings(count)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_l0_accepts_small_copies(self, l0, n):
         star = build_star(analyze_local_group(l0), n)

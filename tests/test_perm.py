@@ -118,6 +118,21 @@ class TestKernelEdgeCases:
                 assert (a * b).is_identity() == reference_is_identity(a * b)
                 assert a.inverse().images == reference_inverse(a).images
 
+    def test_padded_layout(self):
+        # one stored layout: padded[p] is the image of p, padded[0] is 0
+        assert perm._identity_images(3) == (0, 1, 2, 3)
+        assert Permutation.identity(3).padded == (0, 1, 2, 3)
+        assert Permutation.from_cycles(3, [(1, 2)]).padded == (0, 2, 1, 3)
+        for x in ((1,), (2, 1), (3, 1, 2), (2, 4, 1, 3)):
+            g = Permutation(x)
+            assert g.padded == (0, *x)
+            assert g.images == tuple(x)
+            assert (g * g).padded == (0, *reference_mul(g, g).images)
+            assert g.inverse().padded == (0, *reference_inverse(g).images)
+        e = Permutation((1,))
+        assert (e * e).padded == (0, 1)
+        assert e.inverse().padded == (0, 1)
+
     def test_degree_one(self):
         e = Permutation((1,))
         assert (e * e).images == (1,)
@@ -156,7 +171,7 @@ class TestKernelEdgeCases:
 
 
 class TestSharedPointObjects:
-    """Every image tuple of a degree holds the int objects of
+    """Every padded image tuple of a degree holds the int objects of
     ``_identity_images(degree)``, so that equal tuples compare by
     identity."""
 
@@ -178,7 +193,7 @@ class TestSharedPointObjects:
         built["product"] = listed * built["from_cycles"]
         built["power"] = built["cycle notation"] ** 7
         for name, g in built.items():
-            assert all(q is points[q - 1] for q in g.images), name
+            assert all(q is points[q] for q in g.padded), name
         assert listed == built["constructor"]
 
     def test_pair_generators_share_point_objects(self):
@@ -187,11 +202,11 @@ class TestSharedPointObjects:
         pair = _pair(L1, 2)
         action = pair.action_generators[0]
         points = perm._identity_images(action.degree)
-        assert all(q is points[q - 1] for q in action.images)
+        assert all(q is points[q] for q in action.padded)
         carrier = Carrier(pair.star, 5)
         points = perm._identity_images(carrier.degree)
         for x in (1, pair.star.order - 1):
-            assert all(q is points[q - 1] for q in carrier.rho_index(x).images)
+            assert all(q is points[q] for q in carrier.rho_index(x).padded)
 
 
 L0 = (3, "(1 2)")
@@ -430,7 +445,7 @@ class TestSiftSchreier:
             got = original_sift(chain, i, u, j, q, memo)
             if got is not None:
                 lev = chain.levels[i]
-                scans[-1]["broke at"] = u.images[lev.point - 1]
+                scans[-1]["broke at"] = u.apply(lev.point)
             return got
 
         def skipped(lev):
@@ -460,14 +475,15 @@ def cycle_lengths_lcm(s):
         while q not in seen:
             seen.add(q)
             length += 1
-            q = s.images[q - 1]
+            q = s.apply(q)
         lengths.append(length or 1)
     return math.lcm(*lengths)
 
 
 class TestGeneratorDataPerChain:
     """What the levels read of each strong generator is formed once per
-    chain: padded images, inverse images, order and the relations."""
+    chain: inverse images, order and the relations; its padded images are
+    the generator's own."""
 
     @pytest.mark.parametrize("name,where", CHAIN_CASES,
                              ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
@@ -477,13 +493,13 @@ class TestGeneratorDataPerChain:
         chain = StabiliserChain(degree, gens,
                                 base_prefix=base_prefix(where, degree))
         for g, s in enumerate(chain.strong_gens):
-            assert chain._padded[g] == (0,) + s.images
-            assert chain._inverses[g] == reference_inverse(s).images
+            assert chain._finder.padded[g] is s.padded
+            assert chain._inverses[g] == reference_inverse(s).padded
             assert chain._orders[g] == cycle_lengths_lcm(s)
         for lev in chain.levels:
             assert lev.gens == [chain.strong_gens[g] for g in lev.ids]
             for j, g in enumerate(lev.ids):
-                assert lev.padded[j] is chain._padded[g]
+                assert lev.padded[j] is chain.strong_gens[g].padded
                 assert lev.inverses[j] is chain._inverses[g]
                 assert lev.orders[j] is chain._orders[g]
 
@@ -529,7 +545,7 @@ class TestOrderClosure:
                 s = lev.gens[j]
                 for p in flagged(flags):
                     x = reference_mul(reference_mul(lev.element(p), s),
-                                      inverse(lev, s.images[p - 1]))
+                                      inverse(lev, s.apply(p)))
                     residue, _ = product_sift(chain.levels, x, i + 1, inverse)
                     assert reference_is_identity(residue), (i, p, j)
                     closed += (p, j) not in tree

@@ -76,7 +76,7 @@ def test_walk_skips_keep_the_chain(case):
             assert points == expected[j], (i, j)
             for p in points:
                 x = reference_mul(reference_mul(lev.element(p), s),
-                                  inverse(lev, s.images[p - 1]))
+                                  inverse(lev, s.apply(p)))
                 residue, _ = product_sift(chain.levels, x, i + 1, inverse)
                 assert reference_is_identity(residue), (i, p, j)
 
