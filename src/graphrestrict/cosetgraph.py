@@ -284,12 +284,13 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     # order.  V2 and V4 give each vertex d distinct neighbours other than
     # itself, the involutive betas make adjacency symmetric, and G =
     # <rho(A), betas> makes the graph connected.
-    n = table.size
     base_neighbours = [table.index[key] for key in candidate.slot_keys()]
+    n, transitions = table.size, table.transitions
+    del table       # its coset keys, one per vertex, are read no further
     neighbours: list[list[int] | None] = [base_neighbours] + [None] * (n - 1)
     for v in range(n):
         nbrs = neighbours[v]
-        for row in table.transitions:
+        for row in transitions:
             w = row[v]
             if neighbours[w] is None:
                 neighbours[w] = [row[u] for u in nbrs]
@@ -299,7 +300,7 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     # its images are the shared int objects of the degree
     points = perm._identity_images(n)[1:]
     action = tuple(Permutation._raw((0, *itemgetter(*row)(points)))
-                   for row in table.transitions)
+                   for row in transitions)
     return LocallyLPair(
         candidate, report._replace(order_g=carrier.size * n),
         witness, graph, action)
@@ -631,16 +632,18 @@ def parse_graph(text_or_bytes, vertex_cap: int | None = None) -> FiniteGraph:
     a count above ``vertex_cap`` raises CapacityError before the graph is
     built.  An adjacency list names each vertex on one line at most.  Every
     format is ASCII, so a byte outside it is named with its line and
-    column; a line number counts every line of the input, blank ones too."""
+    column.  Every message counts lines as ``str.splitlines`` breaks them,
+    blank ones too."""
     if isinstance(text_or_bytes, (bytes, bytearray)):
         try:
             text = text_or_bytes.decode("ascii")
         except UnicodeDecodeError as exc:
             at = exc.start
-            line_start = text_or_bytes.rfind(b"\n", 0, at) + 1
+            # the input is ASCII up to the byte, which "?" stands for
+            before = (text_or_bytes[:at].decode("ascii") + "?").splitlines()
             raise ParseError(f"non-ASCII byte 0x{text_or_bytes[at]:02x}",
-                             line=text_or_bytes.count(b"\n", 0, at) + 1,
-                             column=at - line_start + 1) from None
+                             line=len(before),
+                             column=len(before[-1])) from None
     else:
         text = text_or_bytes
     numbered = {no: ln for no, ln in enumerate(

@@ -34,14 +34,28 @@ levels up to that one.  Each level keeps a Schreier tree, one edge
 ``t_q = t_p * gens[j]`` per orbit point but the root, and the orbit is the
 root and the tree's points, so orbit lengths and membership are read off
 the tree.  A transversal element ``t_q`` is formed the first time it is
-read, from its nearest formed ancestor down the tree, and kept in a plain
-dict that refers to no level, so a chain holds no reference cycle and is
-freed as soon as it is dropped.  A preimage under ``t_q`` walks ``q``'s
-tree path to the root through the inverse images, so no transversal
-element's inverse is stored.  The levels are scanned from the deepest up,
-and a level is built when it is scanned: never for generators that change
-again before any scan reads it.  A rebuild keeps the formed elements whose
-tree path is unchanged and forms none.
+read, from its nearest formed ancestor down the tree, and kept in a dict
+that refers to no level, so a chain holds no reference cycle and is freed
+as soon as it is dropped.  A preimage under ``t_q`` walks ``q``'s tree path
+to the root through the inverse images, so no transversal element's
+inverse is stored.  The levels are scanned from the deepest up, and a
+level is built when it is scanned: never for generators that change again
+before any scan reads it.  A rebuild keeps the formed elements whose tree
+path is unchanged and forms none.
+
+Level 0, whose elements would otherwise hold most of a chain's memory,
+drops each element after the last read its scan makes of it.  Once a scan
+is past its first orbit point, its flags fix every read that remains, so
+the scan lists them first; replaying ``element``'s rule over that list
+finds, per element, its last read and the last element formed from it, and
+the scan drops the element after the later of the two.  So it forms the
+products of a scan that keeps every element, unless it breaks on a new
+strong generator past that point: then the next scan forms again the
+dropped elements it reads.  Only level 0 drops elements: the scan of a
+shallower level reads a deeper level's elements through the path products,
+at times no list of the deeper scan fixes, and no level is shallower than
+level 0.  A membership test forms again the level-0 elements it reads, and
+keeps them.
 
 The chain sifts each Schreier generator ``u s t_q^-1`` on base images: the
 deeper base points' images are mapped back along one tree path per level.
@@ -383,8 +397,9 @@ class _ChainLevel:
         # q -> (p, j) where t_q = t_p * gens[j], for every orbit point but
         # the root, so the orbit is the root and the tree's points
         self.edge = {}
-        # the transversal elements formed so far, orbit point q -> t_q with
-        # point^t_q == q; a plain dict, which refers to no level
+        # the transversal elements formed and not dropped, orbit point
+        # q -> t_q with point^t_q == q; level 0's scans drop each after its
+        # last read, but never the root.  A dict, which refers to no level
         self.elements = {point: Permutation.identity(degree)}
         self.ids = None     # the chain's indices of the generators the
                             # orbit was last built from
@@ -419,6 +434,31 @@ class _ChainLevel:
             images = _times(images, padded[edge[q][1]])
             elements[q] = t = Permutation._raw(images)
         return t
+
+    def drops(self, schedule: list) -> list:
+        """Per entry ``(p, reads)`` of a scan's schedule, the formed
+        elements that entry uses last, to be dropped once its sifts are
+        done.  The entry reads ``t_p`` and then ``t_q``, ``q = gens[j][p]``,
+        for each ``j`` in ``reads``, and ``element`` forms an element down
+        its tree path from the nearest formed ancestor: so an element is
+        used last at the later of its own last read and the last formation
+        it is the base of.  Replaying that rule over the schedule finds
+        both.  The elements formed before the scan that it never reaches
+        go with the first entry; the root is never dropped."""
+        edge, padded = self.edge, self.padded
+        last = dict.fromkeys(self.elements, 0)
+        for at, (p, reads) in enumerate(schedule):
+            for j in reads:
+                for q in (p, padded[j][p]):
+                    while q not in last:    # formed now, from an ancestor
+                        last[q] = at
+                        q = edge[q][0]
+                    last[q] = at
+        del last[self.point]
+        drops = [[] for _ in schedule]
+        for q, at in last.items():
+            drops[at].append(q)
+        return drops
 
     def preimages(self, q: int, points: list) -> list:
         """The preimages of ``points`` under ``t_q``, by walking
@@ -709,36 +749,58 @@ class StabiliserChain:
         edge of each relator walk, which the walk's earlier ones imply; a
         flagged pair at the first point would have sifted to the identity,
         so the scan breaks on the pair it would break on with every flag.
-        Its memo of path products lives for one scan, and only when the
-        product of the deeper orbit lengths is at most this level's orbit
-        length, which bounds the memo by the transversal; otherwise each
-        path product is formed and dropped."""
+        The flags fix the scan's remaining reads, which it lists once and
+        then sifts; at level 0, ``_ChainLevel.drops`` names on that list
+        the elements each point reads last, and the scan drops them once
+        that point's sifts are done.  Its memo of path products lives for
+        one scan, and only when the product of the deeper orbit lengths is
+        at most this level's orbit length, which bounds the memo by the
+        transversal; otherwise each path product is formed and
+        dropped."""
         self._rebuild_orbit(i)
         lev = self.levels[i]
         # one memo entry per path, that is per element of the deeper
         # levels' group
         deeper = math.prod(d.orbit_length() for d in self.levels[i + 1:])
         memo = {} if deeper <= lev.orbit_length() else None
-        points = sorted(lev.orbit())
-        first = points[0]
-        skip = None
-        for p in points:
-            if p != first and skip is None:
-                skip = lev.skipped()
-            for j, images in enumerate(lev.padded):
-                q = images[p]
-                if (lev.edge.get(q) == (p, j) if skip is None
-                        else skip[j][p]):
-                    continue
-                sifted = self._sift_schreier(i, lev.element(p), j, q, memo)
-                if sifted is None:
-                    continue
-                residue, new_level = sifted
-                self.strong_gens.append(residue)
-                if new_level == len(self.levels):
-                    self._ensure_base_covers(residue)
-                self._register([residue])
+        first, *rest = sorted(lev.orbit())
+        new_level = self._sift_point(i, first, [
+            j for j, images in enumerate(lev.padded)
+            if lev.edge.get(images[first]) != (first, j)], memo)
+        if new_level is not None or not rest:
+            return new_level
+        # the flags fix the rest of the scan: the generators each point sifts
+        skip = lev.skipped()
+        schedule = [(p, [j for j, flags in enumerate(skip) if not flags[p]])
+                    for p in rest]
+        drops = lev.drops(schedule) if i == 0 else [()] * len(schedule)
+        for (p, reads), drop in zip(schedule, drops):
+            new_level = self._sift_point(i, p, reads, memo)
+            if new_level is not None:
                 return new_level
+            for q in drop:
+                del lev.elements[q]
+        return None
+
+    def _sift_point(self, i: int, p: int, reads: list,
+                    memo: dict | None) -> int | None:
+        """Sift the Schreier generators of level ``i`` at the orbit point
+        ``p`` on the generators ``reads``, in order; on the first that is
+        not in the deeper levels' group, append its residue as a strong
+        generator and return the level where its sift stopped, else return
+        None."""
+        lev = self.levels[i]
+        for j in reads:
+            sifted = self._sift_schreier(i, lev.element(p), j,
+                                         lev.padded[j][p], memo)
+            if sifted is None:
+                continue
+            residue, new_level = sifted
+            self.strong_gens.append(residue)
+            if new_level == len(self.levels):
+                self._ensure_base_covers(residue)
+            self._register([residue])
+            return new_level
         return None
 
     # -- queries --------------------------------------------------------
@@ -775,8 +837,9 @@ class PermutationGroup:
 
     The stabiliser chain is computed on first use and cached.  Its order and
     base are fixed afterwards; a membership test may still form and keep a
-    transversal element, and two threads doing so at once form equal ones,
-    so instances are safe to share between threads.
+    transversal element, or form again one that the chain dropped after
+    its last read while it was built, and two threads doing so at once
+    form equal ones, so instances are safe to share between threads.
     """
 
     def __init__(self, degree: int, generators=()):

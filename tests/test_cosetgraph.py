@@ -253,6 +253,32 @@ class TestBuildGraph:
         witness = local_action(implicit.star)
         assert witness == implicit.witness and witness.kernel_order == 4
 
+    def test_coset_keys_dropped_before_the_graph(self, result0,
+                                                 monkeypatch):
+        # build_graph reads the coset index only for the base vertex's
+        # neighbours, so the keys, one per vertex, are freed before the
+        # neighbour lists and the graph are built
+        class Index(dict):
+            pass
+
+        freed = []
+
+        def enumerate_with_watched_index(candidate, cap):
+            table = enumerate_cosets(candidate, cap)
+            index = Index(table.index)
+            weakref.finalize(index, freed.append, True)
+            return table._replace(index=index)
+
+        def graph(*args):
+            assert freed, "coset index still alive"
+            return FiniteGraph(*args)
+
+        monkeypatch.setattr(cosetgraph, "enumerate_cosets",
+                            enumerate_with_watched_index)
+        monkeypatch.setattr(cosetgraph, "FiniteGraph", graph)
+        pair = build_graph(result0.candidate, result0.report, result0.witness)
+        assert pair.graph == result0.graph
+
     def test_rejected_completion_refused(self, result0):
         bad_report = result0.report._replace(v4=False, accepted=False)
         with pytest.raises(InputError):
@@ -643,6 +669,29 @@ class TestExports:
     def test_parse_errors(self):
         with pytest.raises(ParseError):
             parse_graph("")
+
+    # a form feed and a bare carriage return each end a line for
+    # str.splitlines, so in both the byte is on the third line
+    @pytest.mark.parametrize("data,line,column", [
+        (b"0: 1\x0c\n\xff: 0\n", 3, 1),
+        (b"0 1\r1 2\r2 \xff\n", 3, 3),
+    ])
+    def test_non_ascii_byte_on_the_line_splitlines_gives(self, data, line,
+                                                          column):
+        with pytest.raises(ParseError, match="non-ASCII byte 0xff") as error:
+            parse_graph(data)
+        assert (error.value.line, error.value.column) == (line, column)
+        lines = data.replace(b"\xff", b"x").decode().splitlines()
+        assert lines[line - 1][column - 1] == "x"
+
+    def test_adjacency_message_names_the_same_line(self):
+        with pytest.raises(ParseError, match="bad adjacency line") as error:
+            parse_graph("0: 1\x0c\nx: 0\n")
+        assert error.value.line == 3
+
+    def test_bare_carriage_return_edge_list(self):
+        assert parse_graph(b"0 1\r1 2\r") == FiniteGraph.from_edges(
+            3, [(0, 1), (1, 2)])
 
     def test_graph6_truncated_rejected(self):
         # "Dhc" is the 5-cycle; dropping its last data byte must not parse

@@ -343,12 +343,13 @@ def transversal_inverses():
 UNSIFTED = {"hexagon-rotation"}
 
 
-def chain_products(monkeypatch, prefix) -> int:
-    """The products, on Permutations and on padded images, that the chain
-    of the l1-n2-vertices group with the base ``prefix`` forms."""
-    gens = tuple(CHAIN_GROUPS["l1-n2-vertices"][0]())
+def counted_chain(monkeypatch, name, where):
+    """The chain of the ``CHAIN_GROUPS`` group ``name`` with the base
+    prefix ``where`` names, and the products, on Permutations and on padded
+    images, that its construction forms."""
+    gens = tuple(CHAIN_GROUPS[name][0]())
+    degree = gens[0].degree
     products = 0
-    original_mul, original_times = Permutation.__mul__, perm._times
 
     def counting(original):
         def count(a, b):
@@ -357,10 +358,12 @@ def chain_products(monkeypatch, prefix) -> int:
             return original(a, b)
         return count
 
-    monkeypatch.setattr(Permutation, "__mul__", counting(original_mul))
-    monkeypatch.setattr(perm, "_times", counting(original_times))
-    StabiliserChain(gens[0].degree, gens, base_prefix=prefix)
-    return products
+    with monkeypatch.context() as m:
+        m.setattr(Permutation, "__mul__", counting(Permutation.__mul__))
+        m.setattr(perm, "_times", counting(perm._times))
+        chain = StabiliserChain(degree, gens,
+                                base_prefix=base_prefix(where, degree))
+    return chain, products
 
 
 class TestSiftSchreier:
@@ -415,7 +418,8 @@ class TestSiftSchreier:
         # that find the relations, that chain took 3,588, 3,005 once a
         # level was first built when it is first scanned, and takes 2,718
         # now that an element is formed only when a sift reads it
-        assert chain_products(monkeypatch, (1,)) <= 2_750
+        _, products = counted_chain(monkeypatch, "l1-n2-vertices", "first")
+        assert products <= 2_750
 
     def test_product_count_without_prefix(self, monkeypatch):
         # group.order()'s chain in verify, with no prefix: its first two
@@ -423,7 +427,8 @@ class TestSiftSchreier:
         # It took 3,546 products when every rebuild formed the elements of
         # every point whose tree path changed, and takes 2,743 now that an
         # element is formed only when a sift reads it
-        assert chain_products(monkeypatch, ()) <= 2_800
+        _, products = counted_chain(monkeypatch, "l1-n2-vertices", "none")
+        assert products <= 2_800
 
     def test_flag_pass_only_past_the_first_point(self, monkeypatch):
         # group.order()'s chain in verify, with no prefix: a scan that
@@ -464,6 +469,76 @@ class TestSiftSchreier:
             kinds.add((past, record["broke at"] is None))
         # here every break comes at a first point; other scans run to the end
         assert kinds == {(False, False), (True, True)}
+
+
+class TestLevelZeroEviction:
+    """Level 0 drops each transversal element after the last read its scan
+    makes of it; the deeper levels keep every element they form."""
+
+    @pytest.mark.parametrize("name,where", CHAIN_CASES,
+                             ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
+    def test_same_chain_and_products_as_without(self, name, where,
+                                                monkeypatch):
+        chain, products = counted_chain(monkeypatch, name, where)
+        # when the chain is complete, level 0 holds only its root
+        root = chain.levels[0]
+        assert list(root.elements) == [root.point]
+        with monkeypatch.context() as m:
+            m.setattr(perm._ChainLevel, "drops",
+                      lambda lev, schedule: [()] * len(schedule))
+            kept, kept_products = counted_chain(monkeypatch, name, where)
+        assert products == kept_products
+        assert chain_snapshot(chain) == chain_snapshot(kept)
+
+    def test_verify_chain_holds_few_level_zero_elements(self, monkeypatch):
+        # the l1-n2-vertices chain with prefix (1,), as verify builds it,
+        # held 1,249 of its 1,536 level-0 elements before they were dropped
+        # after their last read, and holds at most 146 at once now
+        gens = tuple(CHAIN_GROUPS["l1-n2-vertices"][0]())
+        original = perm._ChainLevel.element
+        held = []
+
+        def element(lev, q):
+            t = original(lev, q)
+            if lev.depth == 0:
+                held.append(len(lev.elements))
+            return t
+
+        monkeypatch.setattr(perm._ChainLevel, "element", element)
+        chain = StabiliserChain(gens[0].degree, gens, base_prefix=(1,))
+        assert chain.levels[0].orbit_length() == 1536
+        assert 0 < max(held) <= 200
+        assert list(chain.levels[0].elements) == [1]
+
+    @pytest.mark.parametrize("name,where", CHAIN_CASES,
+                             ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
+    def test_deeper_levels_keep_their_elements(self, name, where,
+                                               monkeypatch):
+        # an element of a level below 0 stays from its first read until a
+        # rebuild of its level changes its tree path
+        gens = tuple(CHAIN_GROUPS[name][0]())
+        degree = gens[0].degree
+        original_element = perm._ChainLevel.element
+        original_rebuild = StabiliserChain._rebuild_orbit
+        formed = {}
+
+        def element(lev, q):
+            if lev.depth:
+                assert formed.get(lev, set()) <= lev.elements.keys()
+                formed.setdefault(lev, set()).add(q)
+            return original_element(lev, q)
+
+        def rebuild(chain, i):
+            original_rebuild(chain, i)
+            lev = chain.levels[i]
+            formed[lev] = set(lev.elements)
+
+        monkeypatch.setattr(perm._ChainLevel, "element", element)
+        monkeypatch.setattr(StabiliserChain, "_rebuild_orbit", rebuild)
+        chain = StabiliserChain(degree, gens,
+                                base_prefix=base_prefix(where, degree))
+        for lev in chain.levels[1:]:
+            assert formed.get(lev, set()) <= lev.elements.keys()
 
 
 def cycle_lengths_lcm(s):
