@@ -19,9 +19,9 @@ sorted-element order, s = |S|) has the mixed-radix index
 enumeration by head then tail, so index 0 is the identity (the least image
 tuple) and every transversal and certificate is deterministic.  Products and
 twists are computed from the Cayley tables of L and S (|L|^2 and |S|^2
-entries): multiplying every element by one fixed element is a row of |A|
-indices, built on demand by mixed-radix expansion, and no table with |A|^2
-entries is stored.
+entries, S's read off L's): multiplying every element by one fixed element
+is a row of |A| indices, built on demand by mixed-radix expansion, and no
+table with |A|^2 entries is stored.
 
 Right cosets of C_i in A are classified by the image of r_i under the head,
 left cosets by the image under the inverse head; both facts are used for
@@ -35,11 +35,11 @@ These point stabilisers are built here, where their generators are read:
 S once per analysis (``LocalGroupAnalysis.anchor_stabiliser``, which is
 L_{r_1}) and L_{r_i} by each other edge; the analysis itself carries only
 their orders.  ``completion`` checks the conjugation contract on these
-generators.  ``validate_star`` checks that each twist is an involution of
-C_i, one lookup per member, and that it is multiplicative, on the factor
-tables: the twists are coordinate reversals, so only the full reversal,
-which carries S between the head and the tail, asks anything of the
-tables.  Its whole-C_i form stays in the tests as an oracle.  The core in
+generators.  S's multiplication table is L's restricted to S, so the
+twists, coordinate reversals that carry S between the head and the tail,
+are automorphisms of C_i by construction; ``validate_star`` checks that
+each is an involution of C_i, one lookup per member, and the tests keep
+the whole-C_i check of multiplicativity as an oracle.  The core in
 A of the intersection of the C_i is 1 x S^n for every star, so it is not
 checked at run time: its head part is the core in L of the joint
 stabiliser of the r_i, the intersection of all its conjugates, and those
@@ -89,18 +89,23 @@ class AmalgamStar:
         self.analysis = analysis
         self.n = n
         heads = analysis.source.elements()
-        tails = analysis.anchor_stabiliser.elements()
         self._heads = heads
-        self._tails = tails
         self._head_index = {g: h for h, g in enumerate(heads)}
-        self._tail_index = {g: t for t, g in enumerate(tails)}
-        self.tail_base = len(tails)
-        self.tail_size = len(tails) ** n
-        self.order = len(heads) * self.tail_size
         self._head_mul = tuple(tuple(self._head_index[a * b] for b in heads)
                                for a in heads)
-        self._tail_mul = tuple(tuple(self._tail_index[a * b] for b in tails)
-                               for a in tails)
+        # S = L_{r_1}: its elements in sorted order are the heads that fix
+        # the anchor, in head order, so S's table is L's restricted to them.
+        # _lift maps a tail index to its head index, _drop back
+        anchor = analysis.anchor
+        self._lift = [h for h, g in enumerate(heads)
+                      if g.padded[anchor] == anchor]
+        self._drop = {h: t for t, h in enumerate(self._lift)}
+        self._tail_mul = tuple(
+            tuple(self._drop[self._head_mul[a][b]] for b in self._lift)
+            for a in self._lift)
+        self.tail_base = len(self._lift)
+        self.tail_size = self.tail_base ** n
+        self.order = len(heads) * self.tail_size
         self._head_inv = tuple(self._head_index[a.inverse()] for a in heads)
         self.generator_indices = self._generator_indices()
         self.edges = tuple(self._edge_data(i, rep) for i, rep
@@ -173,7 +178,7 @@ class AmalgamStar:
         for slot in range(self.n):
             weight = self.tail_base ** (self.n - 1 - slot)
             for s in self.analysis.anchor_stabiliser.generators:
-                gens.append(self._tail_index[s] * weight)
+                gens.append(self._drop[self._head_index[s]] * weight)
         return tuple(gens)
 
     def _edge_data(self, i: int, rep: int) -> EdgeData:
@@ -204,14 +209,13 @@ class AmalgamStar:
             twist, range(n - 1, -1, -1))
         terms = [range(0, s ** (j + 1), s ** j) for j in weights]
         if twist == FULL_REVERSAL:
-            terms.append([self._head_index[g] * ts for g in self._tails])
+            terms.append([h * ts for h in self._lift])
         tails = [0]
         for weighted in terms:
             tails = [v + u for v in tails for u in weighted]
         twist_images = [-1] * self.order
         for x in members[::ts]:    # the first member of each head's block
-            head = (self._tail_index[heads[x // ts]]
-                    if twist == FULL_REVERSAL else x)
+            head = self._drop[x // ts] if twist == FULL_REVERSAL else x
             twist_images[x:x + ts] = [head + u for u in tails]
         return EdgeData(
             index=i,
@@ -252,21 +256,16 @@ def build_star(analysis: classify.LocalGroupAnalysis, n: int,
 
 
 def validate_star(star: AmalgamStar) -> None:
-    """Verify the structural facts the downstream construction relies on.
+    """Verify that each twist maps C_i into itself and squares to the
+    identity there, one lookup per member of C_i, raising ValidationError
+    naming the first edge that fails.
 
-    Checks, raising ValidationError naming the first failure:
-      (a) each twist maps C_i into itself and squares to the identity there,
-          one lookup per member of C_i,
-      (b) each twist is multiplicative on C_i, on the factor tables.
-    (b) is exact without a row of A.  Each twist table is a coordinate
-    permutation of the direct product, read off the digits (``_edge_data``),
-    and every tail coordinate multiplies by the one table of S, so the tail
-    reversal and the identity are automorphisms.  The full reversal also
-    swaps the head, which lies in S on C_1, with the last tail coordinate:
-    it is multiplicative exactly when L's table restricted to S agrees with
-    S's table, S in the head identified with S in the tail element by
-    element.  That is |S|^2 lookups, reported against edge 1, the full
-    reversal's edge.
+    That each twist is multiplicative holds by construction.  Each twist
+    table is a coordinate permutation of the direct product, read off the
+    digits (``_edge_data``), and each coordinate multiplies by one table.
+    The full reversal also swaps the head of a member of C_1, which lies in
+    S, with the last tail coordinate, and S's table is L's restricted to S
+    (``AmalgamStar``).
     """
     for edge in star.edges:
         tw = edge.twist_images
@@ -274,11 +273,6 @@ def validate_star(star: AmalgamStar) -> None:
             image = tw[c]
             if image < 0 or tw[image] != c:
                 raise ValidationError("twist involution", f"edge {edge.index}")
-    lift = [star._head_index[g] for g in star._tails]   # S in the head
-    drop = {h: t for t, h in enumerate(lift)}
-    if any(drop.get(star._head_mul[h][lift[b]]) != row[b]
-           for h, row in zip(lift, star._tail_mul) for b in range(len(lift))):
-        raise ValidationError("twist multiplicative", "edge 1")
 
 
 def local_model(star: AmalgamStar) -> tuple[int, ...]:

@@ -31,7 +31,7 @@ every c in C_i, holds by construction.  ``build_involution`` sends the
 point ``(rep_o * c, j_o)`` of orbit o to ``(rep_p * phi_i(c), j_p)`` of its
 partner p.  The pairing is an involution and each representative lies in
 its orbit's coset, and phi_i is an involutive automorphism of C_i
-(``amalgam.validate_star``).  So for g in C_i, the point ``(rep_o * c, j_o)``
+(``amalgam``).  So for g in C_i, the point ``(rep_o * c, j_o)``
 goes under ``beta_i rho(g) beta_i`` to ``(rep_p * phi_i(c), j_p)``, then to
 ``(rep_p * phi_i(c) g, j_p)``, then, as ``phi_i(c) g = phi_i(c phi_i(g))``,
 to ``(rep_o * c phi_i(g), j_o)``: that is ``rho(phi_i(g))`` on every point.

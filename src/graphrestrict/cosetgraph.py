@@ -47,6 +47,7 @@ from __future__ import annotations
 import collections
 import math
 import re
+from bisect import bisect_left
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -60,6 +61,12 @@ from .perm import Permutation, PermutationGroup
 
 DEFAULT_VERTEX_CAP = 1_000_000
 DEFAULT_EXPORT_CAP = 1 << 28        # bytes in one exported graph file
+
+
+def _has(nbrs: tuple[int, ...], v: int) -> bool:
+    """``v in nbrs`` for a sorted tuple ``nbrs``, by bisection."""
+    i = bisect_left(nbrs, v)
+    return i < len(nbrs) and nbrs[i] == v
 
 
 class _GraphFields(NamedTuple):
@@ -84,7 +91,9 @@ class FiniteGraph(_GraphFields):
                     raise InputError(f"neighbour {w} out of range")
                 if w == v:
                     raise InputError(f"loop at vertex {v}")
-                if v not in adjacency[w]:
+                # a later tuple may not be sorted yet, so a refusal waits
+                # for the linear test
+                if not _has(adjacency[w], v) and v not in adjacency[w]:
                     raise InputError(f"edge {v}-{w} not symmetric")
         return super().__new__(cls, vertex_count, adjacency)
 
@@ -365,7 +374,7 @@ def verify_locally_L(graph: FiniteGraph, generators,
         images = g.images
         for u, v in graph.edges():
             gu, gv = images[u] - 1, images[v] - 1
-            if gu not in graph.adjacency[gv]:
+            if not _has(graph.adjacency[gv], gu):
                 raise InputError(
                     f"generator {idx + 1} ({g.cycle_string()}) is not an "
                     f"automorphism: edge {u}-{v} maps to non-edge {gu}-{gv}")
@@ -632,20 +641,19 @@ def parse_graph(text_or_bytes, vertex_cap: int | None = None) -> FiniteGraph:
     a count above ``vertex_cap`` raises CapacityError before the graph is
     built.  An adjacency list names each vertex on one line at most.  Every
     format is ASCII, so a byte outside it is named with its line and
-    column.  Every message counts lines as ``str.splitlines`` breaks them,
-    blank ones too."""
-    if isinstance(text_or_bytes, (bytes, bytearray)):
-        try:
-            text = text_or_bytes.decode("ascii")
-        except UnicodeDecodeError as exc:
-            at = exc.start
-            # the input is ASCII up to the byte, which "?" stands for
-            before = (text_or_bytes[:at].decode("ascii") + "?").splitlines()
-            raise ParseError(f"non-ASCII byte 0x{text_or_bytes[at]:02x}",
-                             line=len(before),
-                             column=len(before[-1])) from None
-    else:
-        text = text_or_bytes
+    column, and text is read as its UTF-8 bytes.  Every message counts
+    lines as ``str.splitlines`` breaks them, blank ones too."""
+    if isinstance(text_or_bytes, str):
+        text_or_bytes = text_or_bytes.encode("utf-8", "surrogatepass")
+    try:
+        text = text_or_bytes.decode("ascii")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        # the input is ASCII up to the byte, which "?" stands for
+        before = (text_or_bytes[:at].decode("ascii") + "?").splitlines()
+        raise ParseError(f"non-ASCII byte 0x{text_or_bytes[at]:02x}",
+                         line=len(before),
+                         column=len(before[-1])) from None
     numbered = {no: ln for no, ln in enumerate(
         map(str.strip, text.splitlines()), start=1) if ln}
     lines = list(numbered.values())

@@ -40,8 +40,9 @@ as soon as it is dropped.  A preimage under ``t_q`` walks ``q``'s tree path
 to the root through the inverse images, so no transversal element's
 inverse is stored.  The levels are scanned from the deepest up, and a
 level is built when it is scanned: never for generators that change again
-before any scan reads it.  A rebuild keeps the formed elements whose tree
-path is unchanged and forms none.
+before any scan reads it.  A level is scanned again only after a new strong
+generator as deep as it, so every rebuild follows a change of its
+generators, and keeps no element but the root's.
 
 Level 0, whose elements would otherwise hold most of a chain's memory,
 drops each element after the last read its scan makes of it.  Once a scan
@@ -621,36 +622,26 @@ class StabiliserChain:
                 self._reach[min(map(depths.__getitem__, r))][at].append(r)
 
     def _rebuild_orbit(self, i: int) -> None:
-        """Rebuild level i's orbit and Schreier tree breadth first.
-
-        A formed element is kept when its point's tree path is unchanged:
-        the same edges, on the same generators, up to the root.  Every
-        other element is formed when it is first read (``element``)."""
+        """Rebuild level i's orbit and Schreier tree breadth first, on the
+        strong generators as deep as the level.  Only the root's element is
+        kept: every other one is formed when it is first read
+        (``element``)."""
         lev = self.levels[i]
-        ids = [g for g, depth in enumerate(self._depths) if depth >= i]
-        if ids == lev.ids:      # same generators, same orbit and elements
-            return
-        old_ids, old_edge = lev.ids or [], lev.edge
-        lev.ids = ids
+        ids = lev.ids = [g for g, d in enumerate(self._depths) if d >= i]
         lev.gens = [self.strong_gens[g] for g in ids]
         padded = lev.padded = [g.padded for g in lev.gens]
         lev.inverses = [self._inverses[g] for g in ids]
         lev.orders = [self._orders[g] for g in ids]
         root = lev.point
         edge = lev.edge = {}
-        same = {root}       # the points whose tree path is unchanged
         queue = [root]
         for p in queue:     # breadth first: the list grows while it is read
-            for j, g in enumerate(ids):
-                q = padded[j][p]
-                if q in edge or q == root:
-                    continue
-                old_p, old_j = old_edge.get(q, (None, None))
-                if p in same and old_p == p and old_ids[old_j] == g:
-                    same.add(q)
-                edge[q] = (p, j)
-                queue.append(q)
-        lev.elements = {q: t for q, t in lev.elements.items() if q in same}
+            for j, images in enumerate(padded):
+                q = images[p]
+                if q not in edge and q != root:
+                    edge[q] = (p, j)
+                    queue.append(q)
+        lev.elements = {root: lev.elements[root]}
 
     def _sift_base_images(self, i: int, images: list) -> list:
         """Sift some ``x`` from level ``i`` on base images alone:
@@ -993,87 +984,74 @@ def is_semiprimitive(group: PermutationGroup, cap: int = DEFAULT_ELEMENT_CAP) ->
     return True
 
 
-def _point_invariants(group: PermutationGroup):
-    """(orbit size, stabiliser order, orbit id by minimal element) per point."""
-    inv = {}
-    n = group.order()
-    for orb in orbits(group):
-        size = len(orb)
-        stab = n // size
-        for p in orb:
-            inv[p] = (size, stab, orb[0])
-    return inv
+def _orbit_labels(group: PermutationGroup) -> dict[int, tuple[int, int]]:
+    """Per point, its orbit's length and least point."""
+    return {p: (len(orb), orb[0]) for orb in orbits(group) for p in orb}
 
 
 def permutation_isomorphic(g1: PermutationGroup,
                            g2: PermutationGroup) -> Permutation | None:
-    """A bijection sigma of the points with ``sigma^-1 * g1 * sigma == g2`` as
-    a set of permutations, or None.
+    """The lexicographically first bijection sigma of the points with
+    ``sigma^-1 * g1 * sigma == g2`` as a set of permutations, or None.
 
-    Backtracking over point images, pruning on orbit size and point
-    stabiliser order, with orbit-block consistency; a completed assignment is
-    accepted once every generator of g1 conjugates into g2 (orders being
-    equal, the conjugated group then coincides with g2).  The search
-    places at most ``ISOMORPHISM_NODE_BUDGET`` points, counting every
-    image it tries, and raises CapacityError beyond that.
+    A backtracking search in one loop: it places images for the points
+    1..m in increasing order, each the least unused point of the same
+    orbit length whose orbit agrees with the orbit matching, and takes the
+    last placement back when no image is left.  ``sigma`` holds the images
+    placed, ``used`` the images taken, and ``onto`` the g2-orbit each
+    g1-orbit is matched to.  An orbit's least point is its first placed
+    point, so its match is made when that point is placed and undone when
+    that point is taken back.  The orders are equal, so equal orbit lengths
+    are equal point stabiliser orders.  A complete placement is accepted
+    once every generator of g1 conjugates into g2, which with equal orders
+    makes the conjugate group g2.  The search places at most
+    ``ISOMORPHISM_NODE_BUDGET`` points, counting every image it tries, and
+    raises CapacityError beyond that.
     """
     if g1.degree != g2.degree:
         return None
     if g1.order() != g2.order():
         return None
     m = g1.degree
-    inv1 = _point_invariants(g1)
-    inv2 = _point_invariants(g2)
-    if sorted(v[:2] for v in inv1.values()) != sorted(v[:2] for v in inv2.values()):
+    labels1 = _orbit_labels(g1)
+    labels2 = _orbit_labels(g2)
+    if (sorted(size for size, _ in labels1.values())
+            != sorted(size for size, _ in labels2.values())):
         return None
-
-    orbit_map: dict[int, int] = {}  # g1 orbit id -> g2 orbit id
-    sigma = [0] * m
-    used = [False] * (m + 1)
     budget = ISOMORPHISM_NODE_BUDGET
     nodes = 0
-
-    def accept() -> bool:
-        s = Permutation(sigma)
-        s_inv = s.inverse()
-        return all(g2.contains(s_inv * g * s) for g in g1.generators)
-
-    def extend(p: int) -> bool:
-        nonlocal nodes
-        if p > m:
-            return accept()
-        size1, stab1, oid1 = inv1[p]
-        for q in range(1, m + 1):
-            if used[q]:
+    sigma = [0] * (m + 1)           # sigma[p], the image placed for p
+    used = [False] * (m + 1)
+    onto: dict[int, int] = {}       # g1 orbit's least point -> g2 orbit's
+    p, q = 1, 1         # the point to place, and the least image to try
+    while p:
+        if p <= m:
+            size, orbit = labels1[p]
+            matched = onto.get(orbit)
+            while q <= m and (used[q] or labels2[q][0] != size or (
+                    labels2[q][1] in onto.values() if matched is None
+                    else labels2[q][1] != matched)):
+                q += 1
+            if q <= m:
+                nodes += 1
+                if nodes > budget:
+                    raise CapacityError("isomorphism search nodes", budget,
+                                        f"> {budget}")
+                sigma[p] = q
+                used[q] = True
+                onto.setdefault(orbit, labels2[q][1])
+                p, q = p + 1, 1
                 continue
-            size2, stab2, oid2 = inv2[q]
-            if (size1, stab1) != (size2, stab2):
-                continue
-            if oid1 in orbit_map:
-                if orbit_map[oid1] != oid2:
-                    continue
-                added = False
-            else:
-                if oid2 in orbit_map.values():
-                    continue
-                orbit_map[oid1] = oid2
-                added = True
-            nodes += 1
-            if nodes > budget:
-                raise CapacityError("isomorphism search nodes", budget,
-                                    f"> {budget}")
-            sigma[p - 1] = q
-            used[q] = True
-            if extend(p + 1):
-                return True
+        else:
+            s = Permutation(sigma[1:])
+            s_inv = s.inverse()
+            if all(g2.contains(s_inv * g * s) for g in g1.generators):
+                return s
+        p -= 1          # back to the last placed point, to try its next image
+        if p:
+            q = sigma[p]
             used[q] = False
-            sigma[p - 1] = 0
-            if added:
-                del orbit_map[oid1]
-        return False
-
-    try:
-        found = extend(1)
-    finally:
-        del extend      # the closure refers to itself through its cell
-    return Permutation(sigma) if found else None
+            if labels1[p][1] == p:
+                del onto[p]
+            q += 1
+    return None

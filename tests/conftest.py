@@ -8,6 +8,8 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from graphrestrict import perm
+from graphrestrict.errors import CapacityError
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
 
@@ -713,6 +715,83 @@ def chain_snapshot(chain):
             [([(q, lev.element(q).images) for q in lev.orbit()],
               list(lev.edge.items()))
              for lev in chain.levels])
+
+
+# --- reference isomorphism search ------------------------------------------
+# The recursive backtracking that perm.permutation_isomorphic ran before it
+# became one loop, with its point invariants: the loop must return the same
+# witness and place the same number of points.
+
+
+def reference_point_invariants(group):
+    """(orbit size, stabiliser order, orbit id by minimal element) per
+    point."""
+    inv = {}
+    n = group.order()
+    for orb in perm.orbits(group):
+        for p in orb:
+            inv[p] = (len(orb), n // len(orb), orb[0])
+    return inv
+
+
+def reference_isomorphic(g1, g2, budget=perm.ISOMORPHISM_NODE_BUDGET):
+    """``(witness, nodes)``: the first bijection conjugating g1 onto g2, or
+    None, and the points the recursive search placed; CapacityError once it
+    would place more than ``budget``."""
+    if g1.degree != g2.degree or g1.order() != g2.order():
+        return None, 0
+    m = g1.degree
+    inv1 = reference_point_invariants(g1)
+    inv2 = reference_point_invariants(g2)
+    if (sorted(v[:2] for v in inv1.values())
+            != sorted(v[:2] for v in inv2.values())):
+        return None, 0
+    orbit_map = {}
+    sigma = [0] * m
+    used = [False] * (m + 1)
+    nodes = 0
+
+    def accept():
+        s = Permutation(sigma)
+        s_inv = s.inverse()
+        return all(g2.contains(s_inv * g * s) for g in g1.generators)
+
+    def extend(p):
+        nonlocal nodes
+        if p > m:
+            return accept()
+        size1, stab1, oid1 = inv1[p]
+        for q in range(1, m + 1):
+            if used[q]:
+                continue
+            size2, stab2, oid2 = inv2[q]
+            if (size1, stab1) != (size2, stab2):
+                continue
+            if oid1 in orbit_map:
+                if orbit_map[oid1] != oid2:
+                    continue
+                added = False
+            else:
+                if oid2 in orbit_map.values():
+                    continue
+                orbit_map[oid1] = oid2
+                added = True
+            nodes += 1
+            if nodes > budget:
+                raise CapacityError("isomorphism search nodes", budget,
+                                    f"> {budget}")
+            sigma[p - 1] = q
+            used[q] = True
+            if extend(p + 1):
+                return True
+            used[q] = False
+            sigma[p - 1] = 0
+            if added:
+                del orbit_map[oid1]
+        return False
+
+    found = extend(1)
+    return (Permutation(sigma) if found else None), nodes
 
 
 def graph6_pair_loop(graph) -> bytes:

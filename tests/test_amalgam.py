@@ -416,10 +416,26 @@ class TestIndexEncoding:
             assert sorted(dec.index[e] for e in seen) == \
                 list(edge.subgroup_indices)
 
-    # The twist tables are coordinate reversals by construction, so
-    # validate_star checks their multiplicativity on the factor tables
-    # alone; a corrupted twist table is caught by the all-pairs oracle,
-    # which these tests hold to its verdicts.
+    # The twist tables are coordinate reversals and S's table is L's
+    # restricted to S, so the twists are multiplicative by construction
+    # and validate_star checks only that each is an involution of C_i; a
+    # corrupted twist table is caught by the all-pairs oracle, which these
+    # tests hold to its verdicts.
+
+    def test_corrupted_twist_fails_involution(self, oracle_star):
+        # one member's image replaced by another member's, or by -1, off
+        # C_i: the map is no involution of C_i, and validate_star names
+        # the edge
+        star = oracle_star
+        for edge in star.edges:
+            x, y = edge.subgroup_indices[1:3]
+            for image in (edge.twist_images[y], -1):
+                images = list(edge.twist_images)
+                images[x] = image
+                with pytest.raises(ValidationError,
+                                   match=f"edge {edge.index}$") as err:
+                    validate_star(with_twist_images(star, edge.index, images))
+                assert err.value.check == "twist involution"
 
     def test_corrupted_twist_fails_multiplicativity(self):
         star = build_star(analyze_local_group(group(4, "(1 2)")), 2)
@@ -481,18 +497,18 @@ class TestIndexEncoding:
                 outcomes.add(loop)
         assert outcomes == {None, "twist multiplicative"}
 
-    def test_corrupted_factor_table_fails_multiplicativity(self, oracle_star):
-        # the factor-table check: any one entry of S's table changed breaks
-        # the full reversal's identification of S in the head with S in
-        # the tail, and validate_star names edge 1
-        star = oracle_star
-        s = star.tail_base
-        for a, b in itertools.product(range(s), repeat=2):
-            rows = [list(row) for row in star._tail_mul]
-            rows[a][b] = (rows[a][b] + 1) % s
-            broken = copy.copy(star)
-            broken._tail_mul = tuple(map(tuple, rows))
-            with pytest.raises(ValidationError) as err:
-                validate_star(broken)
-            assert err.value.check == "twist multiplicative"
-            assert str(err.value).endswith("edge 1")
+    @pytest.mark.parametrize("degree,gens", [
+        (3, ("(1 2)",)),                    # S = L
+        (5, ("(1 2 3)(4 5)",)),             # S of order 3 in L of order 6
+        (4, ("(1 2)", "(1 2 3)")),          # S = L, nonabelian
+        (6, ("(1 2)(5 6)", "(1 2 3 4)(5 6)")),  # S = A4 in S4
+    ])
+    def test_tail_table_is_the_products_of_s(self, degree, gens):
+        # S's table is L's restricted to S; the products of the anchor
+        # stabiliser's elements, formed as permutations, are its oracle
+        star = build_star(analyze_local_group(group(degree, *gens)), 2)
+        tails = star.analysis.anchor_stabiliser.elements()
+        index = {g: t for t, g in enumerate(tails)}
+        assert star.tail_base == len(tails)
+        assert star._tail_mul == tuple(tuple(index[a * b] for b in tails)
+                                       for a in tails)

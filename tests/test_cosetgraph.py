@@ -169,8 +169,12 @@ class TestFiniteGraph:
         (2, ((-1,), ()), "neighbour -1 out of range"),
         (2, ((0,), ()), "loop at vertex 0"),
         (3, ((1,), (0, 2), ()), "edge 1-2 not symmetric"),
+        # 0 is in vertex 1's tuple, which is not sorted: the symmetry check
+        # of edge 0-1 finds it, and vertex 1's own check refuses the tuple
+        (3, ((1,), (2, 0), (1,)),
+         "adjacency of 1 not sorted and duplicate-free"),
     ], ids=["length", "unsorted", "duplicate", "above-range", "below-range",
-            "loop", "asymmetric"])
+            "loop", "asymmetric", "later-unsorted"])
     def test_invalid_input_refused(self, count, adjacency, message):
         with pytest.raises(InputError, match=f"^{message}$"):
             FiniteGraph(count, adjacency)
@@ -683,6 +687,20 @@ class TestExports:
         assert (error.value.line, error.value.column) == (line, column)
         lines = data.replace(b"\xff", b"x").decode().splitlines()
         assert lines[line - 1][column - 1] == "x"
+
+    @pytest.mark.parametrize("text,byte", [
+        ("0 \u00b2\n", "0xc2"),        # a superscript two, a digit to str
+        ("\u0661 0\n", "0xd9"),        # an Arabic-Indic one, int() reads 1
+        ("0 \ud800\n", "0xed"),        # a lone surrogate
+    ])
+    def test_text_takes_the_ascii_path(self, text, byte):
+        # every format is ASCII, text too: the first non-ASCII character
+        # is named by its first UTF-8 byte
+        with pytest.raises(ParseError,
+                           match=f"non-ASCII byte {byte}") as error:
+            parse_graph(text)
+        assert (error.value.line, error.value.column) == (1, text.index(
+            next(c for c in text if not c.isascii())) + 1)
 
     def test_adjacency_message_names_the_same_line(self):
         with pytest.raises(ParseError, match="bad adjacency line") as error:

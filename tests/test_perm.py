@@ -17,7 +17,8 @@ from graphrestrict.perm import (Permutation, PermutationGroup,
 
 from conftest import (ReferenceChain, as_tuple, brute_elements,
                       chain_snapshot, from_cycles_by_products, group,
-                      product_sift, reference_inverse, reference_is_identity, reference_mul,
+                      product_sift, reference_inverse, reference_is_identity,
+                      reference_isomorphic, reference_mul,
                       relations_by_products, semiprimitive_by_elements,
                       skipped_by_walks, tuple_inv, tuple_mul)
 
@@ -514,8 +515,8 @@ class TestLevelZeroEviction:
                              ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
     def test_deeper_levels_keep_their_elements(self, name, where,
                                                monkeypatch):
-        # an element of a level below 0 stays from its first read until a
-        # rebuild of its level changes its tree path
+        # an element of a level below 0 stays from its first read until its
+        # level is rebuilt
         gens = tuple(CHAIN_GROUPS[name][0]())
         degree = gens[0].degree
         original_element = perm._ChainLevel.element
@@ -539,6 +540,33 @@ class TestLevelZeroEviction:
                                 base_prefix=base_prefix(where, degree))
         for lev in chain.levels[1:]:
             assert formed.get(lev, set()) <= lev.elements.keys()
+
+
+class TestRebuildOrbit:
+    @pytest.mark.parametrize("name,where", CHAIN_CASES,
+                             ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
+    def test_every_rebuild_changes_the_generators(self, name, where,
+                                                  monkeypatch):
+        # a level is scanned again only after a new strong generator as
+        # deep as it, so a rebuild never finds the generators it was last
+        # built from, and keeps only the root's element
+        gens = tuple(CHAIN_GROUPS[name][0]())
+        degree = gens[0].degree
+        original = StabiliserChain._rebuild_orbit
+        rebuilt = []
+
+        def rebuild(chain, i):
+            lev = chain.levels[i]
+            before = lev.ids
+            original(chain, i)
+            assert lev.ids != before
+            assert list(lev.elements) == [lev.point]
+            rebuilt.append(lev)
+
+        monkeypatch.setattr(StabiliserChain, "_rebuild_orbit", rebuild)
+        chain = StabiliserChain(degree, gens,
+                                base_prefix=base_prefix(where, degree))
+        assert set(rebuilt) == set(chain.levels)
 
 
 def cycle_lengths_lcm(s):
@@ -853,6 +881,63 @@ class TestSemiprimitivity:
         assert seen == {True, False}
 
 
+def oracle_pairs():
+    """Seeded random pairs of degree 2 to 5, each group on two random
+    generators: the cases checked against every bijection."""
+    rng = random.Random(777)
+    pairs = []
+    for _ in range(15):
+        d = rng.randint(2, 5)
+        def random_group():
+            images = list(range(1, d + 1))
+            rng.shuffle(images)
+            images2 = list(range(1, d + 1))
+            rng.shuffle(images2)
+            return PermutationGroup(d, (Permutation(images),
+                                        Permutation(images2)))
+        pairs.append((random_group(), random_group()))
+    return pairs
+
+
+LARGER_ORACLE_CASES = [
+    (7, "(1 2 3)(4 5)", "(3 7 1)(2 6)", True),
+    (7, "(1 2 3)(4 5)", "(1 2)(3 4)", False),
+    (8, "(1 2)(3 4 5 6)", "(7 8)(1 2 3 4)", True),
+    (8, "(1 2)(3 4 5 6)", "(1 2 3 4 5 6 7 8)", False),
+]
+
+
+def seeded_search_pairs():
+    """Seeded random pairs of degree 4 to 9 on one or two generators, each
+    a product of disjoint cycles of one length, 2 or 3, so that the groups
+    have several orbits of one length to match.  In every other pair the
+    second group is the first conjugated by a random bijection; in the
+    rest it is drawn like the first."""
+    rng = random.Random(2)
+    pairs = []
+    for k in range(40):
+        degree = rng.randint(4, 9)
+
+        def generator():
+            points = rng.sample(range(1, degree + 1), degree)
+            length = rng.randint(2, 3)
+            moved = rng.randint(1, degree // length) * length
+            return Permutation.from_cycles(degree, [
+                points[i:i + length] for i in range(0, moved, length)])
+
+        g1 = PermutationGroup(degree, tuple(
+            generator() for _ in range(rng.randint(1, 2))))
+        if k % 2:
+            g2 = PermutationGroup(degree, tuple(
+                generator() for _ in g1.generators))
+        else:
+            sigma = random_permutation(rng, degree)
+            g2 = PermutationGroup(degree, tuple(
+                sigma.inverse() * g * sigma for g in g1.generators))
+        pairs.append((g1, g2))
+    return pairs
+
+
 class TestPermutationIsomorphic:
     def test_identity_witness(self, l0):
         w = perm.permutation_isomorphic(l0, l0)
@@ -883,22 +968,12 @@ class TestPermutationIsomorphic:
         assert perm.permutation_isomorphic(g2, l1) is not None
 
     def test_exhaustive_oracle(self):
-        rng = random.Random(777)
-
         def conjugates(elements, sigma):
             sig_inv = tuple_inv(sigma)
             return {tuple_mul(tuple_mul(sig_inv, x), sigma) for x in elements}
 
-        for _ in range(15):
-            d = rng.randint(2, 5)
-            def random_group():
-                images = list(range(1, d + 1))
-                rng.shuffle(images)
-                images2 = list(range(1, d + 1))
-                rng.shuffle(images2)
-                return PermutationGroup(d, (Permutation(images),
-                                            Permutation(images2)))
-            g1, g2 = random_group(), random_group()
+        for g1, g2 in oracle_pairs():
+            d = g1.degree
             e1 = brute_elements(d, g1.generators)
             e2 = brute_elements(d, g2.generators)
             oracle = any(conjugates(e1, sigma) == e2
@@ -925,10 +1000,10 @@ class TestPermutationIsomorphic:
 
     @pytest.mark.parametrize("case", ["witness", "none", "budget"])
     def test_groups_die_with_the_caller(self, case):
-        # the search's recursive closure leaves no reference cycle: with
-        # the collector off, both groups and their chains die as soon as
-        # the caller drops them, whether the search finds a witness, finds
-        # none or runs out of budget
+        # the search leaves no reference cycle: with the collector off,
+        # both groups and their chains die as soon as the caller drops
+        # them, whether the search finds a witness, finds none or runs out
+        # of budget
         g1, g2 = {"witness": lambda: (group(3, "(1 2)"), group(3, "(1 3)")),
                   "none": lambda: self.two_point_orbits(4),
                   "budget": lambda: self.two_point_orbits(7)}[case]()
@@ -959,12 +1034,7 @@ class TestPermutationIsomorphic:
             perm.permutation_isomorphic(g1, g2)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("degree,gen1,gen2,expected", [
-        (7, "(1 2 3)(4 5)", "(3 7 1)(2 6)", True),
-        (7, "(1 2 3)(4 5)", "(1 2)(3 4)", False),
-        (8, "(1 2)(3 4 5 6)", "(7 8)(1 2 3 4)", True),
-        (8, "(1 2)(3 4 5 6)", "(1 2 3 4 5 6 7 8)", False),
-    ])
+    @pytest.mark.parametrize("degree,gen1,gen2,expected", LARGER_ORACLE_CASES)
     def test_exhaustive_oracle_larger_degrees(self, degree, gen1, gen2,
                                               expected):
         g1 = group(degree, gen1)
@@ -979,3 +1049,63 @@ class TestPermutationIsomorphic:
                 break
         assert oracle == expected
         assert (perm.permutation_isomorphic(g1, g2) is not None) == oracle
+
+    def test_trivial_groups_of_large_degree(self):
+        # one placed point per level: a recursive search ran out of stack
+        # near degree 1,000
+        g = PermutationGroup(1500)
+        assert perm.permutation_isomorphic(g, g) == Permutation.identity(1500)
+
+
+def search_cases():
+    cases = {f"oracle-{k}": pair for k, pair in enumerate(oracle_pairs())}
+    cases.update({f"larger-{k}": (group(d, a), group(d, b))
+                  for k, (d, a, b, _) in enumerate(LARGER_ORACLE_CASES)})
+    cases.update({f"two-point-orbits-{k}":
+                  TestPermutationIsomorphic.two_point_orbits(k)
+                  for k in range(2, 8)})
+    cases.update({f"seeded-{k}": pair
+                  for k, pair in enumerate(seeded_search_pairs())})
+    return cases
+
+
+SEARCH_CASES = search_cases()
+
+
+class TestSearchMatchesRecursiveReference:
+    """The one-loop search against the recursive search it replaced
+    (``reference_isomorphic``): the same witness, and the same number of
+    placed points, read off the budget at which the loop stops raising."""
+
+    @pytest.mark.parametrize("name", list(SEARCH_CASES))
+    def test_same_witness_and_nodes(self, name, monkeypatch):
+        g1, g2 = SEARCH_CASES[name]
+        try:
+            expected, nodes = reference_isomorphic(g1, g2)
+        except CapacityError:
+            with pytest.raises(CapacityError,
+                               match="isomorphism search nodes"):
+                perm.permutation_isomorphic(g1, g2)
+            return
+        assert perm.permutation_isomorphic(g1, g2) == expected
+        monkeypatch.setattr(perm, "ISOMORPHISM_NODE_BUDGET", nodes)
+        assert perm.permutation_isomorphic(g1, g2) == expected
+        if nodes:
+            monkeypatch.setattr(perm, "ISOMORPHISM_NODE_BUDGET", nodes - 1)
+            with pytest.raises(CapacityError):
+                perm.permutation_isomorphic(g1, g2)
+
+    def test_cases_cover_every_outcome(self):
+        outcomes = set()
+        for g1, g2 in SEARCH_CASES.values():
+            try:
+                witness, nodes = reference_isomorphic(g1, g2)
+            except CapacityError:
+                outcomes.add("budget")
+                continue
+            outcomes.add("witness" if witness is not None
+                         else "searched" if nodes else "refused early")
+            if witness is not None and not witness.is_identity():
+                outcomes.add("moved witness")
+        assert outcomes == {"witness", "moved witness", "searched",
+                            "refused early", "budget"}
