@@ -47,7 +47,6 @@ from __future__ import annotations
 import collections
 import math
 import re
-from bisect import bisect_left
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -61,12 +60,6 @@ from .perm import Permutation, PermutationGroup
 
 DEFAULT_VERTEX_CAP = 1_000_000
 DEFAULT_EXPORT_CAP = 1 << 28        # bytes in one exported graph file
-
-
-def _has(nbrs: tuple[int, ...], v: int) -> bool:
-    """``v in nbrs`` for a sorted tuple ``nbrs``, by bisection."""
-    i = bisect_left(nbrs, v)
-    return i < len(nbrs) and nbrs[i] == v
 
 
 class _GraphFields(NamedTuple):
@@ -91,9 +84,7 @@ class FiniteGraph(_GraphFields):
                     raise InputError(f"neighbour {w} out of range")
                 if w == v:
                     raise InputError(f"loop at vertex {v}")
-                # a later tuple may not be sorted yet, so a refusal waits
-                # for the linear test
-                if not _has(adjacency[w], v) and v not in adjacency[w]:
+                if v not in adjacency[w]:
                     raise InputError(f"edge {v}-{w} not symmetric")
         return super().__new__(cls, vertex_count, adjacency)
 
@@ -374,7 +365,7 @@ def verify_locally_L(graph: FiniteGraph, generators,
         images = g.images
         for u, v in graph.edges():
             gu, gv = images[u] - 1, images[v] - 1
-            if not _has(graph.adjacency[gv], gu):
+            if gu not in graph.adjacency[gv]:
                 raise InputError(
                     f"generator {idx + 1} ({g.cycle_string()}) is not an "
                     f"automorphism: edge {u}-{v} maps to non-edge {gu}-{gv}")

@@ -417,8 +417,9 @@ class TestSiftSchreier:
         # those closed by any relator walk were.  Counting also the
         # products on padded images (perm._times), which include those
         # that find the relations, that chain took 3,588, 3,005 once a
-        # level was first built when it is first scanned, and takes 2,718
-        # now that an element is formed only when a sift reads it
+        # level was first built when it is first scanned, 2,718 once an
+        # element was formed only when a sift reads it, and takes 2,720 now
+        # that a level is rebuilt from its root (+2)
         _, products = counted_chain(monkeypatch, "l1-n2-vertices", "first")
         assert products <= 2_750
 
@@ -426,8 +427,9 @@ class TestSiftSchreier:
         # group.order()'s chain in verify, with no prefix: its first two
         # level-0 scans break after 1 and 3 sifts and read 2 elements each.
         # It took 3,546 products when every rebuild formed the elements of
-        # every point whose tree path changed, and takes 2,743 now that an
-        # element is formed only when a sift reads it
+        # every point whose tree path changed, 2,743 once an element was
+        # formed only when a sift reads it, and takes 2,748 now that a
+        # level is rebuilt from its root (+5)
         _, products = counted_chain(monkeypatch, "l1-n2-vertices", "none")
         assert products <= 2_800
 
