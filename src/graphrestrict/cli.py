@@ -292,8 +292,10 @@ def cmd_construct(args) -> int:
         with open(out_dir / "graph.g6", "wb") as f:
             f.write(cosetgraph.export_graph(pair.graph, "graph6"))
             f.write(b"\n")
-        lines = [f"degree {pair.graph.vertex_count}"]
-        lines += [" ".join(str(q) for q in g.images)
+        n = pair.graph.vertex_count
+        names = list(map(str, range(n + 1)))    # each point's string once
+        lines = [f"degree {n}"]
+        lines += [" ".join(map(names.__getitem__, g.images))
                   for g in pair.action_generators]
         (out_dir / "group.gens").write_text("\n".join(lines) + "\n")
 

@@ -137,13 +137,13 @@ class Carrier:
         """Key of the right coset rho(A) * h, given h's padded images: the
         padded images of its canonical representative.
 
-        rho(A) is regular on copy 1, so exactly one coset element sends the
-        basepoint to the minimal possible point; that element is the key.
-        The least of h's first |A| images names the x with rho(x) * h that
-        element; the product of the two padded tuples is the key.
+        rho(A) is regular on every copy, so exactly one coset element sends
+        an identity point (e, j) to point 1: h sends the point q = (a', j)
+        to 1, and rho(x) * h sends (e, j) there exactly when x = a'.  One
+        scan of h's images for 1 finds q; the product of the padded tuples
+        of rho(a') and h is the key.
         """
-        first = padded[1:self.size + 1]
-        rho = self.rho_index(first.index(min(first)))
+        rho = self.rho_index((padded.index(1) - 1) % self.size)
         return itemgetter(*rho.padded)(padded)
 
 

@@ -141,12 +141,12 @@ def enumerate_cosets(candidate: CompletionCandidate,
     """Enumerate the cosets of rho(A) in G, or None when they exceed ``cap``.
 
     Each coset is keyed by the padded images of its canonical representative
-    (the unique coset element sending the basepoint to the least possible
-    point).  The key is sound because rho(A) is regular on copy 1: the
-    elements of a coset send the basepoint to pairwise distinct points, so
-    exactly one of them sends it to the least, and an element lies in one
-    coset only.  The breadth-first orbit stops as soon as it finds coset
-    ``cap + 1``.
+    (the unique coset element sending an identity point (e, j) to point 1).
+    The key is sound because rho(A) is regular on every copy: the point
+    that a coset element sends to 1 lies in one copy j, the elements of the
+    coset send (e, j) to pairwise distinct points, so exactly one of them
+    sends it to 1, and an element lies in one coset only.  The breadth-first
+    orbit stops as soon as it finds coset ``cap + 1``.
 
     The key is also the representative multiplied (one ``itemgetter(*key)``
     per vertex), and is dropped once its vertex is processed.
@@ -164,7 +164,8 @@ def enumerate_cosets(candidate: CompletionCandidate,
     padded = [g.padded for g in candidate.group_generators()]
     k = len(padded)
     equal, inverse = perm._relations(padded)
-    # the identity sends the basepoint to 1, so it is the base coset's key
+    # the identity sends the identity point (e, 1) to 1, so it is the base
+    # coset's key
     start = Permutation.identity(carrier.degree).padded
     index = {start: 0}
     queue = collections.deque([start])
@@ -557,11 +558,15 @@ def export_graph(graph, fmt: str):
         if graph.graph is None:
             raise NotEnumeratedError("graph")
         graph = graph.graph
+    # each id's string is built once; edges() yields the pairs in order,
+    # since every adjacency tuple is sorted
     if fmt == "edge-list":
-        return "".join(f"{u} {v}\n" for u, v in sorted(graph.edges()))
+        names = list(map(str, range(graph.vertex_count)))
+        return "".join([f"{names[u]} {names[v]}\n" for u, v in graph.edges()])
     if fmt == "adjacency-list":
-        return "".join(f"{v}: {' '.join(str(w) for w in nbrs)}".rstrip() + "\n"
-                       for v, nbrs in enumerate(graph.adjacency))
+        names = list(map(str, range(graph.vertex_count)))
+        return "".join([" ".join([names[v] + ":", *map(names.__getitem__, nbrs)])
+                        + "\n" for v, nbrs in enumerate(graph.adjacency)])
     if fmt == "graph6":
         n = graph.vertex_count
         header = _graph6_bytes(n)
@@ -666,10 +671,14 @@ def parse_graph(text_or_bytes, vertex_cap: int | None = None) -> FiniteGraph:
         n = max(max(adj), max((w for _, w in edges), default=0)) + 1
         _check_vertex_count(n, vertex_cap)
         return FiniteGraph.from_edges(n, edges)
-    if all(len(ln.split()) == 2 and all(t.isdigit() for t in ln.split())
-           for ln in lines):
-        edges = [tuple(int(t) for t in ln.split()) for ln in lines]
-        n = max(max(e) for e in edges) + 1
+    edges = []
+    for ln in lines:        # each line split once; the first bad one ends it
+        tokens = ln.split()
+        if len(tokens) != 2 or not all(map(str.isdigit, tokens)):
+            break
+        edges.append((int(tokens[0]), int(tokens[1])))
+    else:
+        n = max(map(max, edges)) + 1
         _check_vertex_count(n, vertex_cap)
         return FiniteGraph.from_edges(n, edges)
     if len(lines) == 1:

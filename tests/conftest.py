@@ -197,11 +197,20 @@ def full_map_contract(star, i, conjugates):
 
 def canonical_coset_rep(carrier, perm):
     """Canonical representative of the right coset rho(A) * perm, by one
-    full product: rho(A) is regular on copy 1, so exactly one coset element
-    sends the basepoint to the least point.  The product oracle for
-    ``Carrier.coset_key``."""
-    first = perm.images[:carrier.size]
-    return carrier.rho_index(first.index(min(first))) * perm
+    full product: rho(A) is regular on every copy, so exactly one coset
+    element sends an identity point (e, j) to point 1.  The product oracle
+    for ``Carrier.coset_key``."""
+    return carrier.rho_index(perm.images.index(1) % carrier.size) * perm
+
+
+def coset_elements_sending_an_identity_point_to_1(carrier, perm):
+    """Every element rho(x) * perm of the right coset rho(A) * perm, over
+    all x in A, that sends an identity point (e, j) to point 1, by full
+    products: the brute-force form of ``canonical_coset_rep``."""
+    identity_points = [carrier.point(0, j) for j in range(1, carrier.t + 1)]
+    elements = (carrier.rho_index(x) * perm for x in range(carrier.size))
+    return [e for e in elements
+            if any(e.padded[p] == 1 for p in identity_points)]
 
 
 def slot_elements(candidate):

@@ -657,9 +657,23 @@ class TestGoldenBytes:
         ("L0", {"certificate.json": "25cd727ee6380ca6fe82830ab21395414e0df470"
                                     "e7227b61c8941f261eead657",
                 "graph.g6": "af2845c1ddb7e0f4fad4ae2d043d9eeed1387de082b1436e"
-                            "b5b430c6c11dedf7"}),
+                            "b5b430c6c11dedf7",
+                "graph.edgelist": "f590f71a9b909067e5fca0d3066f26d350b1d3c8"
+                                  "719521a494936cd472f8d0d0",
+                "graph.adjlist": "ef1c38bb02ae796187152a9f8727c2fccd9b493c9"
+                                 "57f4b51504b0a17a3653c9d",
+                "group.gens": "665fd28c8c49b2cb7251cdc6a0909c852f46a0d68de1"
+                              "48b733877dd29e096139"}),
         ("L1", {"certificate.json": "215be79a421d4d0fd0cc4147aff945ef15b89823"
-                                    "7d4ef5ecc0c4af5183bc2e31"}),
+                                    "7d4ef5ecc0c4af5183bc2e31",
+                "graph.edgelist": "c803fa696715b06efc247f7a6ea8acf2fe5232e5f8"
+                                  "23861a587352121cef337c",
+                "graph.adjlist": "8bddad9b287c151b98240cc0cbd5fa3c08579a18bd"
+                                 "da755ffd7e9b67163c40d9",
+                "graph.g6": "f53ffc018197d44955655508c36e3ee4f0ed45bb53873f07"
+                            "89c465d40b6f7a3a",
+                "group.gens": "db093c9de7640e9de069ae7f08499fb54a5fc8bf4adec4"
+                              "9668a6819b7ac3ab3a"}),
     ])
     def test_construct_n2(self, files, capsys, name, expected):
         out_dir = files["dir"] / "out"

@@ -22,7 +22,9 @@ from graphrestrict.errors import (CapacityError, InputError,
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
 from conftest import (ORACLE_STARS, canonical_coset_rep,
-                      carrier_neighbourhoods, coset_key_failure,
+                      carrier_neighbourhoods,
+                      coset_elements_sending_an_identity_point_to_1,
+                      coset_key_failure,
                       enumerate_cosets_by_products, graph6_pair_loop, group,
                       kernel_order_by_loop, relations_by_products,
                       slot_action_by_carrier, witness_conjugates_onto)
@@ -140,6 +142,35 @@ class TestEnumerateCosets:
             assert (table is None) == (cap < size)
             if table is not None:
                 assert table.size == size
+
+    def test_key_sends_an_identity_point_to_1_on_the_table(self):
+        # L1 n=3: 64 seeded cosets of the 4,096, each entered at a random
+        # element; every element of the coset is formed
+        candidate = constructed("l1-n3").candidate
+        carrier = candidate.carrier
+        keys = list(enumerate_cosets(candidate).index)
+        rng = random.Random(0)
+        for key in rng.sample(keys, 64):
+            h = carrier.rho_index(rng.randrange(carrier.size)) * \
+                Permutation(key[1:])
+            [rep] = coset_elements_sending_an_identity_point_to_1(carrier, h)
+            assert carrier.coset_key(h.padded) == rep.padded == key
+
+    @pytest.mark.parametrize("name", ["l0-n2", "l0-n3", "l1-n2",
+                                      "two-fixed-points-n3",
+                                      "three-orbits-n2"])
+    def test_key_sends_an_identity_point_to_1_on_group_elements(self, name):
+        # seeded words of length 1..24 in G's generators
+        candidate = constructed(name).candidate
+        carrier = candidate.carrier
+        generators = candidate.group_generators()
+        rng = random.Random(1)
+        for _ in range(16):
+            h = Permutation.identity(carrier.degree)
+            for _ in range(rng.randint(1, 24)):
+                h = h * rng.choice(generators)
+            [rep] = coset_elements_sending_an_identity_point_to_1(carrier, h)
+            assert carrier.coset_key(h.padded) == rep.padded
 
     def test_key_oracle_sees_uncanonical_keys(self, result0, monkeypatch):
         carrier = result0.candidate.carrier
@@ -710,6 +741,39 @@ class TestExports:
     def test_bare_carriage_return_edge_list(self):
         assert parse_graph(b"0 1\r1 2\r") == FiniteGraph.from_edges(
             3, [(0, 1), (1, 2)])
+
+    # an edge-list line is two ASCII digit strings; any other line makes a
+    # one-line file a graph6 candidate and a longer edge list unrecognised
+    # ("0:1" alone is an adjacency list).  Each line is read alone and
+    # after the valid line "0 1"
+    UNRECOGNIZED = ("ParseError", "unrecognized graph format")
+
+    @pytest.mark.parametrize("line, alone, after_valid", [
+        ("0 1", (2, [(0, 1)]), (2, [(0, 1)])),
+        ("1\t2", (3, [(1, 2)]), (3, [(0, 1), (1, 2)])),
+        ("  2   0  ", (3, [(0, 2)]), (3, [(0, 1), (0, 2)])),
+        ("007 3", (8, [(3, 7)]), (8, [(0, 1), (3, 7)])),
+        ("0:1", (2, [(0, 1)]), UNRECOGNIZED),
+        ("0 1 2", ("ParseError", "invalid graph6 byte 48"), UNRECOGNIZED),
+        ("0 x", ("ParseError", "invalid graph6 byte 48"), UNRECOGNIZED),
+        ("-1 2", ("ParseError", "invalid graph6 byte 45"), UNRECOGNIZED),
+        ("+1 2", ("ParseError", "invalid graph6 byte 43"), UNRECOGNIZED),
+        ("1_0 2", ("ParseError", "invalid graph6 byte 49"), UNRECOGNIZED),
+        ("0 1.5", ("ParseError", "invalid graph6 byte 48"), UNRECOGNIZED),
+        ("1", ("ParseError", "invalid graph6 byte 49"), UNRECOGNIZED),
+        ("0 0", ("InputError", "loop at vertex 0"),
+         ("InputError", "loop at vertex 0")),
+    ])
+    def test_edge_list_lines(self, line, alone, after_valid):
+        def outcome(text):
+            try:
+                g = parse_graph(text)
+            except (ParseError, InputError) as exc:
+                return type(exc).__name__, str(exc)
+            return g.vertex_count, sorted(g.edges())
+
+        assert outcome(f"{line}\n") == alone
+        assert outcome(f"0 1\n{line}\n") == after_valid
 
     def test_graph6_truncated_rejected(self):
         # "Dhc" is the 5-cycle; dropping its last data byte must not parse
