@@ -40,7 +40,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from . import amalgam, classify, cosetgraph, perm
+from . import classify, cosetgraph, perm
 from .completion import SearchConfig
 from .cosetgraph import DEFAULT_VERTEX_CAP
 from .errors import (CapacityError, CompletionSearchError,
@@ -128,19 +128,22 @@ def _vertex_cap() -> int:
 
 
 def _search_config(args) -> tuple[SearchConfig, int]:
+    """SearchConfig's defaults, overridden by the caps GRAPHRESTRICT_CAPS
+    names, and the vertex cap, overridden by ``--max-vertices``."""
     caps = _caps_from_env()
     vertex_cap = caps.get("vertices", DEFAULT_VERTEX_CAP)
-    carrier_cap = caps.get("carrier", amalgam.DEFAULT_CARRIER_CAP)
-    copies = caps.get("copies", 4)
-    attempts = caps.get("attempts", 256)
-    if getattr(args, "max_vertices", None) is not None:
+    if args.max_vertices is not None:
         vertex_cap = args.max_vertices
         if vertex_cap < 1:
             raise InputError(f"--max-vertices must be at least 1, "
                              f"got {vertex_cap}")
-    seed = getattr(args, "seed", 0) or 0
-    return (SearchConfig(seed=seed, carrier_cap=carrier_cap, max_copies=copies,
-                         combo_attempts=attempts), vertex_cap)
+    default = SearchConfig()
+    return (SearchConfig(
+        seed=args.seed,
+        carrier_cap=caps.get("carrier", default.carrier_cap),
+        max_copies=caps.get("copies", default.max_copies),
+        combo_attempts=caps.get("attempts", default.combo_attempts)),
+        vertex_cap)
 
 
 def _analysis_dict(analysis: classify.LocalGroupAnalysis) -> dict:

@@ -1,16 +1,28 @@
+import importlib.util
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
+# this tree's src, unless graphrestrict is importable already (from the
+# PYTHONPATH or an installed copy): then that package is the one tested
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
-if _SRC not in sys.path:
+if importlib.util.find_spec("graphrestrict") is None:
     sys.path.insert(0, _SRC)
 
+import graphrestrict
 from graphrestrict import perm
 from graphrestrict.errors import CapacityError
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
+
+# the directory the tested graphrestrict package was imported from, for the
+# PYTHONPATH of the tests that run it in a child process
+PACKAGE_ROOT = str(Path(graphrestrict.__file__).resolve().parent.parent)
+
+
+def pytest_report_header(config):
+    return f"graphrestrict: {Path(graphrestrict.__file__).resolve().parent}"
 
 
 def group(degree, *gen_strings):

@@ -6,13 +6,14 @@ import resource
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
 from graphrestrict import cli, cosetgraph
 from graphrestrict.cli import main, parse_group_spec
 from graphrestrict.errors import ParseError
+
+from conftest import PACKAGE_ROOT
 
 L0_TEXT = "# intransitive, non-semiregular\ndegree 3\n(1 2)\n"
 L1_TEXT = "degree 5\n(1 2 3)(4 5)\n"
@@ -97,8 +98,6 @@ class TestClassifyScale:
     semiprimitivity once per conjugacy class, so a large degree or a large
     transitive group finishes in well under 2 s, start-up included."""
 
-    SRC = str(Path(__file__).resolve().parent.parent / "src")
-
     @pytest.mark.parametrize("text, expected", [
         ("degree 100000\n(1 2)\n", "2*2^n"),
         ("degree 8\n(1 2 3 4 5 6 7 8)\n(1 2)\n", "semiprimitive: True"),
@@ -107,7 +106,7 @@ class TestClassifyScale:
         grp = tmp_path / "group.grp"
         grp.write_text(text)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [self.SRC, os.environ.get("PYTHONPATH")])))
+            filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
         done = subprocess.run(
             [sys.executable, "-m", "graphrestrict", "classify", str(grp)],
             capture_output=True, text=True, env=env, timeout=2, check=True)
@@ -121,7 +120,7 @@ class TestStartup:
         code = ("import sys, graphrestrict, graphrestrict.cli\n"
                 "print(*sorted(set(sys.modules) & {'dataclasses', 'inspect', "
                 "'ast', 'dis', 'tokenize'}))")
-        env = dict(os.environ, PYTHONPATH=TestClassifyScale.SRC)
+        env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
         done = subprocess.run([sys.executable, "-S", "-c", code],
                               capture_output=True, text=True, env=env,
                               timeout=60, check=True)
@@ -297,9 +296,8 @@ class TestHostileVerifyInput:
         # an input error (exit 2), not a crash (exit 1 is a negative verdict)
         graph = files["dir"] / "negative.adj"
         graph.write_text(adjacency)
-        src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+            filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
         done = subprocess.run(
             [sys.executable, "-m", "graphrestrict", "verify", str(graph),
              files["L0"], files["L0"]],
@@ -468,7 +466,7 @@ class TestReportCommand:
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [TestClassifyScale.SRC, os.environ.get("PYTHONPATH")])))
+            filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
         done = subprocess.run(
             [sys.executable, "-m", "graphrestrict", "report", files["L0"],
              "--n-from", "2", "--n-to", "1000000000"],

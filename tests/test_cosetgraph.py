@@ -17,8 +17,7 @@ from graphrestrict.cosetgraph import (FiniteGraph, LocallyLPair,
                                       local_action, parse_graph,
                                       verify_locally_L)
 from graphrestrict.errors import (CapacityError, InputError,
-                                  NotEnumeratedError, ParseError,
-                                  TheoryViolationError)
+                                  NotEnumeratedError, ParseError)
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
 from conftest import (ORACLE_STARS, canonical_coset_rep,
@@ -522,6 +521,11 @@ class TestVerifyLocallyL:
         with pytest.raises(InputError):
             verify_locally_L(two_triangles, (), PermutationGroup(2))
 
+    def test_empty_graph_refused(self):
+        with pytest.raises(InputError,
+                           match="^degree must be a positive integer$"):
+            verify_locally_L(FiniteGraph(0, ()), (), PermutationGroup(1))
+
     def test_intransitive_action_reported_not_raised(self):
         # connected graph, but the claimed group moves no vertex far enough
         path = FiniteGraph.from_edges(3, [(0, 1), (1, 2)])
@@ -893,39 +897,43 @@ class TestVertexCap:
 
 
 class TestVerifierChecks:
-    def test_orbit_stabiliser_mismatch_is_a_theory_violation(self, monkeypatch):
-        # the final |G| = |G_0| * |orbit| check must survive python -O: force
-        # the group order of the 6-vertex action to disagree with the chain
-        real_order = PermutationGroup.order
-
-        def skewed_order(self):
-            return real_order(self) + (self.degree == 6)
-
-        monkeypatch.setattr(PermutationGroup, "order", skewed_order)
-        rot = parse_permutation("(1 2 3 4 5 6)", 6)
-        with pytest.raises(TheoryViolationError, match="orbit-stabiliser"):
-            verify_locally_L(hexagon(), (rot,), PermutationGroup(2))
-
-    def test_vertex_chain_released_before_group_order(self, result0,
-                                                      monkeypatch):
-        # the chain based at vertex 0 holds full transversals of degree n;
-        # it must be dead before group.order() builds the second chain of
-        # that degree, so that the two are never alive at once
+    def test_verifier_builds_one_chain_of_degree_n(self, result0,
+                                                   monkeypatch):
+        # transitivity, G_0 and |G_0| all come from the one chain of
+        # degree n, based at vertex 0; the induced action's chains have
+        # degree valency < n
         n = result0.vertex_count
         real_chain = perm.StabiliserChain
         built = []
 
         def tracked_chain(degree, *args, **kwargs):
             if degree == n:
-                assert all(ref() is None for ref in built)
-            chain = real_chain(degree, *args, **kwargs)
-            if degree == n:
-                built.append(weakref.ref(chain))
-            return chain
+                built.append(kwargs.get("base_prefix"))
+            return real_chain(degree, *args, **kwargs)
 
         monkeypatch.setattr(perm, "StabiliserChain", tracked_chain)
         cert = verify_locally_L(result0.graph,
                                 result0.action_generators,
                                 group(3, "(1 2)"))
         assert cert.locally_l
-        assert len(built) == 2 and n > cert.valency
+        assert built == [(1,)] and n > cert.valency
+
+    @pytest.mark.parametrize("name", ["result0", "result1", "hexagon"])
+    def test_vertex_chain_gives_the_order_of_g(self, name, request):
+        # |G| is |G_0| times the orbit of vertex 0, as the verifier reads
+        # it off its one chain; the unprefixed chain is the oracle
+        if name == "hexagon":
+            graph, local, order_g = hexagon(), group(2, "(1 2)"), 12
+            gens = (parse_permutation("(1 2 3 4 5 6)", 6),
+                    parse_permutation("(2 6)(3 5)", 6))
+        else:
+            pair = request.getfixturevalue(name)
+            graph, gens = pair.graph, pair.action_generators
+            local, order_g = pair.star.local_group, pair.report.order_g
+        n = graph.vertex_count
+        vertex_chain = perm.StabiliserChain(n, gens, base_prefix=(1,))
+        assert vertex_chain.order() == perm.StabiliserChain(n, gens).order()
+        assert vertex_chain.order() == order_g
+        cert = verify_locally_L(graph, gens, local)
+        assert cert.vertex_transitive and cert.locally_l
+        assert cert.stabiliser_order * n == order_g

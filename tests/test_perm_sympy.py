@@ -35,10 +35,15 @@ def ours(images):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(generator_sets())
-def test_order_and_membership_match_sympy(case):
+@given(generator_sets(), st.data())
+def test_order_and_membership_match_sympy(case, data):
+    """Also on a chain whose base starts at a drawn point, as ``verify``'s
+    starts at vertex 0: the order must not depend on the base."""
     degree, gens, probes = case
-    chain = StabiliserChain(degree, [ours(g) for g in gens])
+    prefix = data.draw(st.sampled_from(
+        [()] + [(p,) for p in range(1, degree + 1)]))
+    chain = StabiliserChain(degree, [ours(g) for g in gens],
+                            base_prefix=prefix)
     theirs = combinatorics.PermutationGroup(
         [combinatorics.Permutation(g) for g in gens])
     assert chain.order() == theirs.order()
