@@ -6,8 +6,10 @@ involutions, ``rho(A) * beta_i * rho(a) * x`` over the edge transversals.
 The conditions V1-V4 of the completion make the graph simple, connected,
 vertex-transitive and regular of valency equal to the local group's degree,
 with vertex stabiliser isomorphic to A.  The graph is fixed by its
-transition table: ``enumerate_cosets`` numbers the cosets by their keys
-(``Carrier.coset_key``), and G's two-letter relations fill most entries.
+transition table: ``enumerate_cosets`` numbers the cosets breadth first,
+finding each new one by its key (``Carrier.coset_key``) and dropping a key
+once no unfilled entry can lead to it; G's two-letter relations fill most
+entries.
 
 ``construct_pair`` returns one ``LocallyLPair``, an immutable named tuple
 like every record of the package: the candidate, its report with the order
@@ -44,10 +46,9 @@ constructor.
 
 from __future__ import annotations
 
-import collections
 import math
 import re
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import NamedTuple
 
 from . import amalgam, classify, perm
@@ -77,7 +78,7 @@ class FiniteGraph(_GraphFields):
         if len(adjacency) != vertex_count:
             raise InputError("adjacency length does not match vertex count")
         for v, nbrs in enumerate(adjacency):
-            if tuple(sorted(set(nbrs))) != nbrs:
+            if not (isinstance(nbrs, tuple) and all(map(lt, nbrs, nbrs[1:]))):
                 raise InputError(f"adjacency of {v} not sorted and duplicate-free")
             for w in nbrs:
                 if not 0 <= w < vertex_count:
@@ -125,15 +126,18 @@ class FiniteGraph(_GraphFields):
 
 
 class CosetTable(NamedTuple):
-    """The right cosets of rho(A) in the completed group: the vertex id of
-    each canonical key, and one transition map per generator of G."""
+    """The right cosets of rho(A) in the completed group: one transition
+    map per generator of G, and the vertex ids of the base vertex's
+    neighbours in slot order.  It holds no coset key: ``enumerate_cosets``
+    keeps each only until its row is processed and its last in-entry is
+    filled."""
 
-    index: dict[tuple[int, ...], int]
     transitions: tuple[tuple[int, ...], ...]    # per generator of G
+    base_neighbours: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.index)
+        return len(self.transitions[0])
 
 
 def enumerate_cosets(candidate: CompletionCandidate,
@@ -146,62 +150,95 @@ def enumerate_cosets(candidate: CompletionCandidate,
     that a coset element sends to 1 lies in one copy j, the elements of the
     coset send (e, j) to pairwise distinct points, so exactly one of them
     sends it to 1, and an element lies in one coset only.  The breadth-first
-    orbit stops as soon as it finds coset ``cap + 1``.
-
-    The key is also the representative multiplied (one ``itemgetter(*key)``
-    per vertex), and is dropped once its vertex is processed.
+    orbit stops as soon as it finds coset ``cap + 1``.  The base vertex's
+    neighbours are numbered as their keys (``candidate.slot_keys()``) turn
+    up among the new cosets.
 
     An entry that a relation among G's generators fixes needs no key.  The
     entries are filled in (vertex, generator) order.  Once v's are, each
     relation g_a g_b = g_c g_d makes x * g_b = y * g_d for x = v * g_a and
-    y = v * g_c: the later entry is copied from the earlier, at once or by
-    a link when the earlier is filled.  A relation g_a g_b = 1 makes x *
-    g_b = v.  A copied entry names a coset already numbered, the one its
-    key would find, so the numbering and the table are those of the keys.
+    y = v * g_c: an entry is copied from the other at once, or by a link
+    from the earlier to the later when neither is filled yet.  A relation
+    g_a g_b = 1 makes x * g_b = v.  A copied entry names a coset already
+    numbered, the one its key would find, so the numbering and the table
+    are those of the keys.
+
+    A key lives until its row is processed and its last in-entry is
+    filled.  The key is also the representative multiplied (one
+    ``itemgetter(*key)`` per row).  Otherwise it only finds its coset again,
+    for an unfilled entry (u, g) with u * g in that coset.  Each generator
+    permutes the cosets, so every coset is the value of exactly k entries,
+    and once all k are filled no lookup can reach its key: the key leaves
+    the index then, and the breadth-first list as well once its row is
+    done.
     """
     carrier = candidate.carrier
     coset_key = carrier.coset_key
     padded = [g.padded for g in candidate.group_generators()]
     k = len(padded)
     equal, inverse = perm._relations(padded)
+    slots = {key: j for j, key in enumerate(candidate.slot_keys())}
+    base_neighbours = [0] * len(slots)
     # the identity sends the identity point (e, 1) to 1, so it is the base
     # coset's key
     start = Permutation.identity(carrier.degree).padded
+    keys = [start]                      # coset v's key; None once unneeded
     index = {start: 0}
-    queue = collections.deque([start])
-    entries: list[int] = []             # entry (v, g) is entries[v * k + g]
-    deduced: dict[int, int] = {}        # unfilled entry -> its coset
+    unfilled = [k]                      # coset v's in-entries not yet filled
+    blank = [-1] * k
+    entries = blank[:]                  # entry (v, g) is entries[v * k + g]
     links: dict[int, list[int]] = {}    # unfilled entry -> later equal ones
-    while queue:
-        times = itemgetter(*queue.popleft())
-        for g in padded:
-            p = len(entries)
-            w = deduced.pop(p, None)
-            if w is None:
+
+    def fill(x: int, w: int) -> None:
+        entries[x] = w
+        unfilled[w] -= 1
+        if not unfilled[w]:             # no lookup can reach w any more
+            del index[keys[w]]
+            if w <= v:                  # and its row is done
+                keys[w] = None
+
+    for v, key in enumerate(keys):      # breadth first: the list grows
+        times = itemgetter(*key)
+        if not unfilled[v]:
+            keys[v] = None
+        first = v * k
+        for p, g in enumerate(padded, first):
+            w = entries[p]
+            if w < 0:
                 key = coset_key(times(g))
-                n = len(index)
+                n = len(keys)
                 w = index.setdefault(key, n)
                 if w == n:
                     if n >= cap:
                         return None
-                    queue.append(key)
+                    keys.append(key)
+                    unfilled.append(k)
+                    entries += blank
+                    if slots and key in slots:
+                        base_neighbours[slots.pop(key)] = n
+                fill(p, w)
             for q in links.pop(p, ()):
-                deduced[q] = w
-            entries.append(w)
-        row = entries[-k:]              # p is now v's last entry
+                if entries[q] < 0:
+                    fill(q, w)
+        row = entries[first:first + k]  # v's row, now filled
         for a, b in inverse:
             x = row[a] * k + b
-            if x > p:
-                deduced[x] = p // k
+            if entries[x] < 0:
+                fill(x, v)
         for a, b, c, d in equal:
             x, y = row[a] * k + b, row[c] * k + d
             if x > y:
                 x, y = y, x
-            if x > p:
-                links.setdefault(x, []).append(y)
-            elif y > p:
-                deduced[y] = entries[x]
-    return CosetTable(index, tuple(tuple(entries[g::k]) for g in range(k)))
+            wx, wy = entries[x], entries[y]
+            if wx < 0:
+                if wy < 0:
+                    links.setdefault(x, []).append(y)
+                else:
+                    fill(x, wy)
+            elif wy < 0:
+                fill(y, wx)
+    return CosetTable(tuple(tuple(entries[g::k]) for g in range(k)),
+                      tuple(base_neighbours))
 
 
 class LocalActionWitness(NamedTuple):
@@ -265,7 +302,10 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     The returned ``report`` carries the order of G.  The stabiliser of the
     base coset in G is rho(A), so in explicit mode ``|G| = |A| * V`` for
     the V cosets enumerated; only in implicit mode, where the coset count
-    stays unknown, does a stabiliser chain of G compute it.
+    stays unknown, does a stabiliser chain of G compute it.  The graph is
+    read off the table alone: no coset key outlives its row and its last
+    in-entry in ``enumerate_cosets``, which numbers the base vertex's
+    neighbours as it finds them.
     """
     if not report.accepted:
         raise InputError("completion was not accepted; cannot build the graph")
@@ -285,10 +325,9 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     # order.  V2 and V4 give each vertex d distinct neighbours other than
     # itself, the involutive betas make adjacency symmetric, and G =
     # <rho(A), betas> makes the graph connected.
-    base_neighbours = [table.index[key] for key in candidate.slot_keys()]
     n, transitions = table.size, table.transitions
-    del table       # its coset keys, one per vertex, are read no further
-    neighbours: list[list[int] | None] = [base_neighbours] + [None] * (n - 1)
+    neighbours: list[list[int] | None] = [list(table.base_neighbours)]
+    neighbours += [None] * (n - 1)
     for v in range(n):
         nbrs = neighbours[v]
         for row in transitions:

@@ -373,14 +373,14 @@ def star_core_by_loop(star):
     return core
 
 
-def coset_key_failure(candidate, table, pairs=1000, seed=0):
-    """``Carrier.coset_key`` against the keys of an enumerated table, on
-    seeded random pairs of cosets: a coset's key is unchanged by left
-    multiplication with rho(A), and two keys are equal exactly when the
-    quotient of their representatives lies in rho(A).  Returns the first
-    failure, or None."""
+def coset_key_failure(candidate, keys, pairs=1000, seed=0):
+    """``Carrier.coset_key`` against the given coset keys (those of
+    ``enumerate_cosets_by_products``), on seeded random pairs of cosets: a
+    coset's key is unchanged by left multiplication with rho(A), and two
+    keys are equal exactly when the quotient of their representatives lies
+    in rho(A).  Returns the first failure, or None."""
     carrier = candidate.carrier
-    reps = [Permutation(key[1:]) for key in table.index]
+    reps = [Permutation(key[1:]) for key in keys]
     rng = random.Random(seed)
     n = len(reps)
     for _ in range(min(pairs, 4 * n)):
@@ -394,17 +394,17 @@ def coset_key_failure(candidate, table, pairs=1000, seed=0):
     return None
 
 
-def carrier_neighbourhoods(candidate, table):
-    """Neighbour ids of every coset, recomputed on the carrier: the coset of
-    vertex v is keyed by its canonical representative's padded images, and
-    its neighbours are the canonical keys of e * rep over the slot elements
-    e."""
+def carrier_neighbourhoods(candidate, index):
+    """Neighbour ids of every coset, recomputed on the carrier: ``index``
+    numbers each coset by its canonical representative's padded images (as
+    ``enumerate_cosets_by_products`` does), and the neighbours of vertex v
+    are the canonical keys of e * rep over the slot elements e."""
     carrier = candidate.carrier
     slot_elems = slot_elements(candidate)
-    reps = {v: Permutation(key[1:]) for key, v in table.index.items()}
-    return [[table.index[canonical_coset_rep(carrier, e * reps[v]).padded]
+    reps = {v: Permutation(key[1:]) for key, v in index.items()}
+    return [[index[canonical_coset_rep(carrier, e * reps[v]).padded]
              for e in slot_elems]
-            for v in range(table.size)]
+            for v in range(len(index))]
 
 
 def enumerate_cosets_by_products(candidate):

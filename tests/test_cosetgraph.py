@@ -2,7 +2,6 @@ import functools
 import itertools
 import random
 import tracemalloc
-import weakref
 
 import pytest
 
@@ -26,7 +25,8 @@ from conftest import (ORACLE_STARS, canonical_coset_rep,
                       coset_key_failure,
                       enumerate_cosets_by_products, graph6_pair_loop, group,
                       kernel_order_by_loop, relations_by_products,
-                      slot_action_by_carrier, witness_conjugates_onto)
+                      slot_action_by_carrier, slot_elements,
+                      witness_conjugates_onto)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +60,28 @@ def constructed(name):
     return construct_pair(group(*spec), n)
 
 
+def product_index(candidate):
+    """The key index of ``enumerate_cosets_by_products``, after checking
+    that ``enumerate_cosets`` numbers the cosets as it does: the same
+    transitions, and the oracle's ids of the slot elements' cosets as the
+    base vertex's neighbours.  The enumeration keeps no key, so the tests
+    of keys take the oracle's."""
+    carrier = candidate.carrier
+    pairs, transitions = enumerate_cosets_by_products(candidate)
+    index = dict(pairs)
+    table = enumerate_cosets(candidate)
+    assert table.transitions == transitions
+    assert table.base_neighbours == tuple(
+        index[canonical_coset_rep(carrier, e).padded]
+        for e in slot_elements(candidate))
+    return index
+
+
+@functools.cache
+def constructed_index(name):
+    return product_index(constructed(name).candidate)
+
+
 class TestEnumerateCosets:
     def test_lagrange(self, result0):
         table = enumerate_cosets(result0.candidate)
@@ -69,29 +91,54 @@ class TestEnumerateCosets:
         assert enumerate_cosets(result0.candidate, cap=1) is None
 
     def test_base_coset_is_zero(self, result0):
-        table = enumerate_cosets(result0.candidate)
-        carrier = result0.candidate.carrier
+        # the identity's coset is rho(A) itself, which rho(A) fixes
+        candidate = result0.candidate
+        carrier = candidate.carrier
+        index = product_index(candidate)
         ident = Permutation.identity(carrier.degree)
-        assert table.index[canonical_coset_rep(carrier, ident).padded] == 0
+        assert index[canonical_coset_rep(carrier, ident).padded] == 0
+        rho_rows = enumerate_cosets(candidate).transitions[
+            :len(carrier.rho_generators)]
+        assert rho_rows and all(row[0] == 0 for row in rho_rows)
 
     @pytest.mark.parametrize("name", sorted(ORDER_CASES))
     def test_keys_match_membership(self, name):
         result = constructed(name)
-        table = enumerate_cosets(result.candidate)
-        assert coset_key_failure(result.candidate, table) is None
+        keys = constructed_index(name)
+        assert coset_key_failure(result.candidate, keys) is None
 
     @pytest.mark.parametrize("name", sorted(ORDER_CASES))
     def test_matches_product_oracle(self, name):
+        # product_index asserts the oracle's transitions and base neighbours
+        product_index(constructed(name).candidate)
+
+    @pytest.mark.parametrize("name", sorted(ORDER_CASES))
+    def test_base_neighbours_are_the_slot_keys(self, name):
         candidate = constructed(name).candidate
-        table = enumerate_cosets(candidate)
-        assert (list(table.index.items()), table.transitions) == \
-            enumerate_cosets_by_products(candidate)
+        index = constructed_index(name)
+        assert enumerate_cosets(candidate).base_neighbours == tuple(
+            index[key] for key in candidate.slot_keys())
+
+    def test_traced_peak_stays_small(self):
+        # L1 n=3: 4,096 keys of degree 324 took 11.4 MB while the whole
+        # index was kept; a key now leaves once its row is processed and
+        # its last in-entry filled, and the table holds no key
+        candidate = constructed("l1-n3").candidate
+        tracemalloc.start()
+        try:
+            table = enumerate_cosets(candidate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.size == 4_096
+        assert peak < 7_000_000
 
     def test_order_closure_skips_canonicalisations(self, monkeypatch):
         # L1 n=3: 4096 cosets and 6 generators give 24,576 entries; those
-        # a two-letter relation among the generators fills (18,429 of them,
+        # a two-letter relation among the generators fills (18,596 of them,
         # the order closure g^2 = 1 included) canonicalise nothing.  Each of
         # the other 4,095 cosets needs one key, so at least 4,095 are formed
+        # (5,990 are: one per other entry, and two per slot key)
         candidate = constructed("l1-n3").candidate
         carrier = candidate.carrier
         calls = []
@@ -147,7 +194,7 @@ class TestEnumerateCosets:
         # element; every element of the coset is formed
         candidate = constructed("l1-n3").candidate
         carrier = candidate.carrier
-        keys = list(enumerate_cosets(candidate).index)
+        keys = list(constructed_index("l1-n3"))
         rng = random.Random(0)
         for key in rng.sample(keys, 64):
             h = carrier.rho_index(rng.randrange(carrier.size)) * \
@@ -173,9 +220,9 @@ class TestEnumerateCosets:
 
     def test_key_oracle_sees_uncanonical_keys(self, result0, monkeypatch):
         carrier = result0.candidate.carrier
-        table = enumerate_cosets(result0.candidate)
+        keys = product_index(result0.candidate)
         monkeypatch.setattr(carrier, "coset_key", lambda padded: padded)
-        assert coset_key_failure(result0.candidate, table) == \
+        assert coset_key_failure(result0.candidate, keys) == \
             "same coset produced different keys"
 
     def test_transitions_act_transitively(self, result0):
@@ -195,6 +242,7 @@ class TestFiniteGraph:
         (3, ((1,), (0,)), "adjacency length does not match vertex count"),
         (3, ((2, 1), (0,), (0,)), "adjacency of 0 not sorted and duplicate-free"),
         (2, ((1, 1), (0,)), "adjacency of 0 not sorted and duplicate-free"),
+        (2, ([1], (0,)), "adjacency of 0 not sorted and duplicate-free"),
         (2, ((1,), (0, 2)), "neighbour 2 out of range"),
         (2, ((-1,), ()), "neighbour -1 out of range"),
         (2, ((0,), ()), "loop at vertex 0"),
@@ -203,8 +251,8 @@ class TestFiniteGraph:
         # of edge 0-1 finds it, and vertex 1's own check refuses the tuple
         (3, ((1,), (2, 0), (1,)),
          "adjacency of 1 not sorted and duplicate-free"),
-    ], ids=["length", "unsorted", "duplicate", "above-range", "below-range",
-            "loop", "asymmetric", "later-unsorted"])
+    ], ids=["length", "unsorted", "duplicate", "list-row", "above-range",
+            "below-range", "loop", "asymmetric", "later-unsorted"])
     def test_invalid_input_refused(self, count, adjacency, message):
         with pytest.raises(InputError, match=f"^{message}$"):
             FiniteGraph(count, adjacency)
@@ -258,8 +306,8 @@ class TestBuildGraph:
     @pytest.mark.parametrize("name", ["result0", "result1"])
     def test_adjacency_matches_carrier_oracle(self, name, request):
         result = request.getfixturevalue(name)
-        table = enumerate_cosets(result.candidate)
-        oracle = carrier_neighbourhoods(result.candidate, table)
+        index = product_index(result.candidate)
+        oracle = carrier_neighbourhoods(result.candidate, index)
         assert result.graph.adjacency == tuple(
             tuple(sorted(set(nbrs))) for nbrs in oracle)
         assert len(set(oracle[0])) == result.valency
@@ -286,32 +334,6 @@ class TestBuildGraph:
         # the base vertex's local action is read off the star
         witness = local_action(implicit.star)
         assert witness == implicit.witness and witness.kernel_order == 4
-
-    def test_coset_keys_dropped_before_the_graph(self, result0,
-                                                 monkeypatch):
-        # build_graph reads the coset index only for the base vertex's
-        # neighbours, so the keys, one per vertex, are freed before the
-        # neighbour lists and the graph are built
-        class Index(dict):
-            pass
-
-        freed = []
-
-        def enumerate_with_watched_index(candidate, cap):
-            table = enumerate_cosets(candidate, cap)
-            index = Index(table.index)
-            weakref.finalize(index, freed.append, True)
-            return table._replace(index=index)
-
-        def graph(*args):
-            assert freed, "coset index still alive"
-            return FiniteGraph(*args)
-
-        monkeypatch.setattr(cosetgraph, "enumerate_cosets",
-                            enumerate_with_watched_index)
-        monkeypatch.setattr(cosetgraph, "FiniteGraph", graph)
-        pair = build_graph(result0.candidate, result0.report, result0.witness)
-        assert pair.graph == result0.graph
 
     def test_rejected_completion_refused(self, result0):
         bad_report = result0.report._replace(v4=False, accepted=False)
