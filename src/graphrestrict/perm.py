@@ -45,18 +45,17 @@ generator as deep as it, so every rebuild follows a change of its
 generators, and keeps no element but the root's.
 
 Level 0, whose elements would otherwise hold most of a chain's memory,
-drops each element after the last read its scan makes of it.  Once a scan
-is past its first orbit point, its flags fix every read that remains, so
-the scan lists them first; replaying ``element``'s rule over that list
-finds, per element, its last read and the last element formed from it, and
-the scan drops the element after the later of the two.  So it forms the
-products of a scan that keeps every element, unless it breaks on a new
-strong generator past that point: then the next scan forms again the
-dropped elements it reads.  Only level 0 drops elements: the scan of a
-shallower level reads a deeper level's elements through the path products,
-at times no list of the deeper scan fixes, and no level is shallower than
-level 0.  A membership test forms again the level-0 elements it reads, and
-keeps them.
+drops each element after the last read its scan makes of it.  A scan's
+flags fix every read it makes, so the scan lists them first; replaying
+``element``'s rule over that list finds, per element, its last read and
+the last element formed from it, and the scan drops the element after the
+later of the two.  So it forms the products of a scan that keeps every
+element, unless it breaks on a new strong generator: then the next scan
+forms again the dropped elements it reads.  Only level 0 drops elements:
+the scan of a shallower level reads a deeper level's elements through the
+path products, at times no list of the deeper scan fixes, and no level is
+shallower than level 0.  A membership test forms again the level-0
+elements it reads, and keeps them.
 
 The chain sifts each Schreier generator ``u s t_q^-1`` on base images: the
 deeper base points' images are mapped back along one tree path per level.
@@ -85,14 +84,9 @@ flags, on each walk, the non-tree edge it reaches last.  By induction on
 that order, every edge the scan reaches without breaking was sifted into
 ``H`` or flagged by a walk whose other edges came earlier and are in ``H``;
 a scan that breaks on a new strong generator is followed by one with flags
-computed afresh.  The flags are computed only once the scan is past its
-first orbit point, whose Schreier generators are all sifted but those of
-tree edges: a flagged one there sifts to the identity, since its walk's
-other edges come earlier at that point, so the scan breaks where it would
-with every flag, and one that breaks at its first point, as most do after a
-new strong generator, pays for no flags.  The flag pass codes the edge
-``(p, j)`` as the integer ``p*k + j`` for ``k`` generators, which keeps the
-order, and walks each relation over the orbit in one loop.
+computed afresh.  The flag pass codes the edge ``(p, j)`` as the integer
+``p*k + j`` for ``k`` generators, which keeps the order, and walks each
+relation over the orbit in one loop.
 """
 
 from __future__ import annotations
@@ -444,10 +438,10 @@ class _ChainLevel:
         its tree path from the nearest formed ancestor: so an element is
         used last at the later of its own last read and the last formation
         it is the base of.  Replaying that rule over the schedule finds
-        both.  The elements formed before the scan that it never reaches
-        go with the first entry; the root is never dropped."""
+        both.  The scan starts from the root's element alone, which is
+        never dropped."""
         edge, padded = self.edge, self.padded
-        last = dict.fromkeys(self.elements, 0)
+        last = {self.point: 0}
         for at, (p, reads) in enumerate(schedule):
             for j in reads:
                 for q in (p, padded[j][p]):
@@ -718,10 +712,10 @@ class StabiliserChain:
         finds a new strong generator goes on at the level where its sift
         stopped.  A level is first built when it is first scanned, and
         rebuilt only by a scan, so never for generators that change again
-        before a scan reads it.  A scan computes its flags only once it is
-        past its first orbit point.  Each strong generator's inverse
-        images, order and relations with the earlier ones are found once,
-        when it is appended (``_register``), and every level reads them.
+        before a scan reads it.  A scan computes its flags once, before
+        its first sift.  Each strong generator's inverse images, order and
+        relations with the earlier ones are found once, when it is
+        appended (``_register``), and every level reads them.
         The chain is the one the product sift builds."""
         i = len(self.levels) - 1
         while i >= 0:
@@ -734,64 +728,39 @@ class StabiliserChain:
         group, append its residue as a strong generator and return the
         level where its sift stopped, else return None.
 
-        At the first orbit point only the tree edges are skipped, which are
-        the identity: a scan that breaks there pays no flag pass.  Past it,
         ``_ChainLevel.skipped`` flags the tree edges and the last non-tree
-        edge of each relator walk, which the walk's earlier ones imply; a
-        flagged pair at the first point would have sifted to the identity,
-        so the scan breaks on the pair it would break on with every flag.
-        The flags fix the scan's remaining reads, which it lists once and
-        then sifts; at level 0, ``_ChainLevel.drops`` names on that list
-        the elements each point reads last, and the scan drops them once
-        that point's sifts are done.  Its memo of path products lives for
-        one scan, and only when the product of the deeper orbit lengths is
-        at most this level's orbit length, which bounds the memo by the
-        transversal; otherwise each path product is formed and
-        dropped."""
+        edge of each relator walk, which the walk's earlier ones imply.
+        The flags fix the scan's reads, which it lists once and then
+        sifts; at level 0, ``_ChainLevel.drops`` names on that list the
+        elements each point reads last, and the scan drops them once that
+        point's sifts are done.  Its memo of path products lives for one
+        scan, and only when the product of the deeper orbit lengths is at
+        most this level's orbit length, which bounds the memo by the
+        transversal; otherwise each path product is formed and dropped."""
         self._rebuild_orbit(i)
         lev = self.levels[i]
         # one memo entry per path, that is per element of the deeper
         # levels' group
         deeper = math.prod(d.orbit_length() for d in self.levels[i + 1:])
         memo = {} if deeper <= lev.orbit_length() else None
-        first, *rest = sorted(lev.orbit())
-        new_level = self._sift_point(i, first, [
-            j for j, images in enumerate(lev.padded)
-            if lev.edge.get(images[first]) != (first, j)], memo)
-        if new_level is not None or not rest:
-            return new_level
-        # the flags fix the rest of the scan: the generators each point sifts
         skip = lev.skipped()
         schedule = [(p, [j for j, flags in enumerate(skip) if not flags[p]])
-                    for p in rest]
+                    for p in sorted(lev.orbit())]
         drops = lev.drops(schedule) if i == 0 else [()] * len(schedule)
         for (p, reads), drop in zip(schedule, drops):
-            new_level = self._sift_point(i, p, reads, memo)
-            if new_level is not None:
+            for j in reads:
+                sifted = self._sift_schreier(i, lev.element(p), j,
+                                             lev.padded[j][p], memo)
+                if sifted is None:
+                    continue
+                residue, new_level = sifted
+                self.strong_gens.append(residue)
+                if new_level == len(self.levels):
+                    self._ensure_base_covers(residue)
+                self._register([residue])
                 return new_level
             for q in drop:
                 del lev.elements[q]
-        return None
-
-    def _sift_point(self, i: int, p: int, reads: list,
-                    memo: dict | None) -> int | None:
-        """Sift the Schreier generators of level ``i`` at the orbit point
-        ``p`` on the generators ``reads``, in order; on the first that is
-        not in the deeper levels' group, append its residue as a strong
-        generator and return the level where its sift stopped, else return
-        None."""
-        lev = self.levels[i]
-        for j in reads:
-            sifted = self._sift_schreier(i, lev.element(p), j,
-                                         lev.padded[j][p], memo)
-            if sifted is None:
-                continue
-            residue, new_level = sifted
-            self.strong_gens.append(residue)
-            if new_level == len(self.levels):
-                self._ensure_base_covers(residue)
-            self._register([residue])
-            return new_level
         return None
 
     # -- queries --------------------------------------------------------

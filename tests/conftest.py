@@ -461,6 +461,8 @@ def relations_by_products(generators):
     """Every ``(a, b, c, d)`` with (a, b) < (c, d), b != d and g_a g_b =
     g_c g_d != 1, and every ``(a, b)`` with g_a g_b = 1, by comparing all
     products pairwise."""
+    if not generators:
+        return set(), set()
     pairs = [(a, b) for a in range(len(generators))
              for b in range(len(generators))]
     product = {(a, b): as_tuple(generators[a] * generators[b])
@@ -480,6 +482,8 @@ def skipped_by_walks(level):
     (by closure) or along a relation of ``relations_by_products``, the last
     non-tree edge in ``(p, j)`` order when it occurs on the walk once."""
     gens = level.gens
+    if not gens:    # a prefix level that no generator moves
+        return []
     degree = gens[0].degree
     tree = set(level.edge.values())
     orbit = set(level.orbit())

@@ -424,54 +424,74 @@ class TestSiftSchreier:
         assert products <= 2_750
 
     def test_product_count_without_prefix(self, monkeypatch):
-        # group.order()'s chain in verify, with no prefix: its first two
-        # level-0 scans break after 1 and 3 sifts and read 2 elements each.
-        # It took 3,546 products when every rebuild formed the elements of
+        # the l1-n2-vertices chain with no prefix: its first two level-0
+        # scans break after 1 and 3 sifts and read 2 elements each.  It
+        # took 3,546 products when every rebuild formed the elements of
         # every point whose tree path changed, 2,743 once an element was
-        # formed only when a sift reads it, and takes 2,748 now that a
-        # level is rebuilt from its root (+5)
+        # formed only when a sift reads it, and 2,748 once a level was
+        # rebuilt from its root (+5)
         _, products = counted_chain(monkeypatch, "l1-n2-vertices", "none")
         assert products <= 2_800
 
-    def test_flag_pass_only_past_the_first_point(self, monkeypatch):
-        # group.order()'s chain in verify, with no prefix: a scan that
-        # breaks on a new strong generator at its first orbit point runs
-        # no flag pass, and one that gets past that point runs one
-        gens = tuple(CHAIN_GROUPS["l1-n2-vertices"][0]())
+    @pytest.mark.parametrize("name,where", CHAIN_CASES,
+                             ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
+    def test_one_flag_pass_per_scan(self, name, where, monkeypatch):
+        # every scan runs one flag pass, before its first sift
+        gens = tuple(CHAIN_GROUPS[name][0]())
+        degree = gens[0].degree
         scans = []
         original_scan = StabiliserChain._scan
         original_sift = StabiliserChain._sift_schreier
         original_skipped = perm._ChainLevel.skipped
 
         def scan(chain, i):
-            scans.append({"flag passes": 0, "broke at": None})
-            new_level = original_scan(chain, i)
-            scans[-1]["orbit"] = sorted(chain.levels[i].orbit())
-            return new_level
+            scans.append([])
+            return original_scan(chain, i)
 
         def sift(chain, i, u, j, q, memo):
-            got = original_sift(chain, i, u, j, q, memo)
-            if got is not None:
-                lev = chain.levels[i]
-                scans[-1]["broke at"] = u.apply(lev.point)
-            return got
+            scans[-1].append("sift")
+            return original_sift(chain, i, u, j, q, memo)
 
         def skipped(lev):
-            scans[-1]["flag passes"] += 1
+            scans[-1].append("flags")
             return original_skipped(lev)
 
         monkeypatch.setattr(StabiliserChain, "_scan", scan)
         monkeypatch.setattr(StabiliserChain, "_sift_schreier", sift)
         monkeypatch.setattr(perm._ChainLevel, "skipped", skipped)
-        StabiliserChain(gens[0].degree, gens)
-        kinds = set()
-        for record in scans:
-            first, *rest = record["orbit"]
-            past = bool(rest) and record["broke at"] != first
-            assert record["flag passes"] == past, record
-            kinds.add((past, record["broke at"] is None))
-        # here every break comes at a first point; other scans run to the end
-        assert kinds == {(False, False), (True, True)}
+        StabiliserChain(degree, gens, base_prefix=base_prefix(where, degree))
+        assert scans
+        for events in scans:
+            assert events[0] == "flags" and events.count("flags") == 1
+
+    @pytest.mark.parametrize("name,where", CHAIN_CASES,
+                             ids=[f"{n}-{w}" for n, w in CHAIN_CASES])
+    def test_no_flagged_pair_is_sifted(self, name, where, monkeypatch):
+        # no scan sifts a Schreier generator that a tree edge or a relator
+        # walk flags, as the walks give them afresh for the level the scan
+        # reads, at its first orbit point too
+        gens = tuple(CHAIN_GROUPS[name][0]())
+        degree = gens[0].degree
+        original_scan = StabiliserChain._scan
+        original_sift = StabiliserChain._sift_schreier
+        flags = []
+
+        def scan(chain, i):
+            flags.append(None)
+            return original_scan(chain, i)
+
+        def sift(chain, i, u, j, q, memo):
+            lev = chain.levels[i]
+            if flags[-1] is None:
+                flags[-1] = skipped_by_walks(lev)
+            p = u.apply(lev.point)
+            assert p not in flags[-1][j], (i, p, j)
+            return original_sift(chain, i, u, j, q, memo)
+
+        monkeypatch.setattr(StabiliserChain, "_scan", scan)
+        monkeypatch.setattr(StabiliserChain, "_sift_schreier", sift)
+        StabiliserChain(degree, gens, base_prefix=base_prefix(where, degree))
+        assert flags
 
 
 class TestLevelZeroEviction:

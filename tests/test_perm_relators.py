@@ -30,9 +30,10 @@ def inverse(level, q):
 
 @st.composite
 def related_generators(draw):
-    """A degree 2..9 and 1..5 generators, each a random permutation, an
+    """A degree 2..9, 1..5 generators, each a random permutation, an
     involution, or a power, a conjugate or a disjoint-support partner of
-    an earlier one."""
+    an earlier one, and a base prefix of 0..2 distinct points, as
+    ``verify`` and ``point_stabiliser`` pass one."""
     degree = draw(st.integers(min_value=2, max_value=MAX_DEGREE))
     shuffled = st.permutations(list(range(1, degree + 1)))
     gens = []
@@ -58,16 +59,18 @@ def related_generators(draw):
                 continue
             g = Permutation.from_cycles(degree, [draw(st.permutations(fixed))])
         gens.append(g)
-    return degree, gens
+    prefix = draw(st.lists(st.integers(min_value=1, max_value=degree),
+                           max_size=2, unique=True))
+    return degree, gens, tuple(prefix)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(related_generators())
 def test_walk_skips_keep_the_chain(case):
-    degree, gens = case
-    chain = StabiliserChain(degree, gens)
+    degree, gens, prefix = case
+    chain = StabiliserChain(degree, gens, base_prefix=prefix)
     assert chain_snapshot(chain) == chain_snapshot(
-        ReferenceChain(degree, gens))
+        ReferenceChain(degree, gens, base_prefix=prefix))
     for i, lev in enumerate(chain.levels):
         expected = skipped_by_walks(lev)
         for j, flags in enumerate(lev.skipped()):
@@ -85,8 +88,8 @@ def test_walk_skips_keep_the_chain(case):
 @given(related_generators())
 def test_level_relations_are_the_products(case):
     # found once per chain as the generators arrive, read per level
-    degree, gens = case
-    chain = StabiliserChain(degree, gens)
+    degree, gens, prefix = case
+    chain = StabiliserChain(degree, gens, base_prefix=prefix)
     for lev in chain.levels:
         equal, inverse = lev.relations()
         expected_equal, expected_inverse = relations_by_products(lev.gens)
