@@ -122,16 +122,15 @@ def _caps_from_env() -> dict:
     return caps
 
 
-def _vertex_cap() -> int:
+def _vertex_cap(caps: dict) -> int:
     """The ``vertices`` cap, which also bounds the degree of group files."""
-    return _caps_from_env().get("vertices", DEFAULT_VERTEX_CAP)
+    return caps.get("vertices", DEFAULT_VERTEX_CAP)
 
 
-def _search_config(args) -> tuple[SearchConfig, int]:
+def _search_config(args, caps: dict) -> tuple[SearchConfig, int]:
     """SearchConfig's defaults, overridden by the caps GRAPHRESTRICT_CAPS
-    names, and the vertex cap, overridden by ``--max-vertices``."""
-    caps = _caps_from_env()
-    vertex_cap = caps.get("vertices", DEFAULT_VERTEX_CAP)
+    names (``caps``), and the vertex cap, overridden by ``--max-vertices``."""
+    vertex_cap = _vertex_cap(caps)
     if args.max_vertices is not None:
         vertex_cap = args.max_vertices
         if vertex_cap < 1:
@@ -167,7 +166,7 @@ def _group_dict(group: PermutationGroup) -> dict:
 
 
 def cmd_classify(args) -> int:
-    group = load_group(args.group, _vertex_cap())
+    group = load_group(args.group, _vertex_cap(_caps_from_env()))
     analysis = classify.analyze_local_group(group)
     verdict = classify.restrictive_verdict(analysis)
     if args.json:
@@ -250,7 +249,8 @@ def _exportable_vertices(valency: int, vertex_cap: int) -> int:
 
 
 def cmd_construct(args) -> int:
-    group = load_group(args.group, _vertex_cap())
+    caps = _caps_from_env()
+    group = load_group(args.group, _vertex_cap(caps))
     analysis = classify.analyze_local_group(group)
     if analysis.verdict != classify.NOT_RESTRICTIVE:
         verdict = classify.restrictive_verdict(analysis)
@@ -258,7 +258,7 @@ def cmd_construct(args) -> int:
                          f"this group is {analysis.verdict}: {verdict.message}")
     if args.n < 2:
         raise InputError(f"--n must be at least 2, got {args.n}")
-    search, vertex_cap = _search_config(args)
+    search, vertex_cap = _search_config(args, caps)
 
     out_dir = Path(args.out)
     try:
@@ -320,7 +320,7 @@ def cmd_verify(args) -> int:
         raise InputError(f"cannot read graph file {args.graph}: {exc}") from None
     # the vertex cap bounds the graph and the degree of both group files, so
     # that an oversized input is refused before anything is allocated for it
-    vertex_cap = _vertex_cap()
+    vertex_cap = _vertex_cap(_caps_from_env())
     graph = cosetgraph.parse_graph(data, vertex_cap)
     group = load_group(args.group, vertex_cap)
     local = load_group(args.local_group, vertex_cap)
@@ -353,8 +353,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    group = load_group(args.group, _vertex_cap())
-    search, vertex_cap = _search_config(args)
+    caps = _caps_from_env()
+    group = load_group(args.group, _vertex_cap(caps))
+    search, vertex_cap = _search_config(args, caps)
     table = cosetgraph.growth_report(group, args.n_from, args.n_to,
                                      search, vertex_cap)
     if args.json:

@@ -42,16 +42,22 @@ its sides are homomorphisms on C_i.
 
 The elements x whose conjugate ``beta_i^-1 rho(x) beta_i`` lies in rho(A)
 form a subgroup D_i.  The contract puts C_i in D_i, since phi_i maps C_i
-into itself, so V1 (D_i = C_i) needs only one element of each other left
-coset of C_i; the search checks V1 so, on the contract's authority.  V2 is
-checked on the carrier, and V4 on the canonical coset keys of the slot
-elements, the keys the coset graph uses.  The order of G is not computed
+into itself, so D_i is a union of right cosets C_i a, and V1 (D_i = C_i)
+holds exactly when no right transversal element but the identity 0 lies
+in D_i.  Slots (i, a) and (i, a') share a coset exactly when a a'^-1 lies
+in D_i, so a lies in D_i exactly when slot (i, a) shares the coset of
+slot (i, 0), rho(A) * beta_i: V1 holds exactly when edge i's slot keys
+are pairwise distinct.  V2 holds exactly when the key of slot (i, 0) is
+not the key of rho(A), the padded identity.  So V1, V2 and V4 are all
+read off the canonical coset keys of the slot elements, the keys the
+coset graph uses, on the contract's authority; the search forms no
+conjugate.  The order of G is not computed
 here: the coset graph gets it from the coset count (see
 ``cosetgraph.build_graph``).
 
 V1, V2 and the slot keys of an edge depend on its involution only, so the
-search decides and keys each built involution once, and a combination of
-them is decided by V4 alone, on the union of those keys.
+search keys each built involution once, and a combination of them is
+decided by V4 alone, on the union of those keys.
 
 There is no guarantee that a completion exists at small ``t`` for every
 input, so ``find_completion`` runs a deterministic escalation ladder
@@ -129,9 +135,6 @@ class Carrier:
         if x < self.size and self.rho_index(x).padded == perm.padded:
             return x
         return None
-
-    def in_rho(self, perm: Permutation) -> bool:
-        return self.membership_index(perm) is not None
 
     def coset_key(self, padded: tuple[int, ...]) -> tuple[int, ...]:
         """Key of the right coset rho(A) * h, given h's padded images: the
@@ -286,27 +289,20 @@ def _conjugate_index(carrier: Carrier, beta: Permutation, x: int) -> int | None:
     return carrier.membership_index(beta * carrier.rho_index(x) * beta)
 
 
-def _edge_check(carrier: Carrier, i: int,
-                beta: Permutation) -> tuple[bool, bool]:
-    """(V1, V2) of one edge's involution beta_i.
-
-    The x with beta_i^-1 rho(x) beta_i in rho(A) form a subgroup D_i of A.
-    The conjugation contract, which holds by construction and which
-    ``verify_completion`` checks, puts C_i in D_i, so D_i is a union of
-    left cosets of C_i: V1 (D_i = C_i) holds exactly when no other coset's
-    transversal element lies in it.  V2 asks that beta_i lies outside
-    rho(A); that it is an involution holds by construction as well."""
-    v1 = all(_conjugate_index(carrier, beta, x) is None
-             for x in carrier.star.edge(i).left_transversal if x)
-    return v1, not carrier.in_rho(beta)
-
-
 def _edge_keys(carrier: Carrier, i: int, beta: Permutation) -> list:
     """The coset keys of edge i's slot elements ``beta_i * rho(a)``, in
-    transversal order: they depend on beta_i alone."""
-    key = carrier.coset_key
-    return [key((beta * carrier.rho_index(a)).padded)
-            for a in carrier.star.edge(i).right_transversal]
+    transversal order: they depend on beta_i alone.  The first transversal
+    element is the identity, so the first slot element is beta_i."""
+    key, rho = carrier.coset_key, carrier.rho_index
+    return [key(beta.padded)] + [key((beta * rho(a)).padded) for a in
+                                 carrier.star.edge(i).right_transversal[1:]]
+
+
+def _edge_verdict(keys: list, degree: int) -> tuple[bool, bool]:
+    """(V1, V2) of an edge, read off its slot keys (see the module
+    docstring): V1 when they are pairwise distinct, V2 when the first,
+    beta_i's, is not the key of rho(A)."""
+    return len(set(keys)) == len(keys), keys[0] != _identity_images(degree)
 
 
 def verify_completion(candidate: CompletionCandidate) -> CompletionReport:
@@ -314,13 +310,12 @@ def verify_completion(candidate: CompletionCandidate) -> CompletionReport:
 
     Each beta is first checked to be an involution, then to satisfy the
     conjugation contract on the generators of C_i, which is exact (see the
-    module docstring); ``_edge_check`` then gives its V1 and V2.  An error
-    names the first edge that fails.  The search relies on the contract
-    and checks it nowhere else.  V3 is derived, not computed: it holds when
-    V1 holds on every edge, and is None when V1 has already failed.
+    module docstring); an error names the first edge that fails.  The
+    search relies on the contract and checks it nowhere else.  V1, V2 and
+    V4 are then read off the slot keys.  V3 is derived, not computed: it
+    holds when V1 holds on every edge, and is None when V1 has failed.
     """
     carrier = candidate.carrier
-    checks = []
     for i, beta in enumerate(candidate.betas, start=1):
         if not (beta * beta).is_identity():
             raise ValidationError("beta involution", f"edge {i}")
@@ -328,10 +323,11 @@ def verify_completion(candidate: CompletionCandidate) -> CompletionReport:
         if any(_conjugate_index(carrier, beta, c) != edge.twist_images[c]
                for c in edge.subgroup_generators):
             raise ValidationError("conjugation contract", f"edge {i}")
-        checks.append(_edge_check(carrier, i, beta))
-    v1, v2 = zip(*checks)
+    keys = [_edge_keys(carrier, i, beta)
+            for i, beta in enumerate(candidate.betas, start=1)]
+    v1, v2 = zip(*(_edge_verdict(k, carrier.degree) for k in keys))
     v3 = True if all(v1) else None
-    v4 = len(set(candidate.slot_keys())) == len(carrier.star.slots)
+    v4 = len(set().union(*keys)) == len(carrier.star.slots)
     accepted = all(v1) and all(v2) and v4
     return CompletionReport(v1, v2, v3, v4, None, carrier.star.order, accepted)
 
@@ -436,10 +432,10 @@ def find_completion(star: AmalgamStar,
 
     Copies start at 1 unless some identity-twist edge cannot be paired there
     (a whole-group edge, or an odd orbit count).  At each copy count each
-    built involution is decided once by ``_edge_check`` (V1 and V2; the
-    conjugation contract holds by construction and is not checked here)
-    and keyed once to build per-edge shortlists; a combination of them is
-    then decided by V4 alone.  A first pass over all copy counts uses
+    built involution is keyed once, and V2 and V1 are read off its keys
+    (the conjugation contract they rest on holds by construction and is
+    not checked here) to build per-edge shortlists; a combination of them
+    is then decided by V4 alone.  A first pass over all copy counts uses
     only deterministic plans (these produce small, structured completions
     when they succeed); seeded random transversals and pairings are a
     second pass.  The first combination that passes V4 in this fixed order
@@ -474,7 +470,8 @@ def find_completion(star: AmalgamStar,
                         attempts.append(AttemptRecord(t, "edge", plan.scheme,
                                                       f"build failed: {exc}", i))
                         continue
-                    v1, v2 = _edge_check(carrier, i, beta)
+                    keys = _edge_keys(carrier, i, beta)
+                    v1, v2 = _edge_verdict(keys, carrier.degree)
                     if not v2:
                         attempts.append(AttemptRecord(t, "edge", plan.scheme,
                                                       "V2 failed", i))
@@ -483,7 +480,7 @@ def find_completion(star: AmalgamStar,
                         attempts.append(AttemptRecord(t, "edge", plan.scheme,
                                                       "V1 failed", i))
                         continue
-                    shortlist.append((plan, beta, _edge_keys(carrier, i, beta)))
+                    shortlist.append((plan, beta, keys))
                 if not shortlist:
                     attempts.append(AttemptRecord(t, "edge", phase,
                                                   "no plan passed V1+V2", i))

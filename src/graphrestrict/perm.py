@@ -382,7 +382,7 @@ def _relations(padded) -> tuple[list, list]:
 
 class _ChainLevel:
     __slots__ = ("point", "depth", "reach", "edge", "elements", "ids",
-                 "gens", "padded", "inverses", "orders")
+                 "padded", "inverses", "orders")
 
     def __init__(self, point: int, degree: int, depth: int, reach: list):
         self.point = point
@@ -397,10 +397,10 @@ class _ChainLevel:
         # last read, but never the root.  A dict, which refers to no level
         self.elements = {point: Permutation.identity(degree)}
         self.ids = None     # the chain's indices of the generators the
-                            # orbit was last built from
-        self.gens = []      # those generators, their padded images, and
-        self.padded = []    # the chain's inverse images and orders of them
-        self.inverses = []
+                            # orbit was last built from: gens[j] is
+                            # strong_gens[ids[j]]
+        self.padded = []    # their padded images, and the chain's inverse
+        self.inverses = []  # images and orders of them
         self.orders = []
 
     def orbit(self) -> list:
@@ -622,8 +622,7 @@ class StabiliserChain:
         (``element``)."""
         lev = self.levels[i]
         ids = lev.ids = [g for g, d in enumerate(self._depths) if d >= i]
-        lev.gens = [self.strong_gens[g] for g in ids]
-        padded = lev.padded = [g.padded for g in lev.gens]
+        padded = lev.padded = [self.strong_gens[g].padded for g in ids]
         lev.inverses = [self._inverses[g] for g in ids]
         lev.orders = [self._orders[g] for g in ids]
         root = lev.point

@@ -351,7 +351,7 @@ def v4_by_pairs(candidate):
         for j, b in star.slots[s + 1:]:
             a_b_inv = index_mul(star, a, inverse[b])
             w = betas[i - 1] * carrier.rho_index(a_b_inv) * betas[j - 1]
-            if carrier.in_rho(w):
+            if carrier.membership_index(w) is not None:
                 return False
     return True
 
@@ -389,7 +389,8 @@ def coset_key_failure(candidate, keys, pairs=1000, seed=0):
         shifted = carrier.rho_index(rng.randrange(carrier.size)) * x
         if carrier.coset_key(shifted.padded) != x.padded:
             return "same coset produced different keys"
-        if (x.padded == y.padded) != carrier.in_rho(x * y.inverse()):
+        if (x.padded == y.padded) != (
+                carrier.membership_index(x * y.inverse()) is not None):
             return "key equality disagrees with membership"
     return None
 
@@ -475,13 +476,18 @@ def relations_by_products(generators):
     return equal, inverse
 
 
-def skipped_by_walks(level):
+def level_gens(chain, level):
+    """The strong generators a level's orbit was last built from."""
+    return [chain.strong_gens[g] for g in level.ids]
+
+
+def skipped_by_walks(chain, level):
     """The flags ``level.skipped()`` should give, per generator ``j`` the
     set of points ``p``, by walking every relator anew: the tree
     edges, and on each walk around a cycle as long as its generator's order
     (by closure) or along a relation of ``relations_by_products``, the last
     non-tree edge in ``(p, j)`` order when it occurs on the walk once."""
-    gens = level.gens
+    gens = level_gens(chain, level)
     if not gens:    # a prefix level that no generator moves
         return []
     degree = gens[0].degree

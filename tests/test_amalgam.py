@@ -329,11 +329,14 @@ class TestIndexEncoding:
 
     def test_index_zero_is_the_identity(self, oracle_star):
         # build_star does not check it: elements() lists L and S by image
-        # tuple, and the identity's is the least
+        # tuple, and the identity's is the least; so every edge's first
+        # right coset representative is the identity, which slot (i, 0)
+        # reads as beta_i itself
         star = oracle_star
         head, tail = DecodedStar(star).elements[0]
         assert head.is_identity() and all(t.is_identity() for t in tail)
         assert star.right_row(0) == star.left_row(0) == list(range(star.order))
+        assert all(edge.right_transversal[0] == 0 for edge in star.edges)
 
     def test_coset_index_is_orbit_length(self, oracle_star):
         # |A : C_i| against the cosets of C_i formed by brute force, the

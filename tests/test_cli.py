@@ -486,6 +486,24 @@ class TestReportCommand:
                      "--n-to", "2"]) == 2
         assert cli.CAPS_ENV_VAR in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["construct", "report"])
+    def test_caps_parsed_once(self, files, capsys, monkeypatch, command):
+        # one parse gives both the group file's degree cap and the search
+        # caps, which reach the search: a single copy exhausts it on L0
+        parse = cli._caps_from_env
+        calls = []
+
+        def counted():
+            calls.append(command)
+            return parse()
+
+        monkeypatch.setattr(cli, "_caps_from_env", counted)
+        monkeypatch.setenv(cli.CAPS_ENV_VAR, "copies=1")
+        argv = {"construct": ["--n", "2", "--out", str(files["dir"] / "out")],
+                "report": ["--n-from", "2", "--n-to", "2"]}[command]
+        assert main([command, files["L0"], *argv]) == 3
+        assert calls == [command]
+
 
 class TestExportCap:
     """Export sizes follow from the vertex count and valency, so an

@@ -16,10 +16,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from graphrestrict.perm import Permutation, StabiliserChain  # noqa: E402
 
-from conftest import (ReferenceChain, chain_snapshot, product_sift,  # noqa: E402
-                      reference_inverse, reference_is_identity,
-                      reference_mul, relations_by_products,
-                      skipped_by_walks)
+from conftest import (ReferenceChain, chain_snapshot, level_gens,  # noqa: E402
+                      product_sift, reference_inverse, reference_is_identity,
+                      reference_mul, relations_by_products, skipped_by_walks)
 
 MAX_DEGREE = 9
 
@@ -72,9 +71,9 @@ def test_walk_skips_keep_the_chain(case):
     assert chain_snapshot(chain) == chain_snapshot(
         ReferenceChain(degree, gens, base_prefix=prefix))
     for i, lev in enumerate(chain.levels):
-        expected = skipped_by_walks(lev)
+        expected = skipped_by_walks(chain, lev)
         for j, flags in enumerate(lev.skipped()):
-            s = lev.gens[j]
+            s = chain.strong_gens[lev.ids[j]]
             points = {p for p, flag in enumerate(flags) if flag}
             assert points == expected[j], (i, j)
             for p in points:
@@ -92,6 +91,7 @@ def test_level_relations_are_the_products(case):
     chain = StabiliserChain(degree, gens, base_prefix=prefix)
     for lev in chain.levels:
         equal, inverse = lev.relations()
-        expected_equal, expected_inverse = relations_by_products(lev.gens)
+        expected_equal, expected_inverse = relations_by_products(
+            level_gens(chain, lev))
         assert sorted(equal) == sorted(expected_equal), lev.point
         assert sorted(inverse) == sorted(expected_inverse), lev.point
