@@ -19,8 +19,8 @@ from .cosetgraph import (FiniteGraph, GrowthTable, LocallyLPair,
                          export_graph, growth_report, local_action,
                          parse_graph, verify_locally_L)
 from .errors import (CapacityError, CompletionSearchError, GraphRestrictError,
-                     InputError, NotEnumeratedError, ParseError,
-                     TheoryViolationError, ValidationError)
+                     InputError, ParseError, TheoryViolationError,
+                     ValidationError)
 from .perm import (Permutation, PermutationGroup, StabiliserChain,
                    is_semiprimitive, orbits, parse_permutation,
                    permutation_isomorphic, point_stabiliser, predicates)
@@ -42,5 +42,4 @@ __all__ = [
     "construct_pair", "export_graph", "parse_graph",
     "GraphRestrictError", "InputError", "ParseError", "CapacityError",
     "ValidationError", "TheoryViolationError", "CompletionSearchError",
-    "NotEnumeratedError",
 ]

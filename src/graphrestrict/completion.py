@@ -49,11 +49,11 @@ in D_i, so a lies in D_i exactly when slot (i, a) shares the coset of
 slot (i, 0), rho(A) * beta_i: V1 holds exactly when edge i's slot keys
 are pairwise distinct.  V2 holds exactly when the key of slot (i, 0) is
 not the key of rho(A), the padded identity.  So V1, V2 and V4 are all
-read off the canonical coset keys of the slot elements, the keys the
-coset graph uses, on the contract's authority; the search forms no
-conjugate.  The order of G is not computed
-here: the coset graph gets it from the coset count (see
-``cosetgraph.build_graph``).
+read off the canonical coset keys of the slot elements, on the contract's
+authority; the search forms no conjugate.  The coset graph needs no slot
+key: it reads the base vertex's neighbours off its transition table.  The
+order of G is not computed here: the coset graph gets it from the coset
+count (see ``cosetgraph.build_graph``).
 
 V1, V2 and the slot keys of an edge depend on its involution only, so the
 search keys each built involution once, and a combination of them is
@@ -195,16 +195,6 @@ class CompletionCandidate(NamedTuple):
 
     def group_generators(self) -> tuple[Permutation, ...]:
         return self.carrier.rho_generators + self.betas
-
-    def slot_keys(self) -> list[tuple[int, ...]]:
-        """The coset keys of the slot elements ``beta_i * rho(a)``, whose
-        cosets rho(A) * beta_i * rho(a) are the base vertex's neighbours,
-        in slot order: V4 asks that they are distinct (slots (i, a) and
-        (j, a') share a coset exactly when beta_i * rho(a a'^-1) *
-        beta_j^-1 lies in rho(A)), and the coset graph numbers the base
-        vertex's neighbours by them."""
-        return [key for i, beta in enumerate(self.betas, start=1)
-                for key in _edge_keys(self.carrier, i, beta)]
 
 
 class CompletionReport(NamedTuple):

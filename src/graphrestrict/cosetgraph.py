@@ -9,7 +9,8 @@ with vertex stabiliser isomorphic to A.  The graph is fixed by its
 transition table: ``enumerate_cosets`` numbers the cosets breadth first,
 finding each new one by its key (``Carrier.coset_key``) and dropping a key
 once no unfilled entry can lead to it; G's two-letter relations fill most
-entries.
+entries.  The base vertex's neighbours are read off the table too: they are
+the rho(A)-orbits of the cosets ``rho(A) * beta_i``.
 
 ``construct_pair`` returns one ``LocallyLPair``, an immutable named tuple
 like every record of the package: the candidate, its report with the order
@@ -55,8 +56,7 @@ from . import amalgam, classify, perm
 from .completion import (CompletionCandidate, CompletionReport, SearchConfig,
                          find_completion)
 from .errors import (CapacityError, CompletionSearchError, InputError,
-                     NotEnumeratedError, ParseError, TheoryViolationError,
-                     ValidationError)
+                     ParseError, TheoryViolationError, ValidationError)
 from .perm import Permutation, PermutationGroup
 
 DEFAULT_VERTEX_CAP = 1_000_000
@@ -127,13 +127,11 @@ class FiniteGraph(_GraphFields):
 
 class CosetTable(NamedTuple):
     """The right cosets of rho(A) in the completed group: one transition
-    map per generator of G, and the vertex ids of the base vertex's
-    neighbours in slot order.  It holds no coset key: ``enumerate_cosets``
-    keeps each only until its row is processed and its last in-entry is
-    filled."""
+    map per generator of G, which fixes the coset graph.  It holds no coset
+    key: ``enumerate_cosets`` keeps each only until its row is processed
+    and its last in-entry is filled."""
 
     transitions: tuple[tuple[int, ...], ...]    # per generator of G
-    base_neighbours: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -150,9 +148,9 @@ def enumerate_cosets(candidate: CompletionCandidate,
     that a coset element sends to 1 lies in one copy j, the elements of the
     coset send (e, j) to pairwise distinct points, so exactly one of them
     sends it to 1, and an element lies in one coset only.  The breadth-first
-    orbit stops as soon as it finds coset ``cap + 1``.  The base vertex's
-    neighbours are numbered as their keys (``candidate.slot_keys()``) turn
-    up among the new cosets.
+    orbit stops as soon as it finds coset ``cap + 1``.  The numbering is
+    the table's only output: ``build_graph`` reads the base vertex's
+    neighbours off it.
 
     An entry that a relation among G's generators fixes needs no key.  The
     entries are filled in (vertex, generator) order.  Once v's are, each
@@ -177,8 +175,6 @@ def enumerate_cosets(candidate: CompletionCandidate,
     padded = [g.padded for g in candidate.group_generators()]
     k = len(padded)
     equal, inverse = perm._relations(padded)
-    slots = {key: j for j, key in enumerate(candidate.slot_keys())}
-    base_neighbours = [0] * len(slots)
     # the identity sends the identity point (e, 1) to 1, so it is the base
     # coset's key
     start = Permutation.identity(carrier.degree).padded
@@ -214,8 +210,6 @@ def enumerate_cosets(candidate: CompletionCandidate,
                     keys.append(key)
                     unfilled.append(k)
                     entries += blank
-                    if slots and key in slots:
-                        base_neighbours[slots.pop(key)] = n
                 fill(p, w)
             for q in links.pop(p, ()):
                 if entries[q] < 0:
@@ -237,8 +231,7 @@ def enumerate_cosets(candidate: CompletionCandidate,
                     fill(x, wy)
             elif wy < 0:
                 fill(y, wx)
-    return CosetTable(tuple(tuple(entries[g::k]) for g in range(k)),
-                      tuple(base_neighbours))
+    return CosetTable(tuple(tuple(entries[g::k]) for g in range(k)))
 
 
 class LocalActionWitness(NamedTuple):
@@ -304,8 +297,12 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     the V cosets enumerated; only in implicit mode, where the coset count
     stays unknown, does a stabiliser chain of G compute it.  The graph is
     read off the table alone: no coset key outlives its row and its last
-    in-entry in ``enumerate_cosets``, which numbers the base vertex's
-    neighbours as it finds them.
+    in-entry in ``enumerate_cosets``.  The base vertex's neighbours are the
+    cosets ``rho(A) * beta_i * rho(a)``: each beta row sends vertex 0 to
+    ``rho(A) * beta_i``, and the rho rows close these under rho(A).  By the
+    conjugation contract that orbit is exactly edge i's slots, and V4 makes
+    the union d vertices.  Every adjacency tuple is sorted, so the order in
+    which they are found does not matter.
     """
     if not report.accepted:
         raise InputError("completion was not accepted; cannot build the graph")
@@ -326,8 +323,16 @@ def build_graph(candidate: CompletionCandidate, report: CompletionReport,
     # itself, the involutive betas make adjacency symmetric, and G =
     # <rho(A), betas> makes the graph connected.
     n, transitions = table.size, table.transitions
-    neighbours: list[list[int] | None] = [list(table.base_neighbours)]
-    neighbours += [None] * (n - 1)
+    rho_rows = transitions[:len(carrier.rho_generators)]
+    base = {row[0] for row in transitions[len(rho_rows):]}
+    found = list(base)
+    for u in found:     # breadth first: the list grows while it is read
+        for row in rho_rows:
+            w = row[u]
+            if w not in base:
+                base.add(w)
+                found.append(w)
+    neighbours: list[list[int] | None] = [found] + [None] * (n - 1)
     for v in range(n):
         nbrs = neighbours[v]
         for row in transitions:
@@ -581,18 +586,13 @@ def export_sizes(vertex_count: int, valency: int) -> dict[str, int]:
             "graph6": len(_graph6_bytes(n)) + -(-(n * (n - 1)) // 12)}
 
 
-def export_graph(graph, fmt: str):
+def export_graph(graph: FiniteGraph, fmt: str):
     """Byte-exact exports: ``edge-list`` (sorted "u v" lines),
     ``adjacency-list`` ("v: n1 n2 ..."), or ``graph6``.
 
-    Accepts a FiniteGraph or a pair; an implicit pair has no enumerated
-    graph and raises NotEnumeratedError.  The graph6 export is built in one
-    buffer, header included, and returned as that bytearray.
+    The graph6 export is built in one buffer, header included, and returned
+    as that bytearray.
     """
-    if isinstance(graph, LocallyLPair):
-        if graph.graph is None:
-            raise NotEnumeratedError("graph")
-        graph = graph.graph
     # each id's string is built once; edges() yields the pairs in order,
     # since every adjacency tuple is sorted
     if fmt == "edge-list":
@@ -707,11 +707,15 @@ def parse_graph(text_or_bytes, vertex_cap: int | None = None) -> FiniteGraph:
         _check_vertex_count(n, vertex_cap)
         return FiniteGraph.from_edges(n, edges)
     edges = []
-    for ln in lines:        # each line split once; the first bad one ends it
+    # each line is split once; the first bad one ends the edge list
+    for no, ln in numbered.items():
         tokens = ln.split()
         if len(tokens) != 2 or not all(map(str.isdigit, tokens)):
             break
-        edges.append((int(tokens[0]), int(tokens[1])))
+        try:
+            edges.append((int(tokens[0]), int(tokens[1])))
+        except ValueError:      # more digits than int() converts
+            raise ParseError("vertex id too long", line=no) from None
     else:
         n = max(map(max, edges)) + 1
         _check_vertex_count(n, vertex_cap)

@@ -58,11 +58,3 @@ class CompletionSearchError(GraphRestrictError):
         for rec in self.attempts:
             lines.append("  " + rec.describe())
         super().__init__("\n".join(lines))
-
-
-class NotEnumeratedError(GraphRestrictError):
-    """An explicit graph was requested but only the implicit form exists."""
-
-    def __init__(self, what: str = "graph"):
-        super().__init__(f"not enumerated: {what} exceeds the enumeration cap; "
-                         "only the implicit form is available")

@@ -267,7 +267,7 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
 
 
-_CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
+_CYCLE_RE = re.compile(r"\(\s*((?:\d[\d\s,]*)?)\)")
 
 
 def parse_permutation(text: str, degree: int) -> Permutation:
@@ -290,8 +290,13 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             if m is None:
                 raise ParseError(f"bad cycle notation {text!r}", column=pos + 1)
             body = m.group(1).replace(",", " ").split()
-            if body:
-                cycles.append([int(p) for p in body])
+            try:
+                cycle = [int(p) for p in body]
+            except ValueError:      # more digits than int() converts
+                raise ParseError("cycle point too long",
+                                 column=pos + 1) from None
+            if cycle:
+                cycles.append(cycle)
             pos = m.end()
         try:
             return Permutation.from_cycles(degree, cycles)
@@ -655,9 +660,11 @@ class StabiliserChain:
     def _path_product(self, i: int, path: list) -> Permutation:
         """The transversal elements on a sift path from level ``i``
         multiplied deepest first: the element whose sift follows ``path``
-        to the identity."""
+        to the identity; the identity for an empty path."""
         factors = [lev.element(img) for lev, img in zip(self.levels[i:], path)]
-        out = Permutation.identity(self.degree)
+        if not factors:
+            return Permutation.identity(self.degree)
+        out = factors.pop()
         for t in reversed(factors):
             out = out * t
         return out

@@ -387,6 +387,55 @@ class TestHostileVerifyInput:
         assert "cap 'isomorphism search nodes'" in err
 
 
+class TestHostileNumbers:
+    """A cycle line whose digits no ")" closes is refused at once, and a
+    number too long for ``int()`` is a ParseError (exit 2), not a
+    ValueError (exit 1, which means a negative verdict for ``verify``)."""
+
+    UNCLOSED = "degree 5\n(" + "1" * 32 + " 2\n"
+    LONG_POINT = "degree 5\n(1 " + "9" * 5000 + ")\n"
+
+    def test_unclosed_cycle_exits_2_at_once(self, tmp_path):
+        # a cycle pattern with nested repeats backtracks exponentially here
+        grp = tmp_path / "unclosed.grp"
+        grp.write_text(self.UNCLOSED)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "graphrestrict", "classify", str(grp)],
+            capture_output=True, text=True, env=env, timeout=5)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: bad cycle notation")
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "BAD"],
+        ["construct", "BAD", "--n", "2", "--out", "OUT"],
+        ["report", "BAD", "--n-from", "2", "--n-to", "2"],
+        ["verify", "GRAPH", "BAD", "L0"]],
+        ids=["classify", "construct", "report", "verify"])
+    @pytest.mark.parametrize("text, message", [
+        (UNCLOSED, "error: bad cycle notation"),
+        (LONG_POINT, "error: cycle point too long (line 2)"),
+    ], ids=["unclosed-cycle", "long-point"])
+    def test_group_file(self, files, capsys, argv, text, message):
+        bad = files["dir"] / "hostile.grp"
+        bad.write_text(text)
+        graph = files["dir"] / "triangle.edges"
+        graph.write_text("0 1\n1 2\n0 2\n")
+        paths = {"BAD": str(bad), "GRAPH": str(graph), "L0": files["L0"],
+                 "OUT": str(files["dir"] / "out")}
+        start = time.perf_counter()
+        assert main([paths.get(arg, arg) for arg in argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_long_vertex_id(self, files, capsys):
+        graph = files["dir"] / "long.edges"
+        graph.write_text("0 " + "9" * 5000 + "\n")
+        assert main(["verify", str(graph), files["L0"], files["L0"]]) == 2
+        assert capsys.readouterr().err == "error: vertex id too long (line 1)\n"
+
+
 class TestGroupDegreeCap:
     """classify, construct and report refuse a group file of degree above
     the vertex cap, as verify does."""

@@ -15,8 +15,7 @@ from graphrestrict.cosetgraph import (FiniteGraph, LocallyLPair,
                                       export_sizes, growth_report,
                                       local_action, parse_graph,
                                       verify_locally_L)
-from graphrestrict.errors import (CapacityError, InputError,
-                                  NotEnumeratedError, ParseError)
+from graphrestrict.errors import CapacityError, InputError, ParseError
 from graphrestrict.perm import Permutation, PermutationGroup, parse_permutation
 
 from conftest import (ORACLE_STARS, canonical_coset_rep,
@@ -63,18 +62,11 @@ def constructed(name):
 def product_index(candidate):
     """The key index of ``enumerate_cosets_by_products``, after checking
     that ``enumerate_cosets`` numbers the cosets as it does: the same
-    transitions, and the oracle's ids of the slot elements' cosets as the
-    base vertex's neighbours.  The enumeration keeps no key, so the tests
-    of keys take the oracle's."""
-    carrier = candidate.carrier
+    transitions.  The enumeration keeps no key, so the tests of keys take
+    the oracle's."""
     pairs, transitions = enumerate_cosets_by_products(candidate)
-    index = dict(pairs)
-    table = enumerate_cosets(candidate)
-    assert table.transitions == transitions
-    assert table.base_neighbours == tuple(
-        index[canonical_coset_rep(carrier, e).padded]
-        for e in slot_elements(candidate))
-    return index
+    assert enumerate_cosets(candidate).transitions == transitions
+    return dict(pairs)
 
 
 @functools.cache
@@ -109,15 +101,21 @@ class TestEnumerateCosets:
 
     @pytest.mark.parametrize("name", sorted(ORDER_CASES))
     def test_matches_product_oracle(self, name):
-        # product_index asserts the oracle's transitions and base neighbours
+        # product_index asserts the oracle's transitions
         product_index(constructed(name).candidate)
 
     @pytest.mark.parametrize("name", sorted(ORDER_CASES))
     def test_base_neighbours_are_the_slot_keys(self, name):
-        candidate = constructed(name).candidate
+        # build_graph reads vertex 0's neighbours off the table; the oracle
+        # numbers the cosets of the slot elements by their keys, and the
+        # identity-twist stars have slots whose orbits are single cosets
+        pair = constructed(name)
+        carrier = pair.candidate.carrier
         index = constructed_index(name)
-        assert enumerate_cosets(candidate).base_neighbours == tuple(
-            index[key] for key in candidate.slot_keys())
+        slots = {index[canonical_coset_rep(carrier, e).padded]
+                 for e in slot_elements(pair.candidate)}
+        assert len(slots) == pair.valency
+        assert pair.graph.adjacency[0] == tuple(sorted(slots))
 
     def test_traced_peak_stays_small(self):
         # L1 n=3: 4,096 keys of degree 324 took 11.4 MB while the whole
@@ -717,12 +715,6 @@ class TestExports:
         assert export_sizes(40_960, 5)["graph6"] == 4 + 139_806_720
         assert export_sizes(294_912, 10)["graph6"] == 8 + 7_247_732_736
 
-    def test_implicit_export_refused(self, result0):
-        implicit = build_graph(result0.candidate, result0.report,
-                               result0.witness, cap=1)
-        with pytest.raises(NotEnumeratedError):
-            export_graph(implicit, "edge-list")
-
     def test_unknown_format(self, result0):
         with pytest.raises(InputError):
             export_graph(result0.graph, "dot")
@@ -730,6 +722,12 @@ class TestExports:
     def test_parse_errors(self):
         with pytest.raises(ParseError):
             parse_graph("")
+
+    def test_overlong_vertex_id_is_a_parse_error(self):
+        # more digits than int() converts: a ParseError naming its line,
+        # not a ValueError
+        with pytest.raises(ParseError, match=r"vertex id too long \(line 2\)"):
+            parse_graph("0 1\n0 " + "9" * 5000 + "\n")
 
     # a form feed and a bare carriage return each end a line for
     # str.splitlines, so in both the byte is on the third line

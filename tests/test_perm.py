@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import time
 import weakref
 
@@ -74,6 +75,36 @@ class TestPermutationBasics:
         with pytest.raises(InputError,
                            match=f"^not a permutation of 1..3: {fault}$"):
             Permutation(images)
+
+
+class TestCycleParser:
+    # the reference: it matches what the parser's pattern should, but its
+    # nested repeats split a run of digits in exponentially many ways when
+    # no ")" follows, so it is run on short strings only
+    BACKTRACKING = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
+
+    def test_matches_the_backtracking_pattern(self):
+        # the same match, span and group at every position of every string
+        # of up to 6 characters over those the pattern can tell apart
+        for length in range(7):
+            for chars in itertools.product("( )1,x", repeat=length):
+                s = "".join(chars)
+                for pos in range(length + 1):
+                    old = self.BACKTRACKING.match(s, pos)
+                    new = perm._CYCLE_RE.match(s, pos)
+                    assert (old and (old.span(), old.group(1))) == \
+                        (new and (new.span(), new.group(1))), (s, pos)
+
+    def test_unclosed_digits_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="bad cycle notation"):
+            parse_permutation("(" + "1" * 100_000 + " 2", 5)
+        assert time.perf_counter() - start < 1.0
+
+    def test_overlong_point_is_a_parse_error(self):
+        # more digits than int() converts: a ParseError, not a ValueError
+        with pytest.raises(ParseError, match="cycle point too long"):
+            parse_permutation("(1 " + "9" * 5000 + ")", 5)
 
 
 class TestFromCycles:
